@@ -38,9 +38,18 @@ from .exceptions import (
     EvaluationError,
     KicaumineError,
 )
-from .model import Prediction, classify, load_model, save_model, train
+from .model import (
+    Prediction,
+    classify,
+    count_documents,
+    load_model,
+    save_model,
+    train,
+    train_without,
+)
 from .preprocess import PipelineConfig, run_pipeline
 from .resources import (
+    atomic_writer,
     load_hashtags,
     load_pos_lexicon,
     load_root_words,
@@ -49,6 +58,9 @@ from .resources import (
 )
 
 logger = logging.getLogger("kicaumine")
+
+# Ids named in one warning line; the rest are only counted.
+_MAX_LOGGED_IDS = 10
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +144,7 @@ def _tweet_record(tweet: Tweet) -> dict:
 
 
 def _write_jsonl(path, records) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with atomic_writer(path) as handle:
         for record in records:
             handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False))
             handle.write("\n")
@@ -171,12 +183,15 @@ def _read_predictions(path) -> dict[str, Prediction]:
                 continue
             try:
                 record = json.loads(line)
+                tweet_id = record["id"]
+                if tweet_id in predictions:
+                    raise ConfigError(f"{path}:{lineno}: duplicate prediction id {tweet_id!r}")
                 label = SentimentLabel(record["label"])
                 posteriors = {
                     SentimentLabel(name): float(p)
                     for name, p in record.get("posteriors", {}).items()
                 }
-                predictions[record["id"]] = Prediction(
+                predictions[tweet_id] = Prediction(
                     label=label,
                     posteriors=posteriors,
                     oov_tokens=int(record.get("oov_tokens", 0)),
@@ -192,7 +207,7 @@ def _emit(text: str, out_path) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
+        with atomic_writer(out_path) as handle:
             handle.write(text)
             if not text.endswith("\n"):
                 handle.write("\n")
@@ -405,10 +420,11 @@ def _gold_documents(config: RunConfig, pipeline: PipelineConfig):
     by_id = {t.id: t for t in tweets}
     missing = sorted(tweet_id for tweet_id in gold if tweet_id not in by_id)
     if missing:
+        shown = ", ".join(missing[:_MAX_LOGGED_IDS])
+        if len(missing) > _MAX_LOGGED_IDS:
+            shown += f", ... and {len(missing) - _MAX_LOGGED_IDS} more"
         logger.warning(
-            "%d gold id(s) missing from the corpus and excluded: %s",
-            len(missing),
-            ", ".join(missing),
+            "%d gold id(s) missing from the corpus and excluded: %s", len(missing), shown
         )
     docs = []
     for tweet_id in sorted(set(gold) - set(missing)):
@@ -427,10 +443,12 @@ def cmd_eval(config: RunConfig) -> int:
 
     if config.k >= 2:
         folds = k_fold(docs, config.k, config.seed)
+        usable = [d for d in docs if not d.empty]
+        counts = count_documents(usable, {d.label for d in usable})
         accuracies = []
-        for i, (train_docs, test_docs) in enumerate(folds, start=1):
-            usable_train = [d for d in train_docs if not d.empty]
-            fold_model = train(usable_train)
+        for i, (_, test_docs) in enumerate(folds, start=1):
+            # Same model as train() on the fold's non-empty training docs.
+            fold_model = train_without(counts, [d for d in test_docs if not d.empty])
             usable_test = [d for d in test_docs if d.label in fold_model.labels]
             skipped = len(test_docs) - len(usable_test)
             if skipped:

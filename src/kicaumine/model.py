@@ -16,7 +16,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from . import _kernels
 from .corpus import SentimentLabel
@@ -27,6 +27,7 @@ from .exceptions import (
     UnknownLabelError,
 )
 from .preprocess import Document
+from .resources import atomic_writer
 
 logger = logging.getLogger(__name__)
 
@@ -132,6 +133,37 @@ def _canonical_label_order(labels: Iterable[SentimentLabel]) -> tuple[SentimentL
     return tuple(lab for lab in SentimentLabel if lab in wanted)
 
 
+class TrainingCounts(NamedTuple):
+    """Per-class document and token counts of a labeled document collection."""
+
+    docs_per_class: Counter
+    token_counts: dict[SentimentLabel, Counter]
+
+
+def count_documents(
+    docs: Iterable[Document], label_set: Collection[SentimentLabel]
+) -> TrainingCounts:
+    """Count documents into per-class tallies, with the checks of :func:`train`.
+
+    Every document must carry a label from ``label_set`` and a non-empty
+    token list; violations raise TrainingError naming the document.
+    """
+    docs_per_class: Counter = Counter()
+    token_counts: dict[SentimentLabel, Counter] = {lab: Counter() for lab in label_set}
+    for doc in docs:
+        if doc.label is None:
+            raise TrainingError(f"document {doc.source_id!r} is unlabeled")
+        if doc.label not in label_set:
+            raise TrainingError(
+                f"document {doc.source_id!r} labeled {doc.label} outside the label set"
+            )
+        if doc.empty:
+            raise TrainingError(f"document {doc.source_id!r} has no tokens")
+        docs_per_class[doc.label] += 1
+        token_counts[doc.label].update(doc.tokens)
+    return TrainingCounts(docs_per_class, token_counts)
+
+
 def train(docs: list[Document], labels: Iterable[SentimentLabel] | None = None) -> NbModel:
     """Count a labeled document collection into an immutable model.
 
@@ -146,19 +178,36 @@ def train(docs: list[Document], labels: Iterable[SentimentLabel] | None = None) 
     label_set = set(labels) if labels is not None else {d.label for d in docs} - {None}
     if not label_set:
         raise TrainingError("no labels to train on")
-    docs_per_class: Counter = Counter()
-    token_counts: dict[SentimentLabel, Counter] = {lab: Counter() for lab in label_set}
-    for doc in docs:
-        if doc.label is None:
-            raise TrainingError(f"document {doc.source_id!r} is unlabeled")
-        if doc.label not in label_set:
-            raise TrainingError(
-                f"document {doc.source_id!r} labeled {doc.label} outside the label set"
-            )
-        if doc.empty:
-            raise TrainingError(f"document {doc.source_id!r} has no tokens")
-        docs_per_class[doc.label] += 1
-        token_counts[doc.label].update(doc.tokens)
+    return _model_from_counts(label_set, count_documents(docs, label_set))
+
+
+def train_without(counts: TrainingCounts, held_out: list[Document]) -> NbModel:
+    """Train on the counted documents minus ``held_out``, by subtraction.
+
+    ``counts`` comes from :func:`count_documents` over labeled, non-empty
+    documents with their observed labels, and ``held_out`` is a sub-multiset
+    of those documents. The result equals :func:`train` on the remaining
+    documents, errors included, at the cost of the held-out tokens plus one
+    pass over each class vocabulary instead of a recount of every token.
+    """
+    removed = count_documents(held_out, counts.token_counts.keys())
+    # Counter subtraction keeps only positive counts, so classes and tokens
+    # left with nothing drop out, as they would from a recount.
+    docs_per_class = counts.docs_per_class - removed.docs_per_class
+    if not docs_per_class:
+        raise TrainingError("no documents to train on")
+    remaining = {
+        lab: counts.token_counts[lab] - removed.token_counts[lab] for lab in docs_per_class
+    }
+    return _model_from_counts(set(docs_per_class), TrainingCounts(docs_per_class, remaining))
+
+
+def _model_from_counts(
+    label_set: Collection[SentimentLabel], counts: TrainingCounts
+) -> NbModel:
+    """Drop classes without documents, reject fewer than two, build the model."""
+    docs_per_class, token_counts = counts
+    token_counts = dict(token_counts)
     for lab in sorted(label_set, key=lambda l: l.value):
         if docs_per_class[lab] == 0:
             logger.warning("label %s has no training documents; dropping it", lab)
@@ -249,7 +298,10 @@ def classify(model: NbModel, doc: Document, oov_mode: str = OOV_SMOOTH) -> Predi
 
 
 def save_model(model: NbModel, sink) -> None:
-    """Serialize the model as a single JSON document (integer counts only)."""
+    """Serialize the model as a single JSON document (integer counts only).
+
+    A path sink is replaced atomically; a file object is written as is.
+    """
     payload = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "alpha": model.alpha,
@@ -262,7 +314,7 @@ def save_model(model: NbModel, sink) -> None:
     }
     text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
     if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="\n") as handle:
+        with atomic_writer(sink) as handle:
             handle.write(text)
     else:
         sink.write(text)

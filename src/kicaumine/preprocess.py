@@ -59,6 +59,12 @@ class Document:
     label: SentimentLabel | None = None
 
     def __post_init__(self):
+        # One pass over the joined tokens decides the common valid case;
+        # letters and lowercase-fixed points are per-character properties,
+        # so the join passes exactly when every token does.
+        joined = "".join(self.tokens)
+        if all(self.tokens) and (joined.isalpha() or not joined) and joined == joined.lower():
+            return
         for token in self.tokens:
             if not token or not token.isalpha() or token != token.lower():
                 raise ValueError(f"invalid document token {token!r}")
@@ -135,12 +141,12 @@ def tokenize(text: str) -> list[str]:
     anything else is a contract violation reported with the offending
     character.
     """
-    for ch in set(text):
-        if ch != " " and not ch.isalpha():
-            offender = next(c for c in text if c != " " and not c.isalpha())
-            raise ContractError(
-                f"tokenize expects case-folded text; found non-letter {offender!r}"
-            )
+    letters = text.replace(" ", "")
+    if letters and not letters.isalpha():
+        offender = next(c for c in text if c != " " and not c.isalpha())
+        raise ContractError(
+            f"tokenize expects case-folded text; found non-letter {offender!r}"
+        )
     return text.split()
 
 

@@ -1,4 +1,4 @@
-"""Word-file parsing and access to the bundled data files.
+"""Word-file parsing, access to the bundled data files, atomic output writes.
 
 All word resources share one line format: UTF-8 text, one entry per
 line, lines starting with '#' are comments, trailing whitespace is
@@ -7,6 +7,8 @@ dictionary, POS lexicon, language-detection wordlist, and a six-tweet
 demo corpus so the whole pipeline runs offline out of the box.
 """
 
+import os
+from contextlib import contextmanager, suppress
 from functools import lru_cache
 from importlib.resources import files
 
@@ -31,6 +33,35 @@ def parse_word_lines(lines) -> list[str]:
             continue
         entries.append(line)
     return entries
+
+
+@contextmanager
+def atomic_writer(path):
+    """Open ``path`` for UTF-8 text with LF newlines, replaced only on success.
+
+    The text goes to a new file in the target's directory, which replaces
+    the target once the block completes. If the block raises, that file is
+    removed and the target keeps its previous content. This protects
+    against a failing or killed writer, not against power loss (there is no
+    fsync). A target that exists but is not a regular file, such as a FIFO
+    or ``/dev/stdout``, cannot be replaced and is written in place.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        return
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    handle = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            yield handle
+        os.replace(tmp, target)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_word_file(path) -> list[str]:

@@ -20,8 +20,15 @@ with the ending intact (an apparent "-nya" may be part of the root, as
 in "bertanya"). If no candidate is ever found the original word is
 returned unchanged, so the result is always either a known root or the
 input itself.
+
+Each stemmer memoizes its results, because tweets repeat a small working
+vocabulary. The memo is bounded: once it holds ``_MEMO_MAX_ENTRIES``
+words it stops inserting (it never evicts), and words longer than
+``_MEMO_MAX_WORD_LEN`` characters are never stored, so hostile input
+cannot make it grow without limit.
 """
 
+import threading
 from functools import lru_cache
 
 _PARTICLES = ("lah", "kah", "pun")
@@ -53,6 +60,9 @@ _PREFIXES = (
 _MIN_STEM_LEN = 2
 _MAX_PREFIX_STRIPS = 3
 
+_MEMO_MAX_ENTRIES = 1 << 15
+_MEMO_MAX_WORD_LEN = 32
+
 
 class ConfixStemmer:
     """Confix stripper bound to a root-word dictionary."""
@@ -61,9 +71,24 @@ class ConfixStemmer:
         # An empty dictionary is allowed and makes stemming the identity:
         # no candidate can ever be accepted.
         self._roots = frozenset(root_words)
+        self._memo: dict[str, str] = {}
+        # Instances are shared (see stemmer_for); the lock keeps the
+        # size check and the insert together so the cap holds exactly.
+        self._memo_lock = threading.Lock()
 
     def stem(self, word: str) -> str:
         """Return the dictionary root of ``word``, or ``word`` itself."""
+        root = self._memo.get(word)
+        if root is None:
+            root = self._search(word)
+            if len(word) <= _MEMO_MAX_WORD_LEN:
+                with self._memo_lock:
+                    if len(self._memo) < _MEMO_MAX_ENTRIES:
+                        self._memo[word] = root
+        return root
+
+    def _search(self, word: str) -> str:
+        """The uncached affix search behind :meth:`stem`."""
         if word in self._roots:
             return word
         found = self._after_particle(word)

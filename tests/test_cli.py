@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from conftest import NEG, POS
+from kicaumine import cli
 from kicaumine.cli import main
 from kicaumine.model import save_model, train
 from kicaumine.preprocess import Document
@@ -294,6 +297,30 @@ class TestEval:
         assert any("ghost" in record.message for record in caplog.records)
         assert json.loads(out)["n_test"] == 1
 
+    def test_missing_gold_ids_log_line_is_bounded(
+        self, toy_model_file, tmp_path, capsys, caplog
+    ):
+        ghosts = [f"ghost{i:02d}" for i in range(25)]
+        gold = self.write_gold(tmp_path, [("t1", "positive")] + [(g, "negative") for g in ghosts])
+        code, _, _ = run(
+            [
+                "eval",
+                "--input", demo_corpus_path(),
+                "--gold", str(gold),
+                "--model", str(toy_model_file),
+            ],
+            capsys,
+        )
+        assert code == 0
+        [message] = [
+            r.getMessage() for r in caplog.records if "missing from the corpus" in r.getMessage()
+        ]
+        assert message == (
+            "25 gold id(s) missing from the corpus and excluded: "
+            + ", ".join(ghosts[:10])
+            + ", ... and 15 more"
+        )
+
     def test_no_matching_gold_ids_is_an_error(self, toy_model_file, tmp_path, capsys):
         gold = self.write_gold(tmp_path, [("ghost", "positive")])
         code, _, err = run(
@@ -451,6 +478,97 @@ class TestReport:
         assert code == 0
         payload = json.loads(out)
         assert [entry["group"] for entry in payload] == ["all"]
+
+
+    def test_duplicate_prediction_id_rejected(self, tmp_path, capsys):
+        tweets = tmp_path / "in.jsonl"
+        tweets.write_text(json.dumps({"id": "1", "text": "bagus #a"}) + "\n", encoding="utf-8")
+        predictions = tmp_path / "pred.jsonl"
+        records = [("1", "positive"), ("2", "negative"), ("1", "negative")]
+        predictions.write_text(
+            "".join(json.dumps({"id": i, "label": l}) + "\n" for i, l in records),
+            encoding="utf-8",
+        )
+        code, out, err = run(
+            ["report", "--input", str(tweets), "--predictions", str(predictions)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{predictions}:3: duplicate prediction id '1'" in err
+
+
+PREVIOUS = "previous content\n"
+
+WRITERS = {
+    "save_model": lambda path: save_model(
+        train([Document("p", ("bagus",), POS), Document("n", ("buruk",), NEG)]), path
+    ),
+    "write_jsonl": lambda path: cli._write_jsonl(path, [{"id": "1"}, {"id": "2"}]),
+    "emit": lambda path: cli._emit("new text", path),
+}
+
+
+class TestAtomicWrites:
+    def test_failure_mid_write_keeps_previous_file(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+        out.write_text(PREVIOUS, encoding="utf-8")
+
+        def records():
+            yield {"id": "1"}
+            raise RuntimeError("input failed mid-write")
+
+        with pytest.raises(RuntimeError, match="mid-write"):
+            cli._write_jsonl(out, records())
+        assert out.read_text(encoding="utf-8") == PREVIOUS
+        assert os.listdir(tmp_path) == ["out.jsonl"]
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch, writer):
+        out = tmp_path / "out"
+        out.write_text(PREVIOUS, encoding="utf-8")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            WRITERS[writer](out)
+        assert out.read_text(encoding="utf-8") == PREVIOUS
+        assert os.listdir(tmp_path) == ["out"]
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_success_replaces_and_leaves_no_temp_file(self, tmp_path, writer):
+        out = tmp_path / "out"
+        out.write_text(PREVIOUS, encoding="utf-8")
+        WRITERS[writer](out)
+        fresh = tmp_path / "fresh"
+        WRITERS[writer](fresh)
+        assert out.read_bytes() == fresh.read_bytes() != PREVIOUS.encode()
+        assert sorted(os.listdir(tmp_path)) == ["fresh", "out"]
+
+    def test_symlink_target_updated_link_kept(self, tmp_path):
+        real = tmp_path / "real.txt"
+        real.write_text(PREVIOUS, encoding="utf-8")
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        cli._emit("new text", link)
+        assert link.is_symlink()
+        assert real.read_text(encoding="utf-8") == "new text\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_non_regular_target_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_text(encoding="utf-8")), daemon=True
+        )
+        reader.start()
+        cli._emit("new text", fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == ["new text\n"]
+        assert os.listdir(tmp_path) == ["pipe"]
 
 
 class TestConfigFile:

@@ -15,15 +15,18 @@ from kicaumine.exceptions import (
     TrainingError,
     UnknownLabelError,
 )
+from kicaumine.evaluation import k_fold
 from kicaumine.model import (
     NbModel,
     class_prior,
     classify,
+    count_documents,
     load_model,
     log_score,
     save_model,
     token_likelihood,
     train,
+    train_without,
 )
 from kicaumine.preprocess import extract_unigrams
 
@@ -320,3 +323,66 @@ class TestSaveLoad:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+
+def fold_outcome(build):
+    """A fold model's saved bytes, or the type and message it raised."""
+    try:
+        model = build()
+    except TrainingError as exc:
+        return (type(exc), str(exc))
+    sink = io.StringIO()
+    save_model(model, sink)
+    return (model, sink.getvalue())
+
+
+def gold_like_corpus(rng, n_docs, labels, empty_share):
+    vocab = ["calon", "bagus", "buruk", "mantap", "kalah", "menang", "pilih", "janji"]
+    docs = []
+    for i in range(n_docs):
+        tokens = [] if rng.random() < empty_share else rng.choices(vocab, k=rng.randint(1, 6))
+        docs.append(make_doc(f"d{i:03d}", tokens, rng.choice(labels)))
+    return docs
+
+
+class TestTrainWithout:
+    """Fold models built by subtraction against train(usable_train), the oracle."""
+
+    def assert_folds_match(self, docs, k, seed):
+        usable = [d for d in docs if not d.empty]
+        counts = count_documents(usable, {d.label for d in usable})
+        for train_docs, test_docs in k_fold(docs, k, seed):
+            expected = fold_outcome(lambda: train([d for d in train_docs if not d.empty]))
+            got = fold_outcome(
+                lambda: train_without(counts, [d for d in test_docs if not d.empty])
+            )
+            assert got == expected
+
+    @pytest.mark.parametrize("k,seed", [(2, 0), (3, 7), (5, 42), (10, 1), (40, 3)])
+    def test_random_corpora(self, k, seed):
+        rng = random.Random(seed)
+        docs = gold_like_corpus(rng, 40, [NEG, POS, NEU], empty_share=0.15)
+        self.assert_folds_match(docs, k, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fold_losing_a_class(self, seed):
+        # One neutral document: the fold that tests it trains on two classes.
+        docs = gold_like_corpus(random.Random(seed), 12, [NEG, POS], empty_share=0.0)
+        docs.append(make_doc("zz-neutral", ["netral"], NEU))
+        self.assert_folds_match(docs, 4, seed)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_fold_left_with_one_class_raises_like_train(self, seed):
+        docs = [make_doc(f"p{i}", ["bagus"], POS) for i in range(5)]
+        docs.append(make_doc("n0", ["buruk"], NEG))
+        self.assert_folds_match(docs, 3, seed)
+
+    def test_all_training_documents_empty_raises_like_train(self):
+        docs = [make_doc("a", ["bagus"], POS), make_doc("b", [], NEG), make_doc("c", [], POS)]
+        self.assert_folds_match(docs, 3, 0)
+        with pytest.raises(TrainingError, match="no documents to train on"):
+            train_without(count_documents([], set()), [])
+
+    def test_whole_corpus_held_in(self, toy_docs, toy_model):
+        counts = count_documents(toy_docs, {POS, NEG})
+        assert train_without(counts, []) == toy_model

@@ -218,3 +218,60 @@ class TestUnigrams:
     def test_multiplicity_conserved(self, tokens):
         doc = Document("1", tuple(tokens))
         assert sum(extract_unigrams(doc).values()) == len(tokens)
+
+
+# Letters whose case maps depend on context or change length, a combining
+# mark, and non-letters: the inputs where a per-string check could drift
+# from a per-character one.
+TRICKY_ALPHABET = "abzAZσςΣİiı̇́éÉß2_\t"
+
+
+def tokenize_oracle(text):
+    """Per-character check that tokenize used before its single-pass test."""
+    for ch in set(text):
+        if ch != " " and not ch.isalpha():
+            offender = next(c for c in text if c != " " and not c.isalpha())
+            raise ContractError(
+                f"tokenize expects case-folded text; found non-letter {offender!r}"
+            )
+    return text.split()
+
+
+def document_check_oracle(tokens):
+    """Per-token check that Document used before its single-pass test."""
+    for token in tokens:
+        if not token or not token.isalpha() or token != token.lower():
+            raise ValueError(f"invalid document token {token!r}")
+
+
+def build_document(tokens):
+    Document("1", tuple(tokens))
+
+
+def outcome(call):
+    try:
+        return ("returned", call())
+    except Exception as exc:  # compared by type and message
+        return (type(exc), str(exc))
+
+
+class TestSinglePassChecksAgainstOracle:
+    @given(st.text(alphabet=TRICKY_ALPHABET + "  ", max_size=30))
+    @settings(max_examples=500)
+    def test_tokenize(self, text):
+        assert outcome(lambda: tokenize(text)) == outcome(lambda: tokenize_oracle(text))
+
+    @given(st.lists(st.text(alphabet=TRICKY_ALPHABET, max_size=5), max_size=6))
+    @settings(max_examples=500)
+    def test_document(self, tokens):
+        got = outcome(lambda: build_document(tokens))
+        assert got == outcome(lambda: document_check_oracle(tokens))
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [(), ("bagus",), ("aΣ",), ("σς",), ("ς", "σ"), ("İ",), ("i̇",), ("é", "É"),
+         ("ab", ""), ("", "ab"), ("ß",), ("ı",), ("a", "b2", "C")],
+    )
+    def test_document_edge_cases(self, tokens):
+        got = outcome(lambda: build_document(tokens))
+        assert got == outcome(lambda: document_check_oracle(tokens))
