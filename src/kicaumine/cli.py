@@ -443,12 +443,11 @@ def cmd_eval(config: RunConfig) -> int:
 
     if config.k >= 2:
         folds = k_fold(docs, config.k, config.seed)
-        usable = [d for d in docs if not d.empty]
-        counts = count_documents(usable, {d.label for d in usable})
+        counts = count_documents(docs)
         accuracies = []
         for i, (_, test_docs) in enumerate(folds, start=1):
             # Same model as train() on the fold's non-empty training docs.
-            fold_model = train_without(counts, [d for d in test_docs if not d.empty])
+            fold_model = train_without(counts, test_docs)
             usable_test = [d for d in test_docs if d.label in fold_model.labels]
             skipped = len(test_docs) - len(usable_test)
             if skipped:

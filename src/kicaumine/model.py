@@ -140,9 +140,7 @@ class TrainingCounts(NamedTuple):
     token_counts: dict[SentimentLabel, Counter]
 
 
-def count_documents(
-    docs: Iterable[Document], label_set: Collection[SentimentLabel]
-) -> TrainingCounts:
+def _count(docs: Iterable[Document], label_set: Collection[SentimentLabel]) -> TrainingCounts:
     """Count documents into per-class tallies, with the checks of :func:`train`.
 
     Every document must carry a label from ``label_set`` and a non-empty
@@ -178,19 +176,36 @@ def train(docs: list[Document], labels: Iterable[SentimentLabel] | None = None) 
     label_set = set(labels) if labels is not None else {d.label for d in docs} - {None}
     if not label_set:
         raise TrainingError("no labels to train on")
-    return _model_from_counts(label_set, count_documents(docs, label_set))
+    return _model_from_counts(label_set, _count(docs, label_set))
 
 
-def train_without(counts: TrainingCounts, held_out: list[Document]) -> NbModel:
+def count_documents(docs: Iterable[Document]) -> TrainingCounts:
+    """Count a gold collection once, for repeated :func:`train_without` calls.
+
+    Empty documents are skipped, since training cannot use them; the rest
+    are counted under their observed labels with the checks of
+    :func:`train`.
+    """
+    usable = [d for d in docs if not d.empty]
+    return _count(usable, {d.label for d in usable} - {None})
+
+
+def train_without(counts: TrainingCounts, held_out: Iterable[Document]) -> NbModel:
     """Train on the counted documents minus ``held_out``, by subtraction.
 
-    ``counts`` comes from :func:`count_documents` over labeled, non-empty
-    documents with their observed labels, and ``held_out`` is a sub-multiset
-    of those documents. The result equals :func:`train` on the remaining
-    documents, errors included, at the cost of the held-out tokens plus one
-    pass over each class vocabulary instead of a recount of every token.
+    ``counts`` comes from :func:`count_documents`, and ``held_out`` is part
+    of the collection it counted; empty held-out documents are skipped as
+    they were there. The result equals :func:`train` on the remaining
+    non-empty documents, errors included, at the cost of the held-out
+    tokens plus one pass over each class vocabulary instead of a recount of
+    every token.
     """
-    removed = count_documents(held_out, counts.token_counts.keys())
+    removed = _count((d for d in held_out if not d.empty), counts.token_counts.keys())
+    for lab, tokens in removed.token_counts.items():
+        if removed.docs_per_class[lab] > counts.docs_per_class[lab] or any(
+            n > counts.token_counts[lab][t] for t, n in tokens.items()
+        ):
+            raise ValueError("held-out documents are not part of the counted collection")
     # Counter subtraction keeps only positive counts, so classes and tokens
     # left with nothing drop out, as they would from a recount.
     docs_per_class = counts.docs_per_class - removed.docs_per_class

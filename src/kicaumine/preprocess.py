@@ -62,9 +62,13 @@ class Document:
         # One pass over the joined tokens decides the common valid case;
         # letters and lowercase-fixed points are per-character properties,
         # so the join passes exactly when every token does.
-        joined = "".join(self.tokens)
-        if all(self.tokens) and (joined.isalpha() or not joined) and joined == joined.lower():
-            return
+        try:
+            joined = "".join(self.tokens)
+        except TypeError:  # a non-string token; the loop below names it
+            pass
+        else:
+            if all(self.tokens) and (joined.isalpha() or not joined) and joined == joined.lower():
+                return
         for token in self.tokens:
             if not token or not token.isalpha() or token != token.lower():
                 raise ValueError(f"invalid document token {token!r}")

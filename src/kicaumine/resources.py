@@ -8,6 +8,7 @@ demo corpus so the whole pipeline runs offline out of the box.
 """
 
 import os
+import shutil
 from contextlib import contextmanager, suppress
 from functools import lru_cache
 from importlib.resources import files
@@ -40,23 +41,29 @@ def atomic_writer(path):
     """Open ``path`` for UTF-8 text with LF newlines, replaced only on success.
 
     The text goes to a new file in the target's directory, which replaces
-    the target once the block completes. If the block raises, that file is
-    removed and the target keeps its previous content. This protects
-    against a failing or killed writer, not against power loss (there is no
-    fsync). A target that exists but is not a regular file, such as a FIFO
-    or ``/dev/stdout``, cannot be replaced and is written in place.
+    the target once the block completes; an existing target's permission
+    bits carry over, but not its owner or other hard links. If the block
+    raises, that file is removed and the target keeps its previous content.
+    This protects against a failing or killed writer, not against power
+    loss (there is no fsync). A target that exists but is not a regular
+    file, such as a FIFO, ``/dev/stdout`` or ``/dev/fd/N``, cannot be
+    replaced and is written in place.
     """
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        with open(target, "w", encoding="utf-8", newline="\n") as handle:
+    # Decide on the path as given: resolving a pipe's /dev/fd link first
+    # yields a name such as "pipe:[N]" that cannot be opened.
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
         return
+    target = os.path.realpath(path)
     directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
     handle = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
         with handle:
             yield handle
+        with suppress(FileNotFoundError):
+            shutil.copymode(target, tmp)
         os.replace(tmp, target)
     except BaseException:
         with suppress(FileNotFoundError):

@@ -555,6 +555,33 @@ class TestAtomicWrites:
         assert link.is_symlink()
         assert real.read_text(encoding="utf-8") == "new text\n"
 
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_existing_permission_bits_kept(self, tmp_path, writer):
+        out = tmp_path / "out"
+        out.write_text(PREVIOUS, encoding="utf-8")
+        out.chmod(0o600)
+        WRITERS[writer](out)
+        assert out.read_text(encoding="utf-8") != PREVIOUS
+        assert out.stat().st_mode & 0o777 == 0o600
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_cli_out_to_piped_stdout(self, toy_model_file, tmp_path):
+        tweets = tmp_path / "in.jsonl"
+        tweets.write_text(json.dumps({"id": "q1", "text": "bagus"}) + "\n", encoding="utf-8")
+        command = [
+            sys.executable, "-m", "kicaumine.cli",
+            "classify", "--input", str(tweets), "--model", str(toy_model_file),
+        ]
+        plain = subprocess.run(command, stdout=subprocess.PIPE, check=True)
+        piped = subprocess.run(
+            command + ["--out", "/dev/stdout"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert piped.returncode == 0, piped.stderr
+        assert piped.stdout == plain.stdout != b""
+        assert sorted(os.listdir(tmp_path)) == sorted(["in.jsonl", "toy_model.json"])
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
     def test_non_regular_target_written_in_place(self, tmp_path):
         fifo = tmp_path / "pipe"

@@ -349,13 +349,10 @@ class TestTrainWithout:
     """Fold models built by subtraction against train(usable_train), the oracle."""
 
     def assert_folds_match(self, docs, k, seed):
-        usable = [d for d in docs if not d.empty]
-        counts = count_documents(usable, {d.label for d in usable})
+        counts = count_documents(docs)
         for train_docs, test_docs in k_fold(docs, k, seed):
             expected = fold_outcome(lambda: train([d for d in train_docs if not d.empty]))
-            got = fold_outcome(
-                lambda: train_without(counts, [d for d in test_docs if not d.empty])
-            )
+            got = fold_outcome(lambda: train_without(counts, test_docs))
             assert got == expected
 
     @pytest.mark.parametrize("k,seed", [(2, 0), (3, 7), (5, 42), (10, 1), (40, 3)])
@@ -381,8 +378,16 @@ class TestTrainWithout:
         docs = [make_doc("a", ["bagus"], POS), make_doc("b", [], NEG), make_doc("c", [], POS)]
         self.assert_folds_match(docs, 3, 0)
         with pytest.raises(TrainingError, match="no documents to train on"):
-            train_without(count_documents([], set()), [])
+            train_without(count_documents([]), [])
 
     def test_whole_corpus_held_in(self, toy_docs, toy_model):
-        counts = count_documents(toy_docs, {POS, NEG})
+        counts = count_documents(toy_docs)
         assert train_without(counts, []) == toy_model
+
+    def test_held_out_outside_the_counted_collection_rejected(self, toy_docs):
+        n2 = make_doc("n2", ["buruk"], NEG)
+        counts = count_documents(toy_docs[:2] + [n2])
+        # A token the class never counted, then one document removed twice.
+        for held_out in ([toy_docs[2]], [n2, n2]):
+            with pytest.raises(ValueError, match="not part of the counted collection"):
+                train_without(counts, held_out)

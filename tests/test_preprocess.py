@@ -270,7 +270,8 @@ class TestSinglePassChecksAgainstOracle:
     @pytest.mark.parametrize(
         "tokens",
         [(), ("bagus",), ("aΣ",), ("σς",), ("ς", "σ"), ("İ",), ("i̇",), ("é", "É"),
-         ("ab", ""), ("", "ab"), ("ß",), ("ı",), ("a", "b2", "C")],
+         ("ab", ""), ("", "ab"), ("ß",), ("ı",), ("a", "b2", "C"),
+         (None,), ("ab", None), ("ab", 5)],
     )
     def test_document_edge_cases(self, tokens):
         got = outcome(lambda: build_document(tokens))
