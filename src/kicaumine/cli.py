@@ -114,6 +114,10 @@ def _read_labeled_corpus(path) -> list[LabeledTweet]:
                 continue
             try:
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise TypeError("record is not a JSON object")
+                if not isinstance(record["id"], str) or not isinstance(record["text"], str):
+                    raise TypeError("id and text must be strings")
                 tweet = Tweet(
                     id=record["id"],
                     text=record["text"],
@@ -183,14 +187,18 @@ def _read_predictions(path) -> dict[str, Prediction]:
                 continue
             try:
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise TypeError("record is not a JSON object")
                 tweet_id = record["id"]
+                if not isinstance(tweet_id, str):
+                    raise TypeError("id must be a string")
                 if tweet_id in predictions:
                     raise ConfigError(f"{path}:{lineno}: duplicate prediction id {tweet_id!r}")
                 label = SentimentLabel(record["label"])
-                posteriors = {
-                    SentimentLabel(name): float(p)
-                    for name, p in record.get("posteriors", {}).items()
-                }
+                posteriors = record.get("posteriors", {})
+                if not isinstance(posteriors, dict):
+                    raise TypeError("posteriors must be a JSON object")
+                posteriors = {SentimentLabel(name): float(p) for name, p in posteriors.items()}
                 predictions[tweet_id] = Prediction(
                     label=label,
                     posteriors=posteriors,

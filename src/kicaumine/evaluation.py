@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .corpus import SentimentLabel, Tweet
-from .exceptions import EvaluationError, SplitError, UnknownLabelError
+from .exceptions import ConfigError, EvaluationError, SplitError, UnknownLabelError
 from .model import NbModel, OOV_SMOOTH, Prediction, classify
 from .preprocess import Document
 
@@ -164,11 +164,15 @@ def sentiment_report(
     """Aggregate predicted labels per tracked hashtag plus an 'all' group.
 
     A tweet counts toward every tracked hashtag its text contains
-    (case-insensitive) and always toward 'all'. Shares are emitted only
+    (case-insensitive) and always toward 'all'; a tracked hashtag named
+    'all' would share that group and raises ConfigError. Tags that differ
+    only by case or a leading '#' are one group. Shares are emitted only
     for non-empty groups and sum to one within each. With no predictions
     at all, only the empty 'all' group is reported.
     """
-    tags = sorted(tag.lstrip("#").lower() for tag in group_by)
+    tags = sorted({tag.lstrip("#").lower() for tag in group_by})
+    if ALL_GROUP in tags:
+        raise ConfigError(f"hashtag {ALL_GROUP!r} collides with the total group")
     group_counts: dict[str, dict[SentimentLabel, int]] = {
         ALL_GROUP: {lab: 0 for lab in SentimentLabel}
     }

@@ -5,20 +5,19 @@ picks the class maximizing prior times the product of per-token
 likelihoods ``(count + 1) / (class_tokens + vocabulary_size)``. Scoring
 runs in log space, which preserves the argmax while avoiding underflow on
 long documents, and the normalizing document probability is dropped
-because it is constant across classes. The token loop is delegated to the
-compiled kernel when available.
+because it is constant across classes. Each model caches a table of
+per-token log-likelihood rows, so scoring a document is one dictionary
+lookup per distinct token.
 """
 
 import json
 import logging
 import math
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, NamedTuple
 
-from . import _kernels
 from .corpus import SentimentLabel
 from .exceptions import (
     DegenerateTrainingError,
@@ -48,29 +47,28 @@ class Prediction:
 
 
 class _ScoreTable:
-    """Log-space arrays derived from a model, laid out for the kernels."""
+    """Log-space scores derived from a model, one row per known token.
 
-    __slots__ = ("index", "log_priors", "log_lik", "oov_log_lik", "n_classes")
+    ``rows[token][j]`` is the log likelihood of ``token`` under the j-th
+    model label; ``oov_log_lik[j]`` is that of a token the model never saw.
+    """
+
+    __slots__ = ("rows", "log_priors", "oov_log_lik")
 
     def __init__(self, model):
-        vocab = sorted(model.vocabulary)
-        self.index = {token: i for i, token in enumerate(vocab)}
-        self.n_classes = len(model.labels)
-        self.log_priors = array(
-            "d",
-            (math.log(model.docs_per_class[lab] / model.total_docs) for lab in model.labels),
+        vocab = list(model.vocabulary)
+        self.log_priors = tuple(
+            math.log(model.docs_per_class[lab] / model.total_docs) for lab in model.labels
         )
-        log_lik = array("d", bytes(8 * self.n_classes * len(vocab)))
-        oov = array("d", bytes(8 * self.n_classes))
-        for j, lab in enumerate(model.labels):
+        columns = []
+        oov = []
+        for lab in model.labels:
             counts = model.token_counts[lab]
             denom = model.tokens_per_class[lab] + len(vocab)
-            base = j * len(vocab)
-            for i, token in enumerate(vocab):
-                log_lik[base + i] = math.log((counts.get(token, 0) + 1) / denom)
-            oov[j] = math.log(1 / denom)
-        self.log_lik = log_lik
-        self.oov_log_lik = oov
+            columns.append([math.log((counts.get(token, 0) + 1) / denom) for token in vocab])
+            oov.append(math.log(1 / denom))
+        self.rows = dict(zip(vocab, zip(*columns)))
+        self.oov_log_lik = tuple(oov)
 
 
 @dataclass(frozen=True)
@@ -265,28 +263,26 @@ def _doc_scores(model: NbModel, tokens: Iterable[str], oov_mode: str) -> tuple[l
     if oov_mode not in _OOV_MODES:
         raise ValueError(f"oov_mode must be one of {_OOV_MODES}, got {oov_mode!r}")
     table = model._score_table()
-    ids: list[int] = []
-    counts: list[float] = []
+    rows = table.rows
+    known = []
     oov = 0
     for token, count in Counter(tokens).items():
-        idx = table.index.get(token)
-        if idx is None:
+        row = rows.get(token)
+        if row is None:
             oov += count
         else:
-            ids.append(idx)
-            counts.append(float(count))
-    out = array("d", bytes(8 * table.n_classes))
-    _kernels.score_document(
-        table.log_priors,
-        table.log_lik,
-        table.oov_log_lik,
-        array("q", ids),
-        array("d", counts),
-        float(oov),
-        oov_mode == OOV_SKIP,
-        out,
-    )
-    return list(out), oov
+            known.append((count, row))
+    add_oov = oov_mode != OOV_SKIP and oov != 0
+    # Per class: prior, then the OOV term, then the known tokens in
+    # first-occurrence order; this fixed order keeps scores reproducible.
+    scores = []
+    for j, score in enumerate(table.log_priors):
+        if add_oov:
+            score += oov * table.oov_log_lik[j]
+        for count, row in known:
+            score += count * row[j]
+        scores.append(score)
+    return scores, oov
 
 
 def log_score(model: NbModel, doc: Document, label: SentimentLabel, oov_mode: str = OOV_SMOOTH) -> float:

@@ -8,12 +8,12 @@ maps one to one), so token counts never grow along the chain.
 
 import logging
 import re
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple
 
-from . import _kernels
 from .corpus import LabeledTweet, SentimentLabel, Tweet
 from .exceptions import ContractError
 from .stemming import stemmer_for
@@ -23,6 +23,10 @@ logger = logging.getLogger(__name__)
 _URL_RE = re.compile(r"(?:https?://|www\.)\S*")
 _MENTION_RE = re.compile(r"@\S+")
 _WHITESPACE_RE = re.compile(r"\s+")
+
+# Most code points the case-fold letter table stores, so that hostile
+# input cannot grow it without limit.
+_LETTER_TABLE_MAX_ENTRIES = 1 << 14
 
 
 class PosTag(Enum):
@@ -129,13 +133,53 @@ def _cleanse_once(text: str) -> str:
     return _WHITESPACE_RE.sub(" ", text).strip()
 
 
+class _LetterTable(dict):
+    """``str.translate`` table: letters map to themselves, the rest to a space.
+
+    Entries are filled on first lookup and never evicted; once the table
+    holds ``_LETTER_TABLE_MAX_ENTRIES`` code points it stops inserting.
+    """
+
+    def __init__(self):
+        super().__init__()
+        # The table is module-wide; the lock keeps the size check and the
+        # insert together so the cap holds exactly under threads.
+        self._lock = threading.Lock()
+
+    def __missing__(self, code_point):
+        value = code_point if chr(code_point).isalpha() else 0x20
+        if len(self) < _LETTER_TABLE_MAX_ENTRIES:  # a full table skips the lock
+            with self._lock:
+                if len(self) < _LETTER_TABLE_MAX_ENTRIES:
+                    self[code_point] = value
+        return value
+
+
+_LETTERS = _LetterTable()
+
+
+def _fold_tokens(text: str) -> list[str]:
+    """Lowercase ``text`` and split it into maximal runs of letters.
+
+    Words that are letters already are kept whole; only the others go
+    through the letter table, which turns every non-letter into a space.
+    """
+    tokens = []
+    for word in text.lower().split():
+        if word.isalpha():
+            tokens.append(word)
+        else:
+            tokens.extend(word.translate(_LETTERS).split())
+    return tokens
+
+
 def case_fold(text: str) -> str:
     """Lowercase the text and reduce it to letters separated by single spaces.
 
     Every non-letter acts as a delimiter: it becomes a space, runs of
     spaces collapse, and the result is trimmed. Idempotent.
     """
-    return _kernels.strip_non_letters(text.lower())
+    return " ".join(_fold_tokens(text))
 
 
 def tokenize(text: str) -> list[str]:
@@ -175,7 +219,8 @@ def run_pipeline(item: Tweet | LabeledTweet, config: PipelineConfig) -> Document
         tweet, label = item.tweet, item.label
     else:
         tweet, label = item, None
-    tokens = tokenize(case_fold(cleanse(tweet.text)))
+    # Folded tokens are letters by construction, so tokenize's check is skipped.
+    tokens = _fold_tokens(cleanse(tweet.text))
     if config.enable_stopwords:
         tokens = remove_stopwords(tokens, config.stopword_list)
     if config.enable_pos:

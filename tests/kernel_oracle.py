@@ -1,9 +1,9 @@
-"""Pure-Python implementations of the hot loops.
+"""Reference implementations of the case-fold and scoring hot loops.
 
-These mirror the compiled versions in ``_native.pyx`` operation for
-operation: the same summation order and the same per-character decisions,
-so both backends produce bit-identical results. Keep the two files in
-sync; ``tests/test_kernels.py`` holds the equivalence checks.
+This is the former pure-Python kernel module, ``kicaumine._kernels._pure``,
+kept unchanged apart from this docstring. It is the oracle that
+``tests/test_kernels.py`` checks ``preprocess.case_fold`` and the model's
+scores against.
 """
 
 

@@ -187,6 +187,26 @@ class TestTrain:
         assert code == 1
         assert "two classes" in err
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"id": "a", "text": 5, "label": "positive"},
+            {"id": "a", "text": ["bagus"], "label": "positive"},
+            {"id": 5, "text": "bagus", "label": "positive"},
+            ["a", "bagus", "positive"],
+        ],
+    )
+    def test_bad_record_types_rejected(self, tmp_path, capsys, record):
+        corpus = tmp_path / "corpus.jsonl"
+        good = {"id": "b", "text": "buruk", "label": "negative"}
+        corpus.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        model_path = tmp_path / "m.json"
+        code, _, err = run(["train", "--input", str(corpus), "--model", str(model_path)], capsys)
+        assert code == 2
+        assert f"{corpus}:2: bad labeled-corpus record" in err
+        assert "Traceback" not in err
+        assert not model_path.exists()
+
 
 class TestClassify:
     def test_known_token_posterior(self, toy_model_file, tmp_path, capsys):
@@ -495,6 +515,47 @@ class TestReport:
         assert code == 2
         assert out == ""
         assert f"{predictions}:3: duplicate prediction id '1'" in err
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"id": "1", "label": "positive", "posteriors": [1]},
+            {"id": "1", "label": "positive", "posteriors": "positive"},
+            {"id": 1, "label": "positive"},
+            ["1", "positive"],
+        ],
+    )
+    def test_bad_prediction_record_types_rejected(self, tmp_path, capsys, record):
+        tweets = tmp_path / "in.jsonl"
+        tweets.write_text(json.dumps({"id": "1", "text": "bagus #a"}) + "\n", encoding="utf-8")
+        predictions = tmp_path / "pred.jsonl"
+        predictions.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        code, out, err = run(
+            ["report", "--input", str(tweets), "--predictions", str(predictions)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{predictions}:1: bad prediction record" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tags", ["all", "x,#ALL"])
+    def test_hashtag_named_all_rejected(self, tmp_path, capsys, tags):
+        tweets = tmp_path / "in.jsonl"
+        tweets.write_text(json.dumps({"id": "1", "text": "bagus #all"}) + "\n", encoding="utf-8")
+        predictions = tmp_path / "pred.jsonl"
+        predictions.write_text(json.dumps({"id": "1", "label": "positive"}) + "\n", encoding="utf-8")
+        code, out, err = run(
+            [
+                "report",
+                "--input", str(tweets),
+                "--predictions", str(predictions),
+                "--hashtags", tags,
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "'all' collides with the total group" in err
 
 
 PREVIOUS = "previous content\n"

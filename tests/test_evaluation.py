@@ -3,7 +3,7 @@ import pytest
 from conftest import NEG, NEU, POS, make_doc
 from kicaumine.corpus import Tweet
 from kicaumine.evaluation import evaluate, k_fold, sentiment_report, split
-from kicaumine.exceptions import EvaluationError, SplitError, UnknownLabelError
+from kicaumine.exceptions import ConfigError, EvaluationError, SplitError, UnknownLabelError
 from kicaumine.model import Prediction, train
 
 
@@ -195,6 +195,21 @@ class TestSentimentReport:
         assert reports["a"].counts[POS] == 1
         assert reports["b"].counts[POS] == 1
         assert reports["all"].counts[POS] == 1
+
+    @pytest.mark.parametrize("tags", [{"all"}, {"#All", "a"}])
+    def test_tag_named_all_rejected(self, tags):
+        pairs = self.predictions([("x #all", POS), ("y", NEG)])
+        with pytest.raises(ConfigError, match="collides"):
+            sentiment_report(pairs, tags)
+        with pytest.raises(ConfigError, match="collides"):
+            sentiment_report([], tags)
+
+    def test_tags_equal_after_normalizing_are_one_group(self):
+        pairs = self.predictions([("x #a", POS), ("y", NEG)])
+        reports = sentiment_report(pairs, {"a", "#a", "A"})
+        assert [r.group_key for r in reports] == ["all", "a"]
+        assert reports[0].total == 2
+        assert reports[1].total == 1
 
     def test_case_insensitive_membership(self):
         pairs = self.predictions([("coblos #PilgubJabar", POS)])

@@ -1,95 +1,183 @@
-"""Both kernel backends must be interchangeable, bit for bit."""
+"""Case folding and scoring agree exactly with the reference kernels."""
 
 import math
-import os
 import random
-import subprocess
 import sys
+import threading
 from array import array
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kicaumine import _kernels
-from kicaumine._kernels import _pure
+import kernel_oracle as oracle
+from conftest import NEG, NEU, POS
+from kicaumine import preprocess
+from kicaumine.model import OOV_SKIP, OOV_SMOOTH, NbModel, classify, log_score
+from kicaumine.preprocess import Document, case_fold, tokenize
 
-native = pytest.importorskip(
-    "kicaumine._kernels._native", reason="compiled kernels not built"
-)
+ALL_CHARS = [chr(c) for c in range(sys.maxunicode + 1)]
 
 
-def random_score_case(rng):
-    n_classes = rng.randint(2, 4)
-    vocab_size = rng.randint(1, 50)
-    log_priors = array("d", (math.log(rng.uniform(0.05, 1.0)) for _ in range(n_classes)))
-    log_lik = array(
-        "d", (math.log(rng.uniform(1e-6, 1.0)) for _ in range(n_classes * vocab_size))
+def oracle_fold(text):
+    return oracle.strip_non_letters(text.lower())
+
+
+def first_mismatch(texts):
+    return next((t for t in texts if case_fold(t) != oracle_fold(t)), None)
+
+
+class TestCaseFold:
+    def test_every_code_point_alone(self):
+        assert first_mismatch(ALL_CHARS) is None
+
+    def test_every_code_point_between_letters(self):
+        assert first_mismatch(["a" + c + "b" for c in ALL_CHARS]) is None
+
+    def test_every_code_point_next_to_its_uppercase(self):
+        assert first_mismatch([c + c.upper() for c in ALL_CHARS]) is None
+
+    @settings(max_examples=300)
+    @given(
+        st.text(
+            alphabet=st.one_of(
+                # dotted capital I, sigmas, combining marks, superscripts,
+                # vulgar fractions, digits, punctuation and whitespace
+                st.sampled_from("İıIiΣσςAaZzé̇́̀²³¹ⁿ½¼⅓⅞ 0.,!#:)\t\n 　"),
+                st.characters(),
+            ),
+            max_size=80,
+        )
     )
-    oov_log_lik = array("d", (math.log(rng.uniform(1e-6, 1.0)) for _ in range(n_classes)))
-    n_tokens = rng.randint(0, 12)
-    token_ids = array("q", (rng.randrange(vocab_size) for _ in range(n_tokens)))
-    token_counts = array("d", (float(rng.randint(1, 5)) for _ in range(n_tokens)))
-    oov_count = float(rng.randint(0, 4))
-    skip_oov = rng.random() < 0.3
-    return log_priors, log_lik, oov_log_lik, token_ids, token_counts, oov_count, skip_oov
+    def test_agrees_on_text(self, text):
+        expected = oracle_fold(text)
+        assert case_fold(text) == expected
+        assert preprocess._fold_tokens(text) == tokenize(expected)
 
 
-class TestScoreDocument:
-    @settings(max_examples=80)
-    @given(st.integers(0, 10**9))
-    def test_backends_bit_identical(self, seed):
-        case = random_score_case(random.Random(seed))
-        n_classes = len(case[0])
-        out_native = array("d", bytes(8 * n_classes))
-        out_pure = array("d", bytes(8 * n_classes))
-        native.score_document(*case, out_native)
-        _pure.score_document(*case, out_pure)
-        assert list(out_native) == list(out_pure)
+class TestLetterTable:
+    def test_cap_holds_and_output_is_unchanged(self, monkeypatch):
+        cap = preprocess._LETTER_TABLE_MAX_ENTRIES
+        table = preprocess._LetterTable()
+        monkeypatch.setattr(preprocess, "_LETTERS", table)
+        # More distinct non-letters than the cap, then letters the full
+        # table can no longer store.
+        junk = [c for c in ALL_CHARS[0x2000:] if not c.isalpha()][: cap + 500]
+        letters = [c for c in ALL_CHARS[0x4E00:] if c.isalpha()][:500]
+        texts = ["x" + "".join(junk[i : i + 64]) + "y" for i in range(0, len(junk), 64)]
+        texts += ["1" + c + "!" + c.upper() for c in letters]
+        for text in texts:
+            assert case_fold(text) == oracle_fold(text)
+        assert len(table) == cap
+        for text in texts:
+            assert case_fold(text) == oracle_fold(text)
+        assert len(table) == cap
+
+    def test_cap_holds_under_threads(self, monkeypatch):
+        cap = preprocess._LETTER_TABLE_MAX_ENTRIES
+        table = preprocess._LetterTable()
+        monkeypatch.setattr(preprocess, "_LETTERS", table)
+        # Words of letters only never reach the table, so feed non-letters.
+        junk = [c for c in ALL_CHARS[0x2000:] if not c.isalpha()][: 2 * cap]
+        chunk = len(junk) // 8
+        errors = []
+
+        def fold(start):
+            text = "x" + "".join(junk[start : start + chunk])
+            if case_fold(text) != oracle_fold(text):
+                errors.append(start)
+
+        threads = [threading.Thread(target=fold, args=(i * chunk,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(table) == cap
+
+
+def oracle_scores(model, tokens, oov_mode):
+    """Scores laid out and summed as the reference kernel's caller did."""
+    vocab = sorted(model.vocabulary)
+    index = {token: i for i, token in enumerate(vocab)}
+    n_classes = len(model.labels)
+    log_priors = array(
+        "d", (math.log(model.docs_per_class[lab] / model.total_docs) for lab in model.labels)
+    )
+    log_lik = array("d", bytes(8 * n_classes * len(vocab)))
+    oov_log_lik = array("d", bytes(8 * n_classes))
+    for j, lab in enumerate(model.labels):
+        counts = model.token_counts[lab]
+        denom = model.tokens_per_class[lab] + len(vocab)
+        for i, token in enumerate(vocab):
+            log_lik[j * len(vocab) + i] = math.log((counts.get(token, 0) + 1) / denom)
+        oov_log_lik[j] = math.log(1 / denom)
+    ids, counts, oov = [], [], 0
+    for token, count in Counter(tokens).items():
+        if token in index:
+            ids.append(index[token])
+            counts.append(float(count))
+        else:
+            oov += count
+    out = array("d", bytes(8 * n_classes))
+    oracle.score_document(
+        log_priors, log_lik, oov_log_lik, array("q", ids), array("d", counts),
+        float(oov), oov_mode == OOV_SKIP, out,
+    )
+    return list(out), oov
+
+
+def oracle_posteriors(scores):
+    best = max(range(len(scores)), key=scores.__getitem__)
+    weights = [math.exp(s - scores[best]) for s in scores]
+    total = sum(weights)
+    return best, [w / total for w in weights]
+
+
+def random_case(rng):
+    labels = rng.choice([(NEG, POS), (NEG, POS, NEU), (POS, NEU)])
+    vocab = ["".join(rng.choice("abcdefgh") for _ in range(rng.randint(1, 4))) for _ in range(40)]
+    vocab = sorted(set(vocab))
+    token_counts = {
+        lab: {t: rng.randint(1, 30) for t in rng.sample(vocab, rng.randint(1, len(vocab)))}
+        for lab in labels
+    }
+    model = NbModel(
+        labels=labels,
+        docs_per_class={lab: rng.randint(1, 50) for lab in labels},
+        token_counts=token_counts,
+    )
+    pool = vocab + ["zz", "zzy", "qq"]  # the last three are never in the model
+    tokens = [rng.choice(pool) for _ in range(rng.randint(0, 30))]
+    return model, Document(source_id="d", tokens=tuple(tokens))
+
+
+class TestScores:
+    @pytest.mark.parametrize("oov_mode", [OOV_SMOOTH, OOV_SKIP])
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 10**9))
+    def test_bit_identical_to_oracle(self, oov_mode, seed):
+        model, doc = random_case(random.Random(seed))
+        expected, oov = oracle_scores(model, doc.tokens, oov_mode)
+        got = [log_score(model, doc, lab, oov_mode=oov_mode) for lab in model.labels]
+        assert got == expected
+        best, posteriors = oracle_posteriors(expected)
+        prediction = classify(model, doc, oov_mode=oov_mode)
+        assert prediction.label == model.labels[best]
+        assert list(prediction.posteriors.values()) == posteriors
+        assert list(prediction.posteriors) == list(model.labels)
+        assert prediction.oov_tokens == oov
 
     def test_empty_document_is_priors(self):
-        log_priors = array("d", [math.log(0.25), math.log(0.75)])
-        log_lik = array("d", [math.log(0.5)] * 4)
-        oov = array("d", [math.log(0.1)] * 2)
-        out = array("d", bytes(16))
-        _kernels.score_document(
-            log_priors, log_lik, oov, array("q"), array("d"), 0.0, False, out
-        )
-        assert list(out) == list(log_priors)
-
-
-class TestStripNonLetters:
-    @settings(max_examples=200)
-    @given(st.text(max_size=120))
-    def test_backends_agree_exactly(self, text):
-        lowered = text.lower()
-        assert native.strip_non_letters(lowered) == _pure.strip_non_letters(lowered)
-
-    def test_collapses_and_trims(self):
-        assert _pure.strip_non_letters("  a!!b  c ") == "a b c"
-        assert native.strip_non_letters("  a!!b  c ") == "a b c"
-
-    def test_empty_and_all_junk(self):
-        for backend in (native, _pure):
-            assert backend.strip_non_letters("") == ""
-            assert backend.strip_non_letters("123 !!! :)") == ""
-
-
-class TestBackendSelection:
-    def test_native_selected_by_default(self):
-        if os.environ.get("KICAUMINE_PURE", "0").strip() not in ("", "0"):
-            pytest.skip("pure backend forced via KICAUMINE_PURE")
-        assert _kernels.BACKEND == "native"
-        assert _kernels.score_document is native.score_document
-
-    def test_env_var_forces_pure(self):
-        code = (
-            "from kicaumine import _kernels; "
-            "print(_kernels.BACKEND); "
-            "assert _kernels.score_document is _kernels._pure.score_document"
-        )
-        env = dict(os.environ, KICAUMINE_PURE="1")
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "pure"
+        model, _ = random_case(random.Random(7))
+        empty = Document(source_id="e", tokens=())
+        scores, _ = oracle_scores(model, (), OOV_SMOOTH)
+        expected = [math.log(model.docs_per_class[lab] / model.total_docs) for lab in model.labels]
+        assert scores == expected
+        assert [log_score(model, empty, lab) for lab in model.labels] == expected
