@@ -107,6 +107,7 @@ def _read_tweets(path, lenient: bool = False):
 def _read_labeled_corpus(path) -> list[LabeledTweet]:
     """Read the labeled-corpus JSONL written by the collect command."""
     labeled = []
+    seen_ids = set()
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -118,6 +119,11 @@ def _read_labeled_corpus(path) -> list[LabeledTweet]:
                     raise TypeError("record is not a JSON object")
                 if not isinstance(record["id"], str) or not isinstance(record["text"], str):
                     raise TypeError("id and text must be strings")
+                if record["id"] in seen_ids:
+                    raise ConfigError(
+                        f"{path}:{lineno}: duplicate labeled-corpus id {record['id']!r}"
+                    )
+                seen_ids.add(record["id"])
                 tweet = Tweet(
                     id=record["id"],
                     text=record["text"],
@@ -166,6 +172,8 @@ def _read_gold_csv(path) -> dict[str, SentimentLabel]:
             label_name = (row["label"] or "").strip().lower()
             if not tweet_id:
                 raise ConfigError(f"gold file {path}: empty id")
+            if tweet_id in gold:
+                raise ConfigError(f"{path}:{reader.line_num}: duplicate gold id {tweet_id!r}")
             try:
                 gold[tweet_id] = SentimentLabel(label_name)
             except ValueError:
@@ -444,12 +452,12 @@ def _gold_documents(config: RunConfig, pipeline: PipelineConfig):
 
 
 def cmd_eval(config: RunConfig) -> int:
-    required = ["input", "gold"] if config.k >= 2 or config.model is None else ["input", "gold", "model"]
+    required = ["input", "gold"] if config.k or config.model is None else ["input", "gold", "model"]
     config.require_files(*required)
     pipeline = _pipeline_config(config)
     docs = _gold_documents(config, pipeline)
 
-    if config.k >= 2:
+    if config.k:
         folds = k_fold(docs, config.k, config.seed)
         counts = count_documents(docs)
         accuracies = []

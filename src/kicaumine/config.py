@@ -64,8 +64,8 @@ class RunConfig:
             raise ConfigError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}"
             )
-        if self.k < 0:
-            raise ConfigError(f"k must be >= 0, got {self.k}")
+        if self.k < 0 or self.k == 1:
+            raise ConfigError(f"k must be 0 (off) or at least 2, got {self.k}")
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
         if self.oov not in OOV_CHOICES:

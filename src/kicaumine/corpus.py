@@ -65,6 +65,10 @@ class Tweet:
     declared_lang: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise TypeError(f"tweet id must be a str, got {type(self.id).__name__}")
+        if not isinstance(self.text, str):
+            raise TypeError(f"tweet text must be a str, got {type(self.text).__name__}")
         if not self.id:
             raise ValueError("tweet id must be non-empty")
         if not self.text.strip():

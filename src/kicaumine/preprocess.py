@@ -12,6 +12,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import dropwhile
 from typing import Mapping, NamedTuple
 
 from .corpus import LabeledTweet, SentimentLabel, Tweet
@@ -20,9 +21,11 @@ from .stemming import stemmer_for
 
 logger = logging.getLogger(__name__)
 
-_URL_RE = re.compile(r"(?:https?://|www\.)\S*")
-_MENTION_RE = re.compile(r"@\S+")
-_WHITESPACE_RE = re.compile(r"\s+")
+# A word that some cleansing rule can change: it holds '#', '@', ':' (every
+# emoticon and URL scheme has one) or 'www.'. The pattern is anchored at
+# word starts, so a failed attempt costs one word and the scan stays linear.
+_NOISY_WORD_RE = re.compile(r"(?<!\S)\S*?(?:[#@:]|www\.)\S*")
+_URL_MARKER_RE = re.compile(r"https?://|www\.")
 
 # Most code points the case-fold letter table stores, so that hostile
 # input cannot grow it without limit.
@@ -107,30 +110,51 @@ class PipelineConfig:
 
 
 def cleanse(text: str) -> str:
-    """Strip tweet noise: URLs, mentions, a leading RT, '#', emoticons.
+    """Strip tweet noise: URLs, mentions, '#', emoticons and leading RTs.
 
-    The removal rules run in that order, then whitespace runs collapse to
-    single spaces and the ends are trimmed. The whole pass repeats until
-    the text stops changing, because one removal can expose another match
-    (e.g. ``::))`` leaves ``:)`` behind); iterating to the fixed point
-    makes cleansing idempotent on every input.
+    No rule reaches across whitespace, so the text is cleansed word by
+    word; within each word, in this order:
+
+    1. cut the word at the first ``http://``, ``https://`` or ``www.``;
+    2. cut it at the first ``@`` that has a character after it;
+    3. delete every ``#``;
+    4. delete ``:)`` and ``:(`` until none is left, so ``::))`` vanishes;
+    5. cut again at a URL marker that the deletions joined (``ht#tp://``).
+
+    Empty words are dropped, then the leading words equal to ``RT``, and
+    the rest are joined with single spaces. The result is a fixed point
+    of every rule, so cleansing is idempotent, and one left-to-right pass
+    makes its time linear in the length of the text.
     """
-    previous = None
-    while text != previous:
-        previous = text
-        text = _cleanse_once(text)
-    return text
+    words = _NOISY_WORD_RE.sub(_cleanse_word, text).split()
+    return " ".join(dropwhile("RT".__eq__, words))
 
 
-def _cleanse_once(text: str) -> str:
-    text = _URL_RE.sub("", text)
-    text = _MENTION_RE.sub("", text)
-    lead = text.lstrip()
-    if lead.startswith("RT") and (len(lead) == 2 or lead[2].isspace()):
-        text = lead[2:]
-    text = text.replace("#", "")
-    text = text.replace(":)", "").replace(":(", "")
-    return _WHITESPACE_RE.sub(" ", text).strip()
+def _cleanse_word(match: re.Match) -> str:
+    word = _cut_at_url(match.group())
+    at = word.find("@")
+    if -1 < at < len(word) - 1:
+        word = word[:at]
+    return _cut_at_url(_drop_emoticons(word.replace("#", "")))
+
+
+def _cut_at_url(word: str) -> str:
+    marker = _URL_MARKER_RE.search(word)
+    return word if marker is None else word[: marker.start()]
+
+
+def _drop_emoticons(word: str) -> str:
+    if ":)" not in word and ":(" not in word:
+        return word
+    # Deleting a pair can join a new one (":" + ":)" + ")"); a stack of the
+    # kept characters finds every such pair in one pass.
+    kept = []
+    for char in word:
+        if (char == ")" or char == "(") and kept and kept[-1] == ":":
+            kept.pop()
+        else:
+            kept.append(char)
+    return "".join(kept)
 
 
 class _LetterTable(dict):

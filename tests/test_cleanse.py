@@ -1,0 +1,97 @@
+"""Single-pass cleansing agrees with the fixed-point reference and is linear."""
+
+import itertools
+import re
+import sys
+import timeit
+
+from hypothesis import given, settings, strategies as st
+
+import cleanse_oracle as oracle
+from kicaumine.corpus import Tweet
+from kicaumine.preprocess import PipelineConfig, cleanse, run_pipeline
+
+ALL_CHARS = "".join(map(chr, range(sys.maxunicode + 1)))
+WHITESPACE = [c for c in ALL_CHARS if c.isspace()]
+
+# Pieces that trigger, join or split the rules: emoticon halves, '#', '@',
+# RT, the three URL markers and their fragments, and every whitespace.
+PIECES = [":", ")", "(", "#", "@", "RT", "R", "T", "http://", "https://", "www.",
+          "h", "t", "p", "s", "w", "/", ".", "a", "x"] + WHITESPACE
+noisy_text = st.lists(
+    st.one_of(st.sampled_from(PIECES), st.characters()), max_size=40
+).map("".join)
+
+
+def first_mismatch(texts):
+    return next((t for t in texts if cleanse(t) != oracle.cleanse(t)), None)
+
+
+def test_regex_whitespace_is_str_whitespace():
+    # The reference splits on regex \s, the single pass on str.isspace().
+    assert re.findall(r"\s", ALL_CHARS) == WHITESPACE
+
+
+def test_named_cases():
+    expected = {
+        "x@#": "x",
+        "x@http://y": "x@",
+        "a:)@": "a@",
+        "a@:)": "a",
+        "R#T x": "x",
+        ":#) a": "a",
+        "h::))ttp://q z": "z",
+        "# RT RT y RT": "y RT",
+        "RT@a RT b": "b",
+    }
+    for text, cleaned in expected.items():
+        assert cleanse(text) == oracle.cleanse(text) == cleaned, text
+
+
+def test_every_whitespace_between_rules():
+    texts = []
+    for ws in WHITESPACE:
+        texts += [f"{ws}RT{ws}R#T{ws}a:{ws})", f"RT{ws}", f"x@{ws}y", f"ht#tp:{ws}//a{ws}b"]
+    assert first_mismatch(texts) is None
+
+
+def test_every_short_string():
+    alphabet = ":)(#@/.whtpR T"
+    texts = (
+        "".join(chars)
+        for n in range(6)
+        for chars in itertools.product(alphabet, repeat=n)
+    )
+    assert first_mismatch(texts) is None
+
+
+@settings(max_examples=500)
+@given(noisy_text)
+def test_agrees_with_fixed_point(text):
+    assert cleanse(text) == oracle.cleanse(text)
+
+
+def _time(text):
+    return min(timeit.repeat(lambda: cleanse(text), number=1, repeat=5))
+
+
+def test_time_is_linear_on_hostile_shapes():
+    # Quadratic code takes about 16**2 = 256 times longer on the large
+    # input; linear code about 16 times. Ratios, not times, so the
+    # machine's speed does not matter.
+    shapes = {
+        "nested emoticons": lambda k: ":" * k + ")" * k,
+        "RT run": lambda k: "RT " * k,
+        "joined URL markers": lambda k: "ht#tp:/" * k,
+        "one letter word": lambda k: "a" * (k // 2),
+    }
+    for name, shape in shapes.items():
+        ratio = _time(shape(16_000)) / _time(shape(1_000))
+        assert ratio < 64, (name, ratio)
+
+
+def test_long_nested_record_through_pipeline():
+    text = "bagus " + ":" * 8_000 + ")" * 8_000 + " sekali"
+    doc = run_pipeline(Tweet("long", text), PipelineConfig(enable_stemming=False))
+    assert doc.source_id == "long"
+    assert doc.tokens == ("bagus", "sekali")

@@ -208,6 +208,21 @@ class TestTrain:
         assert not model_path.exists()
 
 
+    def test_duplicate_id_rejected(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        rows = [
+            {"id": "a", "text": "bagus", "label": "positive"},
+            {"id": "b", "text": "buruk", "label": "negative"},
+            {"id": "a", "text": "bagus", "label": "positive"},
+        ]
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        model_path = tmp_path / "m.json"
+        code, _, err = run(["train", "--input", str(corpus), "--model", str(model_path)], capsys)
+        assert code == 2
+        assert f"{corpus}:3: duplicate labeled-corpus id 'a'" in err
+        assert not model_path.exists()
+
+
 class TestClassify:
     def test_known_token_posterior(self, toy_model_file, tmp_path, capsys):
         tweets = tmp_path / "in.jsonl"
@@ -409,6 +424,35 @@ class TestEval:
         )
         assert code == 0
         assert json.loads(out)["n_test"] == 2
+
+
+    def test_duplicate_gold_id_rejected(self, toy_model_file, tmp_path, capsys):
+        gold = self.write_gold(
+            tmp_path, [("t1", "positive"), ("t2", "positive"), ("t1", "negative")]
+        )
+        code, out, err = run(
+            [
+                "eval",
+                "--input", demo_corpus_path(),
+                "--gold", str(gold),
+                "--model", str(toy_model_file),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{gold}:4: duplicate gold id 't1'" in err
+
+    def test_k_of_one_rejected(self, tmp_path, capsys):
+        gold = self.write_gold(tmp_path, [("t1", "positive"), ("t2", "negative")])
+        argv = ["eval", "--input", demo_corpus_path(), "--gold", str(gold)]
+        code, out, err = run(argv + ["--k", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "k must be 0 (off) or at least 2, got 1" in err
+        config = tmp_path / "run.conf"
+        config.write_text("k=1\n", encoding="utf-8")
+        assert run(argv + ["--config", str(config)], capsys)[0] == 2
 
 
 class TestReport:

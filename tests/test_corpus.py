@@ -251,6 +251,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             Tweet("1", "   ")
 
+    @pytest.mark.parametrize(
+        "tweet_id, text, field",
+        [(5, "x", "id"), ("a", 5, "text"), (None, "x", "id"), ("a", b"x", "text")],
+    )
+    def test_tweet_id_and_text_must_be_str(self, tweet_id, text, field):
+        with pytest.raises(TypeError, match=f"tweet {field} must be a str"):
+            Tweet(tweet_id, text)
+
     def test_distant_neutral_forbidden(self):
         with pytest.raises(ValueError):
             LabeledTweet(Tweet("1", "x"), SentimentLabel.NEUTRAL, LabelSource.DISTANT)
