@@ -165,14 +165,17 @@ def sentiment_report(
 
     A tweet counts toward every tracked hashtag its text contains
     (case-insensitive) and always toward 'all'; a tracked hashtag named
-    'all' would share that group and raises ConfigError. Tags that differ
-    only by case or a leading '#' are one group. Shares are emitted only
-    for non-empty groups and sum to one within each. With no predictions
-    at all, only the empty 'all' group is reported.
+    'all' would share that group, and one that is empty without its '#'
+    would match every tweet holding a '#': both raise ConfigError. Tags
+    that differ only by case or a leading '#' are one group. Shares are
+    emitted only for non-empty groups and sum to one within each. With no
+    predictions at all, only the empty 'all' group is reported.
     """
     tags = sorted({tag.lstrip("#").lower() for tag in group_by})
     if ALL_GROUP in tags:
         raise ConfigError(f"hashtag {ALL_GROUP!r} collides with the total group")
+    if "" in tags:
+        raise ConfigError("hashtag entries must be non-empty")
     group_counts: dict[str, dict[SentimentLabel, int]] = {
         ALL_GROUP: {lab: 0 for lab in SentimentLabel}
     }

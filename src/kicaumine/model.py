@@ -331,12 +331,25 @@ def save_model(model: NbModel, sink) -> None:
         sink.write(text)
 
 
+def _int_counts(counts: dict, field: str) -> dict:
+    """``counts`` itself once every value is exactly an ``int``.
+
+    JSON floats, booleans and strings are refused rather than converted,
+    so a count of ``1.9`` cannot load as 1.
+    """
+    if not all(type(count) is int for count in counts.values()):
+        bad = next(count for count in counts.values() if type(count) is not int)
+        raise ModelFormatError(f"{field} holds a non-integer count {bad!r}")
+    return counts
+
+
 def load_model(source) -> NbModel:
     """Rebuild a model saved by :func:`save_model`, verifying its counts.
 
     Raises ModelFormatError on malformed JSON, an unsupported schema
-    version, or internally inconsistent counts (e.g. a stored class total
-    that does not match its token map).
+    version, a count that is not a JSON integer, or internally
+    inconsistent counts (e.g. a stored class total that does not match
+    its token map).
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
@@ -357,16 +370,16 @@ def load_model(source) -> NbModel:
     try:
         labels = tuple(SentimentLabel(name) for name in payload["labels"])
         docs_per_class = {
-            SentimentLabel(name): int(count)
-            for name, count in payload["docs_per_class"].items()
+            SentimentLabel(name): count
+            for name, count in _int_counts(payload["docs_per_class"], "docs_per_class").items()
         }
         token_counts = {
-            SentimentLabel(name): {str(tok): int(cnt) for tok, cnt in table.items()}
+            SentimentLabel(name): _int_counts(table, "token_counts")
             for name, table in payload["token_counts"].items()
         }
         stored_totals = {
-            SentimentLabel(name): int(count)
-            for name, count in payload["tokens_per_class"].items()
+            SentimentLabel(name): count
+            for name, count in _int_counts(payload["tokens_per_class"], "tokens_per_class").items()
         }
         alpha = int(payload.get("alpha", 1))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -21,6 +21,14 @@ in "bertanya"). If no candidate is ever found the original word is
 returned unchanged, so the result is always either a known root or the
 input itself.
 
+The search is table-driven. ``_PREFIX_TABLE`` files every prefix under
+its first two letters, with its length precomputed and the longest-first
+order kept, so a word's possible prefixes take one dict lookup and a word
+that starts with none of them is done at once. Each ending set is tested
+with a single ``str.endswith`` on the whole tuple before the matching
+ending is looked for. At most three prefixes and one ending per stage are
+stripped, so the time per word is linear in its length.
+
 Each stemmer memoizes its results, because tweets repeat a small working
 vocabulary. The memo is bounded: once it holds ``_MEMO_MAX_ENTRIES``
 words it stops inserting (it never evicts), and words longer than
@@ -56,6 +64,25 @@ _PREFIXES = (
     ("ke", None),
     ("se", None),
 )
+
+
+def _prefix_table(prefixes):
+    """Map the first two letters of each prefix to its (prefix, length,
+    restored) entries, in ``prefixes`` order.
+
+    A word can only start with the prefixes filed under its own first two
+    letters, so one lookup replaces a ``startswith`` per prefix. A shorter
+    prefix would never be found under a two-letter key, so it is refused.
+    """
+    table: dict[str, list] = {}
+    for prefix, restored in prefixes:
+        if len(prefix) < 2:
+            raise ValueError(f"prefix {prefix!r} is shorter than the two-letter table key")
+        table.setdefault(prefix[:2], []).append((prefix, len(prefix), restored))
+    return {key: tuple(entries) for key, entries in table.items()}
+
+
+_PREFIX_TABLE = _prefix_table(_PREFIXES)
 
 _MIN_STEM_LEN = 2
 _MAX_PREFIX_STRIPS = 3
@@ -94,52 +121,76 @@ class ConfixStemmer:
         found = self._after_particle(word)
         return found if found is not None else word
 
-    def _branch(self, word, endings, next_stage):
-        """Try the first matching ending stripped, then the word intact."""
-        for ending in endings:
-            if word.endswith(ending) and len(word) - len(ending) >= _MIN_STEM_LEN:
-                stripped = word[: -len(ending)]
-                if stripped in self._roots:
-                    return stripped
-                found = next_stage(stripped)
-                if found is not None:
-                    return found
-                break
-        return next_stage(word)
+    # Each ending stage tries the word with its ending stripped (a root,
+    # then the next stage's search) and then, if that finds nothing, the
+    # next stage on the word intact.
 
     def _after_particle(self, word):
-        return self._branch(word, _PARTICLES, self._after_possessive)
+        stripped = _strip_ending(word, _PARTICLES)
+        if stripped is not None:
+            if stripped in self._roots:
+                return stripped
+            found = self._after_possessive(stripped)
+            if found is not None:
+                return found
+        return self._after_possessive(word)
 
     def _after_possessive(self, word):
-        return self._branch(word, _POSSESSIVES, self._after_suffix)
+        stripped = _strip_ending(word, _POSSESSIVES)
+        if stripped is not None:
+            if stripped in self._roots:
+                return stripped
+            found = self._after_suffix(stripped)
+            if found is not None:
+                return found
+        return self._after_suffix(word)
 
     def _after_suffix(self, word):
-        return self._branch(
-            word, _DERIV_SUFFIXES, lambda w: self._strip_prefixes(w, _MAX_PREFIX_STRIPS)
-        )
+        stripped = _strip_ending(word, _DERIV_SUFFIXES)
+        if stripped is not None:
+            if stripped in self._roots:
+                return stripped
+            found = self._strip_prefixes(stripped, _MAX_PREFIX_STRIPS)
+            if found is not None:
+                return found
+        return self._strip_prefixes(word, _MAX_PREFIX_STRIPS)
 
     def _strip_prefixes(self, word, strips_left):
         """Depth-first search over prefix removals, first dictionary hit wins."""
-        if strips_left == 0:
+        entries = _PREFIX_TABLE.get(word[:2])
+        if entries is None:
             return None
-        for prefix, restored in _PREFIXES:
-            if not word.startswith(prefix):
+        roots = self._roots
+        for prefix, size, restored in entries:
+            if not word.startswith(prefix) or len(word) - size < _MIN_STEM_LEN:
                 continue
-            rest = word[len(prefix) :]
-            if len(rest) < _MIN_STEM_LEN:
-                continue
-            candidates = [rest]
+            rest = word[size:]
+            if rest in roots:
+                return rest
             # The elided consonant can only precede a vowel in the surface form.
-            if restored is not None and rest[0] in _VOWELS:
-                candidates.append(restored + rest)
-            for candidate in candidates:
-                if candidate in self._roots:
-                    return candidate
-            for candidate in candidates:
-                found = self._strip_prefixes(candidate, strips_left - 1)
+            alternative = restored + rest if restored and rest[0] in _VOWELS else None
+            if alternative is not None and alternative in roots:
+                return alternative
+            if strips_left > 1:
+                found = self._strip_prefixes(rest, strips_left - 1)
+                if found is None and alternative is not None:
+                    found = self._strip_prefixes(alternative, strips_left - 1)
                 if found is not None:
                     return found
         return None
+
+
+def _strip_ending(word, endings):
+    """``word`` without the first of ``endings`` that leaves a long enough stem, or None.
+
+    An ending that would leave too short a stem lets the next one try, so a
+    four-letter word ending in "-kan" may still take "-an".
+    """
+    if word.endswith(endings):
+        for ending in endings:
+            if word.endswith(ending) and len(word) - len(ending) >= _MIN_STEM_LEN:
+                return word[: -len(ending)]
+    return None
 
 
 @lru_cache(maxsize=8)

@@ -601,6 +601,26 @@ class TestReport:
         assert out == ""
         assert "'all' collides with the total group" in err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_hashtag_rejected(self, tmp_path, capsys, source):
+        tweets = tmp_path / "in.jsonl"
+        tweets.write_text(json.dumps({"id": "1", "text": "bagus #x"}) + "\n", encoding="utf-8")
+        predictions = tmp_path / "pred.jsonl"
+        predictions.write_text(json.dumps({"id": "1", "label": "positive"}) + "\n", encoding="utf-8")
+        if source == "flag":
+            tag_args = ["--hashtags", "#,pilgubjabar"]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text("hashtags = #,pilgubjabar\n", encoding="utf-8")
+            tag_args = ["--config", str(config)]
+        code, out, err = run(
+            ["report", "--input", str(tweets), "--predictions", str(predictions)] + tag_args,
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "hashtag entries must be non-empty" in err
+
 
 PREVIOUS = "previous content\n"
 

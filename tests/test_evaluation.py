@@ -204,6 +204,14 @@ class TestSentimentReport:
         with pytest.raises(ConfigError, match="collides"):
             sentiment_report([], tags)
 
+    @pytest.mark.parametrize("tags", [{"", "a"}, {"#", "a"}, {"##"}])
+    def test_empty_tag_rejected(self, tags):
+        pairs = self.predictions([("x #a", POS), ("y #", NEG)])
+        with pytest.raises(ConfigError, match="hashtag entries must be non-empty"):
+            sentiment_report(pairs, tags)
+        with pytest.raises(ConfigError, match="hashtag entries must be non-empty"):
+            sentiment_report([], tags)
+
     def test_tags_equal_after_normalizing_are_one_group(self):
         pairs = self.predictions([("x #a", POS), ("y", NEG)])
         reports = sentiment_report(pairs, {"a", "#a", "A"})

@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -323,6 +324,24 @@ class TestSaveLoad:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "bad", [1.9, 1.0, True, "1"], ids=["float", "whole-float", "bool", "str"]
+    )
+    @pytest.mark.parametrize("field", ["docs_per_class", "token_counts", "tokens_per_class"])
+    def test_non_integer_count_rejected(self, toy_model, field, bad):
+        sink = io.StringIO()
+        save_model(toy_model, sink)
+        payload = json.loads(sink.getvalue())
+        counts = payload[field]["positive"]
+        if field == "token_counts":
+            counts = counts["bagus"]
+            payload[field]["positive"]["bagus"] = bad
+        else:
+            payload[field]["positive"] = bad
+        assert type(counts) is int
+        with pytest.raises(ModelFormatError, match=f"{field} holds a non-integer count"):
+            load_model(io.StringIO(json.dumps(payload)))
 
 
 def fold_outcome(build):

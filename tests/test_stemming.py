@@ -1,10 +1,13 @@
+import itertools
 import random
 import sys
 import threading
+import timeit
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import stem_oracle
 from kicaumine import stemming
 from kicaumine.resources import load_root_words
 from kicaumine.stemming import ConfixStemmer
@@ -225,3 +228,169 @@ class TestMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert len(stemmer._memo) == 64
+
+
+# Prefix families as they attach to a stem; "meN"/"peN" assimilate.
+PREFIX_FAMILIES = ("meN", "peN", "ber", "ter", "di", "ke", "se")
+# "" stands for no ending at that stage.
+ENDING_COMBOS = [
+    suffix + possessive + particle
+    for suffix in ("",) + stemming._DERIV_SUFFIXES
+    for possessive in ("",) + stemming._POSSESSIVES
+    for particle in ("",) + stemming._PARTICLES
+]
+# Nasal form before a consonant, and the consonant it elides before a vowel.
+NASAL_BEFORE = {"k": ("ng", True), "s": ("ny", True), "p": ("m", True), "t": ("n", True),
+                "b": ("m", False), "f": ("m", False), "c": ("n", False), "d": ("n", False),
+                "j": ("n", False), "z": ("n", False), "g": ("ng", False), "h": ("ng", False)}
+
+
+def attach(family, stem):
+    """``family`` prefixed to ``stem``, with nasal assimilation for meN-/peN-.
+
+    k/s/p/t are elided before a vowel ("kirim" -> "mengirim"), as the
+    stripper's restored forms expect, and kept before a consonant.
+    """
+    if not family.endswith("N"):
+        return family + stem
+    head = family[:-1]
+    if stem[0] in "aeiou":
+        return head + "ng" + stem
+    nasal, elides = NASAL_BEFORE.get(stem[0], ("", False))
+    if elides and len(stem) > 1 and stem[1] in "aeiou":
+        return head + nasal + stem[1:]
+    return head + nasal + stem
+
+
+def prefixed(root, chain):
+    """``root`` under a chain of prefix families, innermost last."""
+    stem = root
+    for family in reversed(chain):
+        stem = attach(family, stem)
+    return stem
+
+
+def chains(max_len):
+    return [c for n in range(max_len + 1) for c in itertools.product(PREFIX_FAMILIES, repeat=n)]
+
+
+def first_mismatch(search, oracle, words):
+    return next((w for w in words if search._search(w) != oracle._search(w)), None)
+
+
+@pytest.fixture(scope="module")
+def oracle(roots):
+    return stem_oracle.OracleSearch(roots)
+
+
+class TestAgainstOracle:
+    """The table-driven search against the former search, kept as the oracle."""
+
+    def test_every_root_under_every_prefix_chain(self, stemmer, oracle, roots):
+        words = (prefixed(root, chain) for root in sorted(roots) for chain in chains(3))
+        assert first_mismatch(stemmer, oracle, words) is None
+
+    def test_every_root_under_every_ending_combination(self, stemmer, oracle, roots):
+        words = (
+            prefixed(root, chain) + ending
+            for root in sorted(roots)
+            for chain in chains(1)
+            for ending in ENDING_COMBOS
+        )
+        assert first_mismatch(stemmer, oracle, words) is None
+
+    def test_sample_of_prefix_chains_times_endings(self, stemmer, oracle, roots):
+        # Chains of four as well: one prefix more than the search strips.
+        rng = random.Random(11)
+        root_list = sorted(roots)
+        words = (
+            prefixed(rng.choice(root_list), rng.choices(PREFIX_FAMILIES, k=rng.randint(0, 4)))
+            + rng.choice(ENDING_COMBOS)
+            for _ in range(100_000)
+        )
+        assert first_mismatch(stemmer, oracle, words) is None
+
+    def test_every_short_word_with_two_letter_roots(self):
+        # Two-letter roots reach the edges of the length rules, e.g. "akan"
+        # has too short a stem for "-kan" but not for "-an".
+        letters = "aeiuknm"
+        roots = {"".join(pair) for pair in itertools.product(letters, repeat=2)} | {"kena"}
+        search, oracle = ConfixStemmer(roots), stem_oracle.OracleSearch(roots)
+        words = (
+            "".join(chars) for n in range(7) for chars in itertools.product(letters, repeat=n)
+        )
+        assert first_mismatch(search, oracle, words) is None
+        assert search._search("akan") == "ak"
+
+    def test_seeded_random_short_strings(self, stemmer, oracle):
+        rng = random.Random(7)
+        letters = "aeioukgnmypstrbdlhcj"
+        words = (
+            "".join(rng.choices(letters, k=rng.randint(0, 12))) for _ in range(200_000)
+        )
+        assert first_mismatch(stemmer, oracle, words) is None
+
+    def test_words_shorter_than_two(self, stemmer, oracle):
+        words = [""] + [chr(c) for c in range(0x250)]
+        assert first_mismatch(stemmer, oracle, words) is None
+
+    def test_empty_dictionary(self, roots):
+        search, oracle = ConfixStemmer(frozenset()), stem_oracle.OracleSearch(frozenset())
+        words = [prefixed(root, ("meN", "di")) + "kannya" for root in sorted(roots)]
+        assert first_mismatch(search, oracle, words) is None
+        assert all(search._search(w) == w for w in words)
+
+    @settings(max_examples=500)
+    @given(
+        st.lists(
+            st.sampled_from(
+                [prefix for prefix, _ in stemming._PREFIXES]
+                + list(ENDING_COMBOS[1:])
+                + sorted(load_root_words())
+                + list("aeioukgnmypst")
+            ),
+            max_size=12,
+        ).map(lambda parts: "".join(parts)[:40])
+    )
+    def test_generated_affix_heavy_words(self, word):
+        roots = load_root_words()
+        search, oracle = ConfixStemmer(roots), stem_oracle.OracleSearch(roots)
+        assert search._search(word) == oracle._search(word)
+
+
+class TestPrefixTable:
+    def test_keys_are_the_first_two_letters_in_prefix_order(self):
+        table = stemming._PREFIX_TABLE
+        assert all(len(key) == 2 for key in table)
+        flattened = [(prefix, restored) for entries in table.values()
+                     for prefix, _, restored in entries]
+        assert sorted(flattened, key=stemming._PREFIXES.index) == list(stemming._PREFIXES)
+        for key, entries in table.items():
+            assert [p for p, _, _ in entries] == [
+                p for p, _ in stemming._PREFIXES if p.startswith(key)
+            ]
+            assert all(size == len(p) for p, size, _ in entries)
+
+    @pytest.mark.parametrize("short", ["", "m"])
+    def test_prefix_shorter_than_two_letters_is_refused(self, short):
+        with pytest.raises(ValueError, match="shorter than the two-letter"):
+            stemming._prefix_table(stemming._PREFIXES + ((short, None),))
+
+
+def _stem_time(word):
+    stemmer = ConfixStemmer(load_root_words())
+    return min(timeit.repeat(lambda: stemmer.stem(word), number=20, repeat=5))
+
+
+def test_stem_time_is_linear_in_word_length():
+    # Linear code takes about 16 times longer on the large input, quadratic
+    # code about 256 times. These words are longer than the memo keeps, so
+    # every call searches.
+    shapes = {
+        "repeated meng- with every ending": lambda k: "menge" * k + "kannyalah",
+        "repeated mem- with -i and -nya": lambda k: "mempe" * k + "inya",
+        "one letter word": lambda k: "a" * k,
+    }
+    for name, shape in shapes.items():
+        ratio = _stem_time(shape(16_000)) / _stem_time(shape(1_000))
+        assert ratio < 64, (name, ratio)
