@@ -347,7 +347,7 @@ def load_model(source) -> NbModel:
     """Rebuild a model saved by :func:`save_model`, verifying its counts.
 
     Raises ModelFormatError on malformed JSON, an unsupported schema
-    version, a count that is not a JSON integer, or internally
+    version, a count or ``alpha`` that is not a JSON integer, or internally
     inconsistent counts (e.g. a stored class total that does not match
     its token map).
     """
@@ -381,7 +381,9 @@ def load_model(source) -> NbModel:
             SentimentLabel(name): count
             for name, count in _int_counts(payload["tokens_per_class"], "tokens_per_class").items()
         }
-        alpha = int(payload.get("alpha", 1))
+        alpha = payload.get("alpha", 1)
+        if type(alpha) is not int:
+            raise ModelFormatError(f"alpha must be an integer, got {alpha!r}")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ModelFormatError(f"model file is malformed: {exc}") from exc
     try:

@@ -4,6 +4,10 @@ Stage order is fixed: cleanse -> case fold -> tokenize -> stopword
 removal -> POS tag filter -> stem. The first two stages are idempotent;
 every stage after tokenization can only keep or drop tokens (stemming
 maps one to one), so token counts never grow along the chain.
+
+No stage reaches across whitespace, so :func:`run_pipeline` runs the
+chain once per distinct raw word and memoizes the result in its config;
+only the rule that drops leading ``RT`` words looks at more than one word.
 """
 
 import logging
@@ -30,6 +34,11 @@ _URL_MARKER_RE = re.compile(r"https?://|www\.")
 # Most code points the case-fold letter table stores, so that hostile
 # input cannot grow it without limit.
 _LETTER_TABLE_MAX_ENTRIES = 1 << 14
+
+# Bounds of each config's word memo (see run_pipeline): most words stored,
+# and longest word stored.
+_WORD_MEMO_MAX_ENTRIES = 1 << 13
+_WORD_MEMO_MAX_WORD_LEN = 32
 
 
 class PosTag(Enum):
@@ -107,6 +116,12 @@ class PipelineConfig:
     enable_stemming: bool = True
     pos_lexicon: Mapping[str, PosTag] = field(default_factory=dict)
     root_words: frozenset[str] = frozenset()
+    # Raw word -> its output tokens, filled by run_pipeline. Not an init
+    # argument, so dataclasses.replace gives the new config an empty memo.
+    _word_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _word_memo_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, compare=False, repr=False
+    )
 
 
 def cleanse(text: str) -> str:
@@ -126,12 +141,17 @@ def cleanse(text: str) -> str:
     of every rule, so cleansing is idempotent, and one left-to-right pass
     makes its time linear in the length of the text.
     """
-    words = _NOISY_WORD_RE.sub(_cleanse_word, text).split()
+    words = _NOISY_WORD_RE.sub(_cleanse_match, text).split()
     return " ".join(dropwhile("RT".__eq__, words))
 
 
-def _cleanse_word(match: re.Match) -> str:
-    word = _cut_at_url(match.group())
+def _cleanse_match(match: re.Match) -> str:
+    return _cleanse_word(match.group())
+
+
+def _cleanse_word(word: str) -> str:
+    """``word`` cleansed by rules 1-5 of :func:`cleanse`; unchanged if not noisy."""
+    word = _cut_at_url(word)
     at = word.find("@")
     if -1 < at < len(word) - 1:
         word = word[:at]
@@ -232,28 +252,74 @@ def pos_tag(tokens: list[str], lexicon: Mapping[str, PosTag]) -> list[PosTaggedT
     return [PosTaggedToken(t, lexicon.get(t, PosTag.OTHER)) for t in tokens]
 
 
+class _Skippable(tuple):
+    """Output tokens of a word that cleanses to nothing or to exactly ``RT``.
+
+    Such a word is dropped while no earlier word of the tweet cleansed to
+    anything else; after that it contributes its tokens like any word.
+    """
+
+
+_CLEANSED_AWAY = _Skippable()
+
+
 def run_pipeline(item: Tweet | LabeledTweet, config: PipelineConfig) -> Document:
     """Run the full preprocessing chain on one tweet.
 
     Accepts a raw or labeled tweet; the label, when present, is carried
     through untouched. Stages run in the fixed order with the optional
     ones gated by ``config``.
+
+    The chain runs once per distinct whitespace-separated word of the
+    text; the word's output tokens are kept in ``config``'s memo. It never
+    evicts: once it holds ``_WORD_MEMO_MAX_ENTRIES`` words it stops
+    inserting, and words longer than ``_WORD_MEMO_MAX_WORD_LEN`` characters
+    are never stored. The memo trusts ``config`` not to change, so its
+    ``pos_lexicon`` must not be mutated after first use.
     """
     if isinstance(item, LabeledTweet):
         tweet, label = item.tweet, item.label
     else:
         tweet, label = item, None
-    # Folded tokens are letters by construction, so tokenize's check is skipped.
-    tokens = _fold_tokens(cleanse(tweet.text))
-    if config.enable_stopwords:
-        tokens = remove_stopwords(tokens, config.stopword_list)
-    if config.enable_pos:
-        tagged = pos_tag(tokens, config.pos_lexicon)
-        tokens = [entry.token for entry in tagged if entry.tag in config.pos_keep_tags]
-    if config.enable_stemming:
-        stemmer = stemmer_for(config.root_words)
-        tokens = [stemmer.stem(t) for t in tokens]
+    memo = config._word_memo
+    tokens = []
+    leading = True  # no earlier word cleansed to anything but RT
+    for word in tweet.text.split():
+        out = memo.get(word)
+        if out is None:
+            out = _word_tokens(word, config)
+        if leading and type(out) is _Skippable:
+            continue
+        leading = False
+        tokens += out
     return Document(source_id=tweet.id, tokens=tuple(tokens), label=label)
+
+
+def _word_tokens(word: str, config: PipelineConfig) -> tuple[str, ...]:
+    """Run the chain on one raw word and memoize its output tokens."""
+    cleansed = _cleanse_word(word) if _NOISY_WORD_RE.match(word) else word
+    if not cleansed:
+        out = _CLEANSED_AWAY
+    else:
+        stopwords = config.stopword_list if config.enable_stopwords else ()
+        lexicon, keep = config.pos_lexicon, config.pos_keep_tags
+        stem = stemmer_for(config.root_words).stem if config.enable_stemming else None
+        kept = []
+        for token in _fold_tokens(cleansed):
+            if token in stopwords:
+                continue
+            if config.enable_pos and lexicon.get(token, PosTag.OTHER) not in keep:
+                continue
+            kept.append(token if stem is None else stem(token))
+        out = _Skippable(kept) if cleansed == "RT" else tuple(kept)
+    memo = config._word_memo
+    # A full memo skips the lock; the lock keeps the size check and the
+    # insert together so the cap holds exactly under threads.
+    if len(word) <= _WORD_MEMO_MAX_WORD_LEN and len(memo) < _WORD_MEMO_MAX_ENTRIES:
+        with config._word_memo_lock:
+            if len(memo) < _WORD_MEMO_MAX_ENTRIES:
+                memo[word] = out
+    return out
 
 
 def extract_unigrams(doc: Document) -> Counter:

@@ -1,8 +1,8 @@
 """Word-file parsing, access to the bundled data files, atomic output writes.
 
 All word resources share one line format: UTF-8 text, one entry per
-line, lines starting with '#' are comments, trailing whitespace is
-trimmed. The package bundles an Indonesian stopword list, root-word
+line, lines starting with '#' are comments, leading and trailing
+whitespace is trimmed. The package bundles an Indonesian stopword list, root-word
 dictionary, POS lexicon, language-detection wordlist, and a six-tweet
 demo corpus so the whole pipeline runs offline out of the box.
 """
@@ -26,10 +26,10 @@ DEMO_CORPUS_FILE = "demo_tweets.jsonl"
 
 
 def parse_word_lines(lines) -> list[str]:
-    """Entries from word-file lines: comments and blanks skipped."""
+    """Entries from word-file lines, trimmed at both ends; comments and blanks skipped."""
     entries = []
     for raw in lines:
-        line = raw.rstrip()
+        line = raw.strip()
         if not line or line.startswith("#"):
             continue
         entries.append(line)

@@ -29,14 +29,11 @@ with a single ``str.endswith`` on the whole tuple before the matching
 ending is looked for. At most three prefixes and one ending per stage are
 stripped, so the time per word is linear in its length.
 
-Each stemmer memoizes its results, because tweets repeat a small working
-vocabulary. The memo is bounded: once it holds ``_MEMO_MAX_ENTRIES``
-words it stops inserting (it never evicts), and words longer than
-``_MEMO_MAX_WORD_LEN`` characters are never stored, so hostile input
-cannot make it grow without limit.
+The stemmer keeps no memo of its own: ``preprocess.run_pipeline``
+memoizes the output of whole words, so it stems only the words that miss
+there.
 """
 
-import threading
 from functools import lru_cache
 
 _PARTICLES = ("lah", "kah", "pun")
@@ -87,9 +84,6 @@ _PREFIX_TABLE = _prefix_table(_PREFIXES)
 _MIN_STEM_LEN = 2
 _MAX_PREFIX_STRIPS = 3
 
-_MEMO_MAX_ENTRIES = 1 << 15
-_MEMO_MAX_WORD_LEN = 32
-
 
 class ConfixStemmer:
     """Confix stripper bound to a root-word dictionary."""
@@ -98,28 +92,16 @@ class ConfixStemmer:
         # An empty dictionary is allowed and makes stemming the identity:
         # no candidate can ever be accepted.
         self._roots = frozenset(root_words)
-        self._memo: dict[str, str] = {}
-        # Instances are shared (see stemmer_for); the lock keeps the
-        # size check and the insert together so the cap holds exactly.
-        self._memo_lock = threading.Lock()
 
     def stem(self, word: str) -> str:
         """Return the dictionary root of ``word``, or ``word`` itself."""
-        root = self._memo.get(word)
-        if root is None:
-            root = self._search(word)
-            if len(word) <= _MEMO_MAX_WORD_LEN:
-                with self._memo_lock:
-                    if len(self._memo) < _MEMO_MAX_ENTRIES:
-                        self._memo[word] = root
-        return root
-
-    def _search(self, word: str) -> str:
-        """The uncached affix search behind :meth:`stem`."""
         if word in self._roots:
             return word
         found = self._after_particle(word)
         return found if found is not None else word
+
+    # The search under the name ``stem_oracle.OracleSearch`` gives it.
+    _search = stem
 
     # Each ending stage tries the word with its ending stripped (a root,
     # then the next stage's search) and then, if that finds nothing, the

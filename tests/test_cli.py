@@ -108,6 +108,31 @@ class TestCollect:
         )
         assert outcome == stats["total_ingested"] == 2
 
+    def test_indented_hashtags_file_entry_matches(self, tmp_path, capsys):
+        corpus = tmp_path / "tweets.jsonl"
+        rows = [
+            {"id": "1", "text": "bagus sekali #pilgubjabar :)"},
+            {"id": "2", "text": "buruk sekali #pilgubjabar :("},
+        ]
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        tags = tmp_path / "tags.txt"
+        tags.write_text(" pilgubjabar\n\tridwankamil \n", encoding="utf-8")
+        code, out, _ = run(
+            [
+                "collect",
+                "--input", str(corpus),
+                "--hashtags-file", str(tags),
+                "--out-labeled", str(tmp_path / "l.jsonl"),
+                "--out-unlabeled", str(tmp_path / "u.jsonl"),
+                "--format", "json",
+            ],
+            capsys,
+        )
+        assert code == 0
+        stats = json.loads(out)
+        assert stats["rejected_hashtag"] == 0
+        assert [r["id"] for r in read_jsonl(tmp_path / "l.jsonl")] == ["1", "2"]
+
     def test_missing_input_reported_eagerly(self, tmp_path, capsys):
         code, out, err = run(
             [

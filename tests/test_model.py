@@ -343,6 +343,18 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError, match=f"{field} holds a non-integer count"):
             load_model(io.StringIO(json.dumps(payload)))
 
+    @pytest.mark.parametrize(
+        "bad", [1.9, 1.0, True, "1"], ids=["float", "whole-float", "bool", "str"]
+    )
+    def test_non_integer_alpha_rejected(self, toy_model, bad):
+        sink = io.StringIO()
+        save_model(toy_model, sink)
+        payload = json.loads(sink.getvalue())
+        assert payload["alpha"] == 1
+        payload["alpha"] = bad
+        with pytest.raises(ModelFormatError, match="alpha must be an integer"):
+            load_model(io.StringIO(json.dumps(payload)))
+
 
 def fold_outcome(build):
     """A fold model's saved bytes, or the type and message it raised."""

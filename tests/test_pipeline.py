@@ -1,0 +1,182 @@
+"""The per-word memoized pipeline agrees with the stage-by-stage reference."""
+
+import dataclasses
+import itertools
+import random
+import sys
+import threading
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import pipeline_oracle as oracle
+from kicaumine import preprocess
+from kicaumine.corpus import LabeledTweet, LabelSource, SentimentLabel, Tweet
+from kicaumine.preprocess import PipelineConfig, run_pipeline
+from kicaumine.resources import default_pipeline_config
+
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+# Pieces that the cleansing rules, the leading-RT rule and the word split
+# act on, plus words that the later stages drop, tag or stem.
+PIECES = ["RT", "R", "T", "rt", ":)", ":(", ":", ")", "(", "#", "@", "a", "x",
+          "http://", "https://", "www.", "t.co/q", "/", ".", "!!!", "1", "é", "Σ",
+          "yang", "dan", "bagus", "memilih", "pemilihan", "berjalan", "tidak"]
+noisy_text = st.lists(
+    st.one_of(st.sampled_from(PIECES), st.sampled_from(WHITESPACE), st.characters()),
+    max_size=30,
+).map("".join).filter(str.strip)
+
+# Every combination of the three optional stages, over the bundled resources.
+CONFIGS = [
+    default_pipeline_config(enable_stopwords=stop, enable_pos=pos, enable_stemming=stem)
+    for stop, pos, stem in itertools.product((True, False), repeat=3)
+]
+CONFIG_IDS = [f"stop{int(c.enable_stopwords)}-pos{int(c.enable_pos)}-stem{int(c.enable_stemming)}"
+              for c in CONFIGS]
+
+
+def fresh(config: PipelineConfig) -> PipelineConfig:
+    return dataclasses.replace(config)
+
+
+def mismatch(texts, config):
+    """The first text on which ``config`` and the oracle disagree, or None."""
+    for text in texts:
+        tweet = Tweet("1", text)
+        if run_pipeline(tweet, config) != oracle.run_pipeline(tweet, config):
+            return text
+    return None
+
+
+NAMED = [
+    "!!! RT x",
+    "R#T x",
+    "#RT y",
+    "@a RT b",
+    ":) RT z",
+    "RT RT @a: RT hello RT",
+    "kata RT kata",
+    "123 RT bagus",
+    "RT",
+    "RT:) RT@a R:)T #R#T# bagus RT",
+    "http://x RT www.y RT :( RT yang RT",
+    " RT\x1cRT\x85x\xa0RT",
+]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+def test_named_cases(config):
+    config = fresh(config)
+    # Twice: the second pass reads every word from the memo.
+    assert mismatch(NAMED + NAMED, config) is None
+
+
+def test_named_cases_read_as_expected():
+    config = fresh(CONFIGS[0])
+    expected = {
+        "!!! RT x": ("rt", "x"),
+        "R#T x": ("x",),
+        "#RT y": ("y",),
+        "@a RT b": ("b",),
+        ":) RT z": ("z",),
+        "RT RT @a: RT hello RT": ("hello", "rt"),
+        "kata RT kata": ("kata", "rt", "kata"),
+    }
+    for text, tokens in expected.items():
+        assert run_pipeline(Tweet("1", text), config).tokens == tokens, text
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+@settings(max_examples=150, deadline=None)
+@given(texts=st.lists(noisy_text, min_size=1, max_size=5))
+def test_agrees_with_oracle(config, texts):
+    # A shared config accumulates memo entries across examples, a fresh one
+    # starts empty; both must agree with the oracle.
+    assert mismatch(texts, config) is None
+    assert mismatch(texts, fresh(config)) is None
+
+
+def test_every_whitespace_between_words():
+    config = fresh(CONFIGS[0])
+    texts = []
+    for ws in WHITESPACE:
+        texts += [f"{ws}RT{ws}R#T{ws}bagus{ws}", f"@a{ws}RT{ws}b", f"RT{ws}{ws}:){ws}RT"]
+    assert mismatch(texts, config) is None
+
+
+def test_label_and_id_carried_through():
+    item = LabeledTweet(Tweet("7", "RT bagus :)"), SentimentLabel.POSITIVE, LabelSource.DISTANT)
+    doc = run_pipeline(item, fresh(CONFIGS[0]))
+    assert (doc.source_id, doc.label) == ("7", SentimentLabel.POSITIVE)
+    assert doc == oracle.run_pipeline(item, CONFIGS[0])
+
+
+class TestMemoBounds:
+    def test_cap_holds_and_output_is_unchanged(self, monkeypatch):
+        monkeypatch.setattr(preprocess, "_WORD_MEMO_MAX_ENTRIES", 64)
+        config = fresh(CONFIGS[0])
+        rng = random.Random(5)
+        texts = [" ".join(f"di{rng.choice('abk')}{n}ka" for n in range(i, i + 20))
+                 for i in range(0, 400, 10)]
+        assert mismatch(texts, config) is None
+        assert len(config._word_memo) == 64
+        assert mismatch(texts, config) is None
+        assert len(config._word_memo) == 64
+
+    def test_words_over_the_length_cap_are_not_stored(self):
+        config = fresh(CONFIGS[0])
+        limit = preprocess._WORD_MEMO_MAX_WORD_LEN
+        long_word = "mem" + "per" * limit + "kan"
+        short_word = "b" * limit
+        text = f"{long_word} {short_word}"
+        assert mismatch([text], config) is None
+        assert long_word not in config._word_memo
+        assert short_word in config._word_memo
+
+    def test_cap_holds_under_threads(self, monkeypatch):
+        monkeypatch.setattr(preprocess, "_WORD_MEMO_MAX_ENTRIES", 64)
+        config = fresh(CONFIGS[0])
+        errors = []
+
+        def work(offset):
+            try:
+                for i in range(200):
+                    text = f"w{offset}x{i} memilih RT#{i % 7}"
+                    if run_pipeline(Tweet("1", text), config) != oracle.run_pipeline(
+                        Tweet("1", text), config
+                    ):
+                        errors.append(text)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(config._word_memo) == 64
+
+    def test_replace_starts_an_empty_memo(self):
+        config = fresh(CONFIGS[0])
+        run_pipeline(Tweet("1", "pemilihan bagus"), config)
+        assert config._word_memo
+        changed = dataclasses.replace(config, enable_stemming=False)
+        assert changed._word_memo == {}
+        assert changed._word_memo_lock is not config._word_memo_lock
+        assert run_pipeline(Tweet("1", "pemilihan bagus"), changed).tokens == (
+            "pemilihan", "bagus"
+        )
+
+    def test_memo_is_not_part_of_equality_or_repr(self):
+        config = fresh(CONFIGS[0])
+        run_pipeline(Tweet("1", "bagus"), config)
+        assert config == dataclasses.replace(config)
+        assert "_word_memo" not in repr(config)
