@@ -297,6 +297,8 @@ def run_pipeline(item: Tweet | LabeledTweet, config: PipelineConfig) -> Document
 
 def _word_tokens(word: str, config: PipelineConfig) -> tuple[str, ...]:
     """Run the chain on one raw word and memoize its output tokens."""
+    # _cleanse_word leaves a word with no noisy character as it is; the match
+    # spares most words its work.
     cleansed = _cleanse_word(word) if _NOISY_WORD_RE.match(word) else word
     if not cleansed:
         out = _CLEANSED_AWAY
