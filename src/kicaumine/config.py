@@ -122,7 +122,7 @@ def parse_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     known = {f.name for f in fields(RunConfig)}
     for lineno, raw in enumerate(lines, start=1):

@@ -1,16 +1,13 @@
 """Corpus assembly: ingest tweet exports, filter, and emoticon-label them.
 
 The collection chain is ingest -> hashtag filter -> language filter ->
-distant labeling. Live crawling is deliberately absent; any batch of
-exported tweets enters through :class:`TweetSource` (file-based by
-default), which keeps the rest of the pipeline independent of where the
-tweets came from.
+distant labeling. Live crawling is deliberately absent: tweets enter as
+JSON Lines exports, read one line at a time by :func:`iter_tweets`.
 """
 
 import dataclasses
 import json
 import logging
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
 
@@ -141,22 +138,19 @@ class CorpusStats:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
-def ingest_jsonl(source) -> tuple[list[Tweet], CorpusStats]:
-    """Read tweets from a JSON Lines stream, one object per line.
+def iter_tweets(source, stats: CorpusStats):
+    """Yield the valid tweets of a JSON Lines stream, one object per line.
 
     ``source`` is any iterable of lines (text or UTF-8 bytes, e.g. an open
     file). A line is accepted when it parses as a JSON object carrying a
     non-empty string ``id`` and a string ``text`` that is non-empty after
     trimming; ``created_at`` and ``lang`` are picked up when present.
-    Malformed lines and duplicate ids are counted, never fatal; the first
-    occurrence of an id wins. Blank lines are skipped without counting.
-
-    Raises EmptyCorpusError when no valid tweet remains; I/O errors from
-    the underlying stream propagate unchanged.
+    Malformed lines, bytes that are not UTF-8 and duplicate ids are
+    counted in ``stats``, never fatal; the first occurrence of an id wins.
+    Blank lines are skipped without counting. Memory held between lines is
+    the set of ids seen so far.
     """
-    tweets: list[Tweet] = []
     seen_ids: set[str] = set()
-    stats = CorpusStats()
     for raw in source:
         if isinstance(raw, bytes):
             try:
@@ -199,51 +193,20 @@ def ingest_jsonl(source) -> tuple[list[Tweet], CorpusStats]:
         )
         if tweet.overlong:
             stats.flagged_overlong += 1
-        tweets.append(tweet)
+        yield tweet
+
+
+def ingest_jsonl(source) -> tuple[list[Tweet], CorpusStats]:
+    """All valid tweets of a JSON Lines stream and their stats; see :func:`iter_tweets`.
+
+    Raises EmptyCorpusError when no valid tweet remains; I/O errors from
+    the underlying stream propagate unchanged.
+    """
+    stats = CorpusStats()
+    tweets = list(iter_tweets(source, stats))
     if not tweets:
         raise EmptyCorpusError("no valid tweets in input")
     return tweets, stats
-
-
-class TweetSource(ABC):
-    """Pluggable origin of raw tweets.
-
-    Stands in for the live-crawl stage: anything that can hand over
-    batches of tweets (an export file, a database cursor, a replayed
-    stream) can feed the pipeline.
-    """
-
-    @abstractmethod
-    def next_batch(self) -> list[Tweet]:
-        """Return the next batch of tweets; an empty list means exhausted."""
-
-
-class JsonlTweetSource(TweetSource):
-    """TweetSource over a JSON Lines export file."""
-
-    def __init__(self, path, batch_size: int = 1000):
-        if batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        self._path = path
-        self._batch_size = batch_size
-        self._tweets: list[Tweet] | None = None
-        self._pos = 0
-        self.stats = CorpusStats()
-
-    def _load(self):
-        if self._tweets is None:
-            with open(self._path, "r", encoding="utf-8") as handle:
-                try:
-                    self._tweets, self.stats = ingest_jsonl(handle)
-                except EmptyCorpusError:
-                    raise EmptyCorpusError(f"no valid tweets in {self._path}") from None
-
-    def next_batch(self) -> list[Tweet]:
-        self._load()
-        assert self._tweets is not None
-        batch = self._tweets[self._pos : self._pos + self._batch_size]
-        self._pos += len(batch)
-        return batch
 
 
 def filter_hashtags(tweets: list[Tweet], tags: frozenset[str] | set[str]) -> list[Tweet]:

@@ -72,8 +72,11 @@ def atomic_writer(path):
 
 
 def load_word_file(path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_word_lines(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse_word_lines(handle)
+    except UnicodeDecodeError:
+        raise ConfigError(f"word file {path} is not UTF-8") from None
 
 
 def _bundled_lines(name: str) -> list[str]:

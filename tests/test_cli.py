@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
 from conftest import NEG, POS
 from kicaumine import cli
 from kicaumine.cli import main
+from kicaumine.corpus import CorpusStats
 from kicaumine.model import save_model, train
 from kicaumine.preprocess import Document
 from kicaumine.resources import demo_corpus_path
@@ -132,6 +134,34 @@ class TestCollect:
         stats = json.loads(out)
         assert stats["rejected_hashtag"] == 0
         assert [r["id"] for r in read_jsonl(tmp_path / "l.jsonl")] == ["1", "2"]
+
+    def test_non_utf8_line_counted_as_malformed(self, toy_model_file, tmp_path, capsys):
+        corpus = tmp_path / "tweets.jsonl"
+        corpus.write_bytes(
+            json.dumps({"id": "1", "text": "bagus sekali #pilgubjabar :)"}).encode() + b"\n"
+            + b'{"id": "2", "text": "bagus \xff #pilgubjabar"}\n'
+            + json.dumps({"id": "3", "text": "buruk sekali #pilgubjabar :("}).encode() + b"\n"
+        )
+        code, out, _ = run(
+            [
+                "collect",
+                "--input", str(corpus),
+                "--out-labeled", str(tmp_path / "l.jsonl"),
+                "--out-unlabeled", str(tmp_path / "u.jsonl"),
+                "--format", "json",
+            ],
+            capsys,
+        )
+        assert code == 0
+        stats = CorpusStats(**json.loads(out))
+        assert stats.total_ingested == 3
+        assert stats.rejected_malformed == 1
+        assert stats.check_partition()
+        code, out, _ = run(
+            ["classify", "--input", str(corpus), "--model", str(toy_model_file)], capsys
+        )
+        assert code == 0
+        assert [json.loads(line)["id"] for line in out.splitlines()] == ["1", "3"]
 
     def test_missing_input_reported_eagerly(self, tmp_path, capsys):
         code, out, err = run(
@@ -314,6 +344,32 @@ class TestClassify:
         assert row["posteriors"]["positive"] == pytest.approx(2 / 3, abs=1e-9)
 
 
+class TestBoundedMemory:
+    WORDS = ["pemberitahuannya", "kepemimpinannya", "pembangunannya", "keberhasilannya"]
+    TEXT = " ".join(word * 2 for word in WORDS * 10)
+
+    def peak_bytes(self, model, tmp_path, n):
+        tweets = tmp_path / f"in{n}.jsonl"
+        with open(tweets, "w", encoding="utf-8") as handle:
+            for i in range(n):
+                handle.write(json.dumps({"id": f"tweet{i:07d}", "text": self.TEXT}) + "\n")
+        argv = ["classify", "--input", str(tweets), "--model", str(model)]
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--out", str(tmp_path / "pred.jsonl")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, tweets.stat().st_size
+
+    def test_classify_peak_grows_far_less_than_input(self, toy_model_file, tmp_path):
+        n = 600  # more tweets than classify holds at once
+        self.peak_bytes(toy_model_file, tmp_path, 10)  # one-time caches
+        small_peak, small_size = self.peak_bytes(toy_model_file, tmp_path, n)
+        large_peak, large_size = self.peak_bytes(toy_model_file, tmp_path, 8 * n)
+        assert large_peak - small_peak < (large_size - small_size) / 4
+
+
 class TestEval:
     def write_gold(self, tmp_path, rows):
         gold = tmp_path / "gold.csv"
@@ -467,6 +523,33 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert f"{gold}:4: duplicate gold id 't1'" in err
+
+    @pytest.mark.parametrize("separator", [", ", " ,"])
+    def test_gold_header_with_spaces(self, separator, toy_model_file, tmp_path, capsys):
+        outputs = []
+        for sep in (",", separator):
+            gold = tmp_path / "gold.csv"
+            rows = ["id,label", "t1,positive", "t2,positive", "t3,negative"]
+            gold.write_text("".join(row.replace(",", sep) + "\n" for row in rows), encoding="utf-8")
+            argv = ["eval", "--input", demo_corpus_path(), "--gold", str(gold)]
+            code, out, _ = run(argv + ["--model", str(toy_model_file), "--format", "json"], capsys)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [(",positive", "empty gold id"), ("t2,happy", "unknown gold label 'happy' for id 't2'")],
+        ids=["empty-id", "unknown-label"],
+    )
+    def test_bad_gold_row_names_line(self, row, message, toy_model_file, tmp_path, capsys):
+        gold = tmp_path / "gold.csv"
+        gold.write_text(f"id,label\nt1,positive\n{row}\n", encoding="utf-8")
+        argv = ["eval", "--input", demo_corpus_path(), "--gold", str(gold)]
+        code, out, err = run(argv + ["--model", str(toy_model_file)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{gold}:3: {message}" in err
 
     def test_k_of_one_rejected(self, tmp_path, capsys):
         gold = self.write_gold(tmp_path, [("t1", "positive"), ("t2", "negative")])
@@ -645,6 +728,50 @@ class TestReport:
         assert code == 2
         assert out == ""
         assert "hashtag entries must be non-empty" in err
+
+
+NOT_UTF8 = b"\xff\xfe"
+TRAIN_WITH = "train --input {labeled} --model {out}/m.json"
+COLLECT_WITH = "collect --input {demo} --out-labeled {out}/l.jsonl --out-unlabeled {out}/u.jsonl"
+
+# Each strict input: its content with a non-UTF-8 line 2, and the command that reads it.
+STRICT_INPUTS = {
+    "labeled": (
+        b'{"id": "a", "text": "bagus", "label": "positive"}\n{"id": "b", "text": "' + NOT_UTF8 + b'"}\n',
+        "train --input {bad} --model {out}/m.json",
+    ),
+    "predictions": (
+        b'{"id": "t1", "label": "positive"}\n{"id": "' + NOT_UTF8 + b'"}\n',
+        "report --input {demo} --predictions {bad}",
+    ),
+    "gold": (b"id,label\nt2," + NOT_UTF8 + b"\n", "eval --input {demo} --gold {bad} --model {model}"),
+    "config": (b"seed=1\n# " + NOT_UTF8 + b"\n", "train --config {bad}"),
+    "stopwords": (b"bagus\n" + NOT_UTF8 + b"\n", TRAIN_WITH + " --stopwords {bad}"),
+    "pos-lexicon": (b"bagus\tADJ\n" + NOT_UTF8 + b"\n", TRAIN_WITH + " --pos-lexicon {bad}"),
+    "stem-roots": (b"bagus\n" + NOT_UTF8 + b"\n", TRAIN_WITH + " --stem-roots {bad}"),
+    "wordlist": (b"bagus\n" + NOT_UTF8 + b"\n", COLLECT_WITH + " --wordlist {bad}"),
+    "hashtags-file": (b"pilgubjabar\n" + NOT_UTF8 + b"\n", COLLECT_WITH + " --hashtags-file {bad}"),
+}
+
+
+@pytest.mark.parametrize("kind", list(STRICT_INPUTS))
+def test_strict_input_not_utf8_exits_2(kind, collected, toy_model_file, tmp_path, capsys):
+    content, command = STRICT_INPUTS[kind]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    outputs = tmp_path / "outputs"
+    outputs.mkdir()
+    paths = dict(
+        bad=bad, labeled=collected[0], model=toy_model_file, out=outputs, demo=demo_corpus_path()
+    )
+    code, out, err = run([word.format(**paths) for word in command.split()], capsys)
+    assert code == 2
+    assert out == ""
+    [message] = [line for line in err.splitlines() if line.startswith("error:")]
+    assert str(bad) in message
+    if kind in ("labeled", "predictions"):
+        assert f"{bad}:2:" in message
+    assert not os.listdir(outputs)
 
 
 PREVIOUS = "previous content\n"

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from kicaumine.corpus import (
     DEFAULT_HASHTAGS,
     CorpusStats,
-    JsonlTweetSource,
     LabeledTweet,
     LabelSource,
     SentimentLabel,
@@ -15,6 +14,7 @@ from kicaumine.corpus import (
     filter_hashtags,
     filter_language,
     ingest_jsonl,
+    iter_tweets,
 )
 from kicaumine.exceptions import ConfigError, EmptyCorpusError
 
@@ -105,22 +105,15 @@ class TestIngest:
         assert stats.total_ingested == len(tweets) + stats.rejected_malformed
 
 
-class TestTweetSource:
-    def test_batches_and_stats(self, tmp_path):
-        path = tmp_path / "tweets.jsonl"
-        path.write_text(
-            "\n".join(lines(*({"id": str(i), "text": f"tweet {i}"} for i in range(5)))),
-            encoding="utf-8",
-        )
-        source = JsonlTweetSource(path, batch_size=2)
-        batches = []
-        while True:
-            batch = source.next_batch()
-            if not batch:
-                break
-            batches.append(batch)
-        assert [len(b) for b in batches] == [2, 2, 1]
-        assert source.stats.total_ingested == 5
+class TestIterTweets:
+    def test_yields_each_tweet_before_reading_on(self):
+        def source():
+            yield '{"id":"1","text":"a"}'
+            raise AssertionError("read past the first tweet")
+
+        stats = CorpusStats()
+        assert next(iter_tweets(source(), stats)).id == "1"
+        assert stats.total_ingested == 1
 
 
 class TestFilterHashtags:
