@@ -6,81 +6,62 @@ stem), train a multinomial Naive Bayes classifier with add-one
 smoothing, and evaluate against manual gold labels.
 """
 
-from .corpus import (
-    CorpusStats,
-    LabeledTweet,
-    LabelSource,
-    SentimentLabel,
-    Tweet,
-    distant_label,
-    filter_hashtags,
-    filter_language,
-    ingest_jsonl,
-)
-from .evaluation import EvalMetrics, SentimentReport, evaluate, k_fold, sentiment_report, split
-from .model import (
-    NbModel,
-    Prediction,
-    class_prior,
-    classify,
-    load_model,
-    log_score,
-    save_model,
-    token_likelihood,
-    train,
-)
-from .preprocess import (
-    Document,
-    PipelineConfig,
-    PosTag,
-    case_fold,
-    cleanse,
-    extract_unigrams,
-    pos_tag,
-    remove_stopwords,
-    run_pipeline,
-    tokenize,
-)
-from .resources import default_pipeline_config
-from .stemming import ConfixStemmer
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfixStemmer",
-    "CorpusStats",
-    "Document",
-    "EvalMetrics",
-    "LabelSource",
-    "LabeledTweet",
-    "NbModel",
-    "PipelineConfig",
-    "PosTag",
-    "Prediction",
-    "SentimentReport",
-    "SentimentLabel",
-    "Tweet",
-    "case_fold",
-    "class_prior",
-    "classify",
-    "cleanse",
-    "default_pipeline_config",
-    "distant_label",
-    "evaluate",
-    "extract_unigrams",
-    "filter_hashtags",
-    "filter_language",
-    "ingest_jsonl",
-    "k_fold",
-    "load_model",
-    "log_score",
-    "pos_tag",
-    "remove_stopwords",
-    "run_pipeline",
-    "save_model",
-    "sentiment_report",
-    "split",
-    "token_likelihood",
-    "tokenize",
-    "train",
-]
+# Public name -> the module that defines it. Each module is imported on
+# first access (PEP 562), so a command pays only for the modules it uses.
+_EXPORTS = {
+    "ConfixStemmer": "stemming",
+    "CorpusStats": "corpus",
+    "Document": "preprocess",
+    "EvalMetrics": "evaluation",
+    "LabelSource": "corpus",
+    "LabeledTweet": "corpus",
+    "NbModel": "model",
+    "PipelineConfig": "preprocess",
+    "PosTag": "preprocess",
+    "Prediction": "model",
+    "SentimentReport": "evaluation",
+    "SentimentLabel": "corpus",
+    "Tweet": "corpus",
+    "case_fold": "preprocess",
+    "class_prior": "model",
+    "classify": "model",
+    "cleanse": "preprocess",
+    "default_pipeline_config": "resources",
+    "distant_label": "corpus",
+    "evaluate": "evaluation",
+    "extract_unigrams": "preprocess",
+    "filter_hashtags": "corpus",
+    "filter_language": "corpus",
+    "ingest_jsonl": "corpus",
+    "k_fold": "evaluation",
+    "load_model": "model",
+    "log_score": "model",
+    "pos_tag": "preprocess",
+    "remove_stopwords": "preprocess",
+    "run_pipeline": "preprocess",
+    "save_model": "model",
+    "sentiment_report": "evaluation",
+    "split": "evaluation",
+    "token_likelihood": "model",
+    "tokenize": "preprocess",
+    "train": "model",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -7,8 +7,6 @@ and identical inputs plus an identical seed reproduce identical bytes.
 """
 
 import argparse
-import csv
-import io
 import json
 import logging
 import sys
@@ -35,7 +33,6 @@ from .corpus import (
     ingest_jsonl,
     iter_tweets,
 )
-from .evaluation import evaluate, k_fold, sentiment_report, split
 from .exceptions import (
     ConfigError,
     EmptyCorpusError,
@@ -169,11 +166,14 @@ def _read_gold_csv(path) -> dict[str, SentimentLabel]:
     """Gold file: CSV with header `id,label`, labels negative/positive/neutral.
 
     Once the header matches with its names trimmed, columns are read by
-    position, so `id, label` works too.
+    position, so `id, label` works too. A leading UTF-8 byte-order mark is
+    dropped.
     """
+    import csv
+
     gold = {}
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None or [f.strip() for f in header] != ["id", "label"]:
@@ -248,6 +248,15 @@ def _preprocess_labeled(labeled, pipeline):
 # output formatting
 
 
+def _csv_writer():
+    """A CSV writer with LF line ends and the text buffer it writes to."""
+    import csv
+    import io
+
+    buffer = io.StringIO()
+    return buffer, csv.writer(buffer, lineterminator="\n")
+
+
 def _format_stats(stats, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(stats.as_dict(), sort_keys=True, indent=2)
@@ -261,8 +270,7 @@ def _format_metrics(metrics, fmt: str) -> str:
         return json.dumps(metrics.as_dict(), sort_keys=True, indent=2)
     labels = list(metrics.confusion)
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        buffer, writer = _csv_writer()
         writer.writerow(["label", "precision", "recall", "f1"])
         for lab in labels:
             m = metrics.per_class[lab]
@@ -293,8 +301,7 @@ def _format_kfold(result: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(result, sort_keys=True, indent=2)
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        buffer, writer = _csv_writer()
         writer.writerow(["fold", "accuracy"])
         for i, acc in enumerate(result["fold_accuracies"], start=1):
             writer.writerow([i, f"{acc:.6f}"])
@@ -326,8 +333,7 @@ def _format_reports(reports, fmt: str) -> str:
         ]
         return json.dumps(payload, sort_keys=True, indent=2)
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        buffer, writer = _csv_writer()
         writer.writerow(["group", "label", "count", "percentage"])
         for r in reports:
             for lab in labels:
@@ -457,6 +463,8 @@ def _gold_documents(config: RunConfig, pipeline: PipelineConfig):
 
 
 def cmd_eval(config: RunConfig) -> int:
+    from .evaluation import evaluate, k_fold, split
+
     required = ["input", "gold"] if config.k or config.model is None else ["input", "gold", "model"]
     config.require_files(*required)
     pipeline = _pipeline_config(config)
@@ -517,6 +525,8 @@ def cmd_eval(config: RunConfig) -> int:
 
 
 def cmd_report(config: RunConfig) -> int:
+    from .evaluation import sentiment_report
+
     config.require_files("input", "predictions")
     tags = _effective_hashtags(config)
     predictions = _read_predictions(config.predictions)

@@ -6,10 +6,9 @@ key has a matching CLI flag; flags win over file values. Paths are
 resolved relative to the working directory.
 """
 
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .corpus import DEFAULT_HASHTAGS
+from .corpus import DEFAULT_HASHTAGS, _Record
 from .exceptions import ConfigError
 from .preprocess import DEFAULT_POS_KEEP_TAGS, PosTag
 
@@ -24,38 +23,96 @@ OOV_CHOICES = ("smooth", "skip")
 _BOOL_KEYS = ("enable_stopwords", "enable_pos", "enable_stemming")
 
 
-@dataclass
-class RunConfig:
-    """Everything a CLI command may need; commands validate their subset."""
+class RunConfig(_Record):
+    """Everything a CLI command may need; commands validate their subset.
 
-    # File paths (None -> unset; word resources fall back to bundled data).
-    input: str | None = None
-    model: str | None = None
-    out: str | None = None
-    out_labeled: str | None = None
-    out_unlabeled: str | None = None
-    predictions: str | None = None
-    gold: str | None = None
-    stopwords: str | None = None
-    pos_lexicon: str | None = None
-    stem_roots: str | None = None
-    wordlist: str | None = None
-    hashtags_file: str | None = None
-    # Collection parameters.
-    hashtags: frozenset[str] = DEFAULT_HASHTAGS
-    lang_threshold: float = DEFAULT_LANG_THRESHOLD
-    # Pipeline toggles.
-    enable_stopwords: bool = True
-    enable_pos: bool = False
-    enable_stemming: bool = True
-    pos_keep_tags: frozenset[PosTag] = DEFAULT_POS_KEEP_TAGS
-    # Split / validation parameters.
-    train_fraction: float = DEFAULT_TRAIN_FRACTION
-    seed: int = DEFAULT_SEED
-    k: int = 0  # 0 disables k-fold mode
-    # Output.
-    format: str = "table"
-    oov: str = "smooth"
+    File paths are None when unset; word resources then fall back to the
+    bundled data. ``k`` 0 disables k-fold mode.
+    """
+
+    __slots__ = _fields = (
+        # File paths.
+        "input",
+        "model",
+        "out",
+        "out_labeled",
+        "out_unlabeled",
+        "predictions",
+        "gold",
+        "stopwords",
+        "pos_lexicon",
+        "stem_roots",
+        "wordlist",
+        "hashtags_file",
+        # Collection parameters.
+        "hashtags",
+        "lang_threshold",
+        # Pipeline toggles.
+        "enable_stopwords",
+        "enable_pos",
+        "enable_stemming",
+        "pos_keep_tags",
+        # Split / validation parameters.
+        "train_fraction",
+        "seed",
+        "k",
+        # Output.
+        "format",
+        "oov",
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        input: str | None = None,
+        model: str | None = None,
+        out: str | None = None,
+        out_labeled: str | None = None,
+        out_unlabeled: str | None = None,
+        predictions: str | None = None,
+        gold: str | None = None,
+        stopwords: str | None = None,
+        pos_lexicon: str | None = None,
+        stem_roots: str | None = None,
+        wordlist: str | None = None,
+        hashtags_file: str | None = None,
+        hashtags: frozenset[str] = DEFAULT_HASHTAGS,
+        lang_threshold: float = DEFAULT_LANG_THRESHOLD,
+        enable_stopwords: bool = True,
+        enable_pos: bool = False,
+        enable_stemming: bool = True,
+        pos_keep_tags: frozenset[PosTag] = DEFAULT_POS_KEEP_TAGS,
+        train_fraction: float = DEFAULT_TRAIN_FRACTION,
+        seed: int = DEFAULT_SEED,
+        k: int = 0,
+        format: str = "table",
+        oov: str = "smooth",
+    ):
+        self.input = input
+        self.model = model
+        self.out = out
+        self.out_labeled = out_labeled
+        self.out_unlabeled = out_unlabeled
+        self.predictions = predictions
+        self.gold = gold
+        self.stopwords = stopwords
+        self.pos_lexicon = pos_lexicon
+        self.stem_roots = stem_roots
+        self.wordlist = wordlist
+        self.hashtags_file = hashtags_file
+        self.hashtags = hashtags
+        self.lang_threshold = lang_threshold
+        self.enable_stopwords = enable_stopwords
+        self.enable_pos = enable_pos
+        self.enable_stemming = enable_stemming
+        self.pos_keep_tags = pos_keep_tags
+        self.train_fraction = train_fraction
+        self.seed = seed
+        self.k = k
+        self.format = format
+        self.oov = oov
 
     def validate_values(self) -> None:
         if not 0.0 <= self.lang_threshold <= 1.0:
@@ -124,7 +181,7 @@ def parse_config_file(path) -> dict:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    known = {f.name for f in fields(RunConfig)}
+    known = set(RunConfig._fields)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -161,9 +218,9 @@ def build_config(config_path=None, **overrides) -> RunConfig:
     """Merge defaults, an optional config file, and CLI overrides."""
     config = RunConfig()
     if config_path is not None:
-        config = replace(config, **parse_config_file(config_path))
+        config = config.replace(**parse_config_file(config_path))
     cleaned = {k: v for k, v in overrides.items() if v is not None}
     if cleaned:
-        config = replace(config, **cleaned)
+        config = config.replace(**cleaned)
     config.validate_values()
     return config

@@ -5,11 +5,10 @@ distant labeling. Live crawling is deliberately absent: tweets enter as
 JSON Lines exports, read one line at a time by :func:`iter_tweets`.
 """
 
-import dataclasses
 import json
 import logging
-from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .exceptions import ConfigError, EmptyCorpusError
 
@@ -22,6 +21,9 @@ TWEET_CHAR_LIMIT = 140
 DEFAULT_HASHTAGS = frozenset(
     {"pilgubjabar", "ridwankamil", "deddymizwar", "dedimulyadi", "pilkadajabar"}
 )
+
+# Spreadsheet tools may open an export with a UTF-8 byte-order mark.
+_UTF8_BOM = b"\xef\xbb\xbf"
 
 POSITIVE_EMOTICON = ":)"
 NEGATIVE_EMOTICON = ":("
@@ -52,49 +54,97 @@ class LabelSource(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Tweet:
+class _Record:
+    """Base of the package's record classes: plain values with named fields.
+
+    A subclass names its attributes in ``__slots__`` and, in ``_fields``,
+    those that are its ``__init__`` arguments and make up its value; its
+    ``__init__`` validates them and stores them with ``object.__setattr__``.
+    The base compares, hashes and shows the fields, refuses assignment once
+    the record is built, and copies and pickles every slot. A mutable record
+    restores ``object.__setattr__`` and sets ``__hash__ = None``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def replace(self, **changes):
+        """A new record of the same class with ``changes`` applied to its fields."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
+class Tweet(_Record):
     """One raw post: a single sentence-sized unit of opinion."""
 
-    id: str
-    text: str
-    created_at: str | None = None
-    declared_lang: str | None = None
+    __slots__ = _fields = ("id", "text", "created_at", "declared_lang")
 
-    def __post_init__(self):
-        if not isinstance(self.id, str):
-            raise TypeError(f"tweet id must be a str, got {type(self.id).__name__}")
-        if not isinstance(self.text, str):
-            raise TypeError(f"tweet text must be a str, got {type(self.text).__name__}")
-        if not self.id:
+    def __init__(
+        self, id: str, text: str, created_at: str | None = None, declared_lang: str | None = None
+    ):
+        if not isinstance(id, str):
+            raise TypeError(f"tweet id must be a str, got {type(id).__name__}")
+        if not isinstance(text, str):
+            raise TypeError(f"tweet text must be a str, got {type(text).__name__}")
+        if not id:
             raise ValueError("tweet id must be non-empty")
-        if not self.text.strip():
-            raise ValueError(f"tweet {self.id!r} has empty text")
+        if not text.strip():
+            raise ValueError(f"tweet {id!r} has empty text")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "created_at", created_at)
+        object.__setattr__(self, "declared_lang", declared_lang)
 
     @property
     def overlong(self) -> bool:
         return len(self.text) > TWEET_CHAR_LIMIT
 
 
-@dataclass(frozen=True)
-class LabeledTweet:
+class LabeledTweet(_Record):
     """A tweet with a sentiment label and the provenance of that label.
 
     Distant (emoticon) supervision can only ever assert positive or
     negative; neutral labels must come from manual annotation.
     """
 
-    tweet: Tweet
-    label: SentimentLabel
-    source: LabelSource
+    __slots__ = _fields = ("tweet", "label", "source")
 
-    def __post_init__(self):
-        if self.source is LabelSource.DISTANT and self.label is SentimentLabel.NEUTRAL:
+    def __init__(self, tweet: Tweet, label: SentimentLabel, source: LabelSource):
+        if source is LabelSource.DISTANT and label is SentimentLabel.NEUTRAL:
             raise ValueError("distant supervision cannot produce neutral labels")
+        object.__setattr__(self, "tweet", tweet)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "source", source)
 
 
-@dataclass
-class CorpusStats:
+class CorpusStats(_Record):
     """Counter bag for the collection chain.
 
     ``total_ingested`` counts every non-blank input record. After a full
@@ -104,20 +154,47 @@ class CorpusStats:
     partition (overlong tweets are kept).
     """
 
-    total_ingested: int = 0
-    rejected_malformed: int = 0
-    rejected_hashtag: int = 0
-    rejected_language: int = 0
-    rejected_ambiguous_emoticon: int = 0
-    labeled_positive: int = 0
-    labeled_negative: int = 0
-    unlabeled: int = 0
-    flagged_overlong: int = 0
+    __slots__ = _fields = (
+        "total_ingested",
+        "rejected_malformed",
+        "rejected_hashtag",
+        "rejected_language",
+        "rejected_ambiguous_emoticon",
+        "labeled_positive",
+        "labeled_negative",
+        "unlabeled",
+        "flagged_overlong",
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        total_ingested: int = 0,
+        rejected_malformed: int = 0,
+        rejected_hashtag: int = 0,
+        rejected_language: int = 0,
+        rejected_ambiguous_emoticon: int = 0,
+        labeled_positive: int = 0,
+        labeled_negative: int = 0,
+        unlabeled: int = 0,
+        flagged_overlong: int = 0,
+    ):
+        self.total_ingested = total_ingested
+        self.rejected_malformed = rejected_malformed
+        self.rejected_hashtag = rejected_hashtag
+        self.rejected_language = rejected_language
+        self.rejected_ambiguous_emoticon = rejected_ambiguous_emoticon
+        self.labeled_positive = labeled_positive
+        self.labeled_negative = labeled_negative
+        self.unlabeled = unlabeled
+        self.flagged_overlong = flagged_overlong
 
     def add(self, other: "CorpusStats") -> None:
         """Accumulate another stage's delta into this bag, field by field."""
-        for f in dataclasses.fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in self._fields:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def check_partition(self) -> bool:
         """True when rejections plus outcomes account for every record."""
@@ -132,7 +209,7 @@ class CorpusStats:
         )
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return dict(zip(self._fields, self._values()))
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True)
@@ -147,11 +224,17 @@ def iter_tweets(source, stats: CorpusStats):
     trimming; ``created_at`` and ``lang`` are picked up when present.
     Malformed lines, bytes that are not UTF-8 and duplicate ids are
     counted in ``stats``, never fatal; the first occurrence of an id wins.
-    Blank lines are skipped without counting. Memory held between lines is
-    the set of ids seen so far.
+    Blank lines are skipped without counting, and a UTF-8 byte-order mark
+    opening the first line is dropped. Memory held between lines is the
+    set of ids seen so far.
     """
+    lines = iter(source)
+    first = next(lines, None)
+    if first is not None:
+        mark = _UTF8_BOM if isinstance(first, bytes) else "\ufeff"
+        lines = chain((first.removeprefix(mark),), lines)
     seen_ids: set[str] = set()
-    for raw in source:
+    for raw in lines:
         if isinstance(raw, bytes):
             try:
                 raw = raw.decode("utf-8")

@@ -7,10 +7,9 @@ identical splits regardless of input order or platform.
 
 import json
 import random
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .corpus import SentimentLabel, Tweet
+from .corpus import SentimentLabel, Tweet, _Record
 from .exceptions import ConfigError, EvaluationError, SplitError, UnknownLabelError
 from .model import NbModel, OOV_SMOOTH, Prediction, classify
 from .preprocess import Document
@@ -24,8 +23,7 @@ class ClassMetrics(NamedTuple):
     f1: float
 
 
-@dataclass(frozen=True)
-class EvalMetrics:
+class EvalMetrics(_Record):
     """Confusion matrix (gold row, predicted column) and derived scores.
 
     Precision, recall, and F1 fall back to 0.0 when their denominator is
@@ -33,10 +31,19 @@ class EvalMetrics:
     (or gold never contains).
     """
 
-    confusion: Mapping[SentimentLabel, Mapping[SentimentLabel, int]]
-    accuracy: float
-    per_class: Mapping[SentimentLabel, ClassMetrics]
-    n_test: int
+    __slots__ = _fields = ("confusion", "accuracy", "per_class", "n_test")
+
+    def __init__(
+        self,
+        confusion: Mapping[SentimentLabel, Mapping[SentimentLabel, int]],
+        accuracy: float,
+        per_class: Mapping[SentimentLabel, ClassMetrics],
+        n_test: int,
+    ):
+        object.__setattr__(self, "confusion", confusion)
+        object.__setattr__(self, "accuracy", accuracy)
+        object.__setattr__(self, "per_class", per_class)
+        object.__setattr__(self, "n_test", n_test)
 
     def as_dict(self) -> dict:
         return {
@@ -56,13 +63,20 @@ class EvalMetrics:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
-@dataclass(frozen=True)
-class SentimentReport:
+class SentimentReport(_Record):
     """Label counts and shares for one tweet group (hashtag or 'all')."""
 
-    group_key: str
-    counts: Mapping[SentimentLabel, int]
-    percentages: Mapping[SentimentLabel, float]
+    __slots__ = _fields = ("group_key", "counts", "percentages")
+
+    def __init__(
+        self,
+        group_key: str,
+        counts: Mapping[SentimentLabel, int],
+        percentages: Mapping[SentimentLabel, float],
+    ):
+        object.__setattr__(self, "group_key", group_key)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "percentages", percentages)
 
     @property
     def total(self) -> int:

@@ -14,11 +14,10 @@ import json
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, NamedTuple
 
-from .corpus import SentimentLabel
+from .corpus import SentimentLabel, _Record
 from .exceptions import (
     DegenerateTrainingError,
     ModelFormatError,
@@ -37,13 +36,17 @@ OOV_SKIP = "skip"  # unseen tokens contribute nothing
 _OOV_MODES = (OOV_SMOOTH, OOV_SKIP)
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(_Record):
     """Classification outcome: winning label plus normalized posteriors."""
 
-    label: SentimentLabel
-    posteriors: Mapping[SentimentLabel, float]
-    oov_tokens: int
+    __slots__ = _fields = ("label", "posteriors", "oov_tokens")
+
+    def __init__(
+        self, label: SentimentLabel, posteriors: Mapping[SentimentLabel, float], oov_tokens: int
+    ):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "posteriors", posteriors)
+        object.__setattr__(self, "oov_tokens", oov_tokens)
 
 
 class _ScoreTable:
@@ -71,8 +74,7 @@ class _ScoreTable:
         self.oov_log_lik = tuple(oov)
 
 
-@dataclass(frozen=True)
-class NbModel:
+class NbModel(_Record):
     """Trained classifier state: per-class document and token counts.
 
     ``labels`` is ordered (negative, positive, neutral restricted to the
@@ -83,37 +85,45 @@ class NbModel:
     instances are immutable and safe to share across threads.
     """
 
-    labels: tuple[SentimentLabel, ...]
-    docs_per_class: Mapping[SentimentLabel, int]
-    token_counts: Mapping[SentimentLabel, Mapping[str, int]]
-    alpha: int = 1
+    _fields = ("labels", "docs_per_class", "token_counts", "alpha")
+    __slots__ = (*_fields, "total_docs", "tokens_per_class", "vocabulary", "_table")
 
-    def __post_init__(self):
-        if self.alpha != 1:
+    def __init__(
+        self,
+        labels: tuple[SentimentLabel, ...],
+        docs_per_class: Mapping[SentimentLabel, int],
+        token_counts: Mapping[SentimentLabel, Mapping[str, int]],
+        alpha: int = 1,
+    ):
+        if alpha != 1:
             raise ValueError("smoothing constant is fixed at 1")
-        if len(self.labels) < 2:
+        if len(labels) < 2:
             raise ValueError("a model needs at least two labels")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels")
-        if set(self.docs_per_class) != set(self.labels):
+        if set(docs_per_class) != set(labels):
             raise ValueError("docs_per_class must cover exactly the model labels")
-        if set(self.token_counts) != set(self.labels):
+        if set(token_counts) != set(labels):
             raise ValueError("token_counts must cover exactly the model labels")
-        for lab in self.labels:
-            if self.docs_per_class[lab] < 1:
+        for lab in labels:
+            if docs_per_class[lab] < 1:
                 raise ValueError(f"label {lab} has no documents")
-            for token, count in self.token_counts[lab].items():
+            for token, count in token_counts[lab].items():
                 if not token or count < 1:
                     raise ValueError(f"bad count for token {token!r} in class {lab}")
-        object.__setattr__(self, "total_docs", sum(self.docs_per_class.values()))
+        vocabulary = frozenset().union(*(token_counts[lab] for lab in labels))
+        if not vocabulary:
+            raise ValueError("empty vocabulary")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "docs_per_class", docs_per_class)
+        object.__setattr__(self, "token_counts", token_counts)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "total_docs", sum(docs_per_class.values()))
         object.__setattr__(
             self,
             "tokens_per_class",
-            {lab: sum(self.token_counts[lab].values()) for lab in self.labels},
+            {lab: sum(token_counts[lab].values()) for lab in labels},
         )
-        vocabulary = frozenset().union(*(self.token_counts[lab] for lab in self.labels))
-        if not vocabulary:
-            raise ValueError("empty vocabulary")
         object.__setattr__(self, "vocabulary", vocabulary)
         object.__setattr__(self, "_table", None)
 

@@ -14,12 +14,11 @@ import logging
 import re
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import dropwhile
 from typing import Mapping, NamedTuple
 
-from .corpus import LabeledTweet, SentimentLabel, Tweet
+from .corpus import LabeledTweet, SentimentLabel, Tweet, _Record
 from .exceptions import ContractError
 from .stemming import stemmer_for
 
@@ -60,8 +59,7 @@ class PosTaggedToken(NamedTuple):
     tag: PosTag
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(_Record):
     """Preprocessed, ordered token sequence with an optional label.
 
     Tokens must be non-empty lowercase letter strings, which the pipeline
@@ -70,24 +68,27 @@ class Document:
     are flagged via ``empty`` and excluded from training.
     """
 
-    source_id: str
-    tokens: tuple[str, ...]
-    label: SentimentLabel | None = None
+    __slots__ = _fields = ("source_id", "tokens", "label")
 
-    def __post_init__(self):
+    def __init__(
+        self, source_id: str, tokens: tuple[str, ...], label: SentimentLabel | None = None
+    ):
         # One pass over the joined tokens decides the common valid case;
         # letters and lowercase-fixed points are per-character properties,
         # so the join passes exactly when every token does.
         try:
-            joined = "".join(self.tokens)
+            joined = "".join(tokens)
         except TypeError:  # a non-string token; the loop below names it
-            pass
-        else:
-            if all(self.tokens) and (joined.isalpha() or not joined) and joined == joined.lower():
-                return
-        for token in self.tokens:
-            if not token or not token.isalpha() or token != token.lower():
-                raise ValueError(f"invalid document token {token!r}")
+            joined = None
+        if joined is None or not (
+            all(tokens) and (joined.isalpha() or not joined) and joined == joined.lower()
+        ):
+            for token in tokens:
+                if not token or not token.isalpha() or token != token.lower():
+                    raise ValueError(f"invalid document token {token!r}")
+        object.__setattr__(self, "source_id", source_id)
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "label", label)
 
     @property
     def empty(self) -> bool:
@@ -99,8 +100,7 @@ class Document:
 DEFAULT_POS_KEEP_TAGS = frozenset({PosTag.NOUN, PosTag.VERB, PosTag.ADJ, PosTag.OTHER})
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(_Record):
     """Switches and word resources for the preprocessing chain.
 
     The POS stage defaults to off so that the baseline feature set is
@@ -109,19 +109,39 @@ class PipelineConfig:
     configuration backed by the bundled data files.
     """
 
-    stopword_list: frozenset[str] = frozenset()
-    enable_stopwords: bool = True
-    enable_pos: bool = False
-    pos_keep_tags: frozenset[PosTag] = DEFAULT_POS_KEEP_TAGS
-    enable_stemming: bool = True
-    pos_lexicon: Mapping[str, PosTag] = field(default_factory=dict)
-    root_words: frozenset[str] = frozenset()
-    # Raw word -> its output tokens, filled by run_pipeline. Not an init
-    # argument, so dataclasses.replace gives the new config an empty memo.
-    _word_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _word_memo_lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, compare=False, repr=False
+    _fields = (
+        "stopword_list",
+        "enable_stopwords",
+        "enable_pos",
+        "pos_keep_tags",
+        "enable_stemming",
+        "pos_lexicon",
+        "root_words",
     )
+    # Raw word -> its output tokens, filled by run_pipeline. The memo and
+    # its lock are not fields, so ``replace`` gives the new config an empty
+    # memo, and neither is compared or shown.
+    __slots__ = (*_fields, "_word_memo", "_word_memo_lock")
+
+    def __init__(
+        self,
+        stopword_list: frozenset[str] = frozenset(),
+        enable_stopwords: bool = True,
+        enable_pos: bool = False,
+        pos_keep_tags: frozenset[PosTag] = DEFAULT_POS_KEEP_TAGS,
+        enable_stemming: bool = True,
+        pos_lexicon: Mapping[str, PosTag] | None = None,
+        root_words: frozenset[str] = frozenset(),
+    ):
+        object.__setattr__(self, "stopword_list", stopword_list)
+        object.__setattr__(self, "enable_stopwords", enable_stopwords)
+        object.__setattr__(self, "enable_pos", enable_pos)
+        object.__setattr__(self, "pos_keep_tags", pos_keep_tags)
+        object.__setattr__(self, "enable_stemming", enable_stemming)
+        object.__setattr__(self, "pos_lexicon", {} if pos_lexicon is None else pos_lexicon)
+        object.__setattr__(self, "root_words", root_words)
+        object.__setattr__(self, "_word_memo", {})
+        object.__setattr__(self, "_word_memo_lock", threading.Lock())
 
 
 def cleanse(text: str) -> str:

@@ -163,6 +163,31 @@ class TestCollect:
         assert code == 0
         assert [json.loads(line)["id"] for line in out.splitlines()] == ["1", "3"]
 
+    def test_byte_order_mark_dropped(self, tmp_path, capsys):
+        corpus = tmp_path / "tweets.jsonl"
+        corpus.write_bytes(
+            b"\xef\xbb\xbf"
+            + json.dumps({"id": "1", "text": "bagus sekali #pilgubjabar :)"}).encode() + b"\n"
+            + json.dumps({"id": "2", "text": "buruk sekali #pilgubjabar :("}).encode() + b"\n"
+        )
+        code, out, _ = run(
+            [
+                "collect",
+                "--input", str(corpus),
+                "--out-labeled", str(tmp_path / "l.jsonl"),
+                "--out-unlabeled", str(tmp_path / "u.jsonl"),
+                "--format", "json",
+            ],
+            capsys,
+        )
+        assert code == 0
+        stats = CorpusStats(**json.loads(out))
+        assert stats.total_ingested == 2
+        assert stats.rejected_malformed == 0
+        assert stats.check_partition()
+        kept = read_jsonl(tmp_path / "l.jsonl") + read_jsonl(tmp_path / "u.jsonl")
+        assert sorted(record["id"] for record in kept) == ["1", "2"]
+
     def test_missing_input_reported_eagerly(self, tmp_path, capsys):
         code, out, err = run(
             [
@@ -534,6 +559,17 @@ class TestEval:
             argv = ["eval", "--input", demo_corpus_path(), "--gold", str(gold)]
             code, out, _ = run(argv + ["--model", str(toy_model_file), "--format", "json"], capsys)
             assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    def test_gold_with_byte_order_mark(self, toy_model_file, tmp_path, capsys):
+        outputs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            gold = tmp_path / "gold.csv"
+            gold.write_text("id,label\nt1,positive\nt3,negative\n", encoding=encoding)
+            argv = ["eval", "--input", demo_corpus_path(), "--gold", str(gold)]
+            code, out, err = run(argv + ["--model", str(toy_model_file), "--format", "json"], capsys)
+            assert code == 0, err
             outputs.append(out)
         assert outputs[0] == outputs[1]
 

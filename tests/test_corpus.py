@@ -115,6 +115,18 @@ class TestIterTweets:
         assert next(iter_tweets(source(), stats)).id == "1"
         assert stats.total_ingested == 1
 
+    @pytest.mark.parametrize("mark", [b"\xef\xbb\xbf", "\ufeff"], ids=["bytes", "text"])
+    def test_byte_order_mark_dropped_from_first_line_only(self, mark):
+        lines = ['{"id":"1","text":"a"}\n', '{"id":"2","text":"b"}\n']
+        if isinstance(mark, bytes):
+            lines = [line.encode() for line in lines]
+        stats = CorpusStats()
+        assert [t.id for t in iter_tweets([mark + lines[0], lines[1]], stats)] == ["1", "2"]
+        assert stats.rejected_malformed == 0
+        stats = CorpusStats()
+        assert [t.id for t in iter_tweets([lines[0], mark + lines[1]], stats)] == ["1"]
+        assert stats.rejected_malformed == 1
+
 
 class TestFilterHashtags:
     def test_case_insensitive_match(self):

@@ -1,6 +1,5 @@
 """The per-word memoized pipeline agrees with the stage-by-stage reference."""
 
-import dataclasses
 import itertools
 import random
 import sys
@@ -37,7 +36,7 @@ CONFIG_IDS = [f"stop{int(c.enable_stopwords)}-pos{int(c.enable_pos)}-stem{int(c.
 
 
 def fresh(config: PipelineConfig) -> PipelineConfig:
-    return dataclasses.replace(config)
+    return config.replace()
 
 
 def mismatch(texts, config):
@@ -168,7 +167,7 @@ class TestMemoBounds:
         config = fresh(CONFIGS[0])
         run_pipeline(Tweet("1", "pemilihan bagus"), config)
         assert config._word_memo
-        changed = dataclasses.replace(config, enable_stemming=False)
+        changed = config.replace(enable_stemming=False)
         assert changed._word_memo == {}
         assert changed._word_memo_lock is not config._word_memo_lock
         assert run_pipeline(Tweet("1", "pemilihan bagus"), changed).tokens == (
@@ -178,5 +177,5 @@ class TestMemoBounds:
     def test_memo_is_not_part_of_equality_or_repr(self):
         config = fresh(CONFIGS[0])
         run_pipeline(Tweet("1", "bagus"), config)
-        assert config == dataclasses.replace(config)
+        assert config == config.replace()
         assert "_word_memo" not in repr(config)

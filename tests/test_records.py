@@ -1,0 +1,130 @@
+"""Record classes: value equality, immutability, ``replace``, copying and pickling."""
+
+import copy
+import pickle
+
+import pytest
+
+from conftest import NEG, POS, make_doc
+from kicaumine.config import RunConfig
+from kicaumine.corpus import CorpusStats, LabeledTweet, LabelSource, Tweet
+from kicaumine.evaluation import evaluate, sentiment_report
+from kicaumine.model import classify, train
+from kicaumine.preprocess import PipelineConfig, run_pipeline
+from kicaumine.resources import default_pipeline_config
+
+TWEET = Tweet("1", "bagus #pilgubjabar :)", created_at="2018-06-01", declared_lang="in")
+DOCS = [make_doc("p1", ["calon", "bagus"], POS), make_doc("n1", ["calon", "buruk"], NEG)]
+MODEL = train(DOCS)
+PREDICTION = classify(MODEL, DOCS[0])
+
+RECORDS = [
+    TWEET,
+    LabeledTweet(TWEET, POS, LabelSource.DISTANT),
+    DOCS[0],
+    PREDICTION,
+    CorpusStats(total_ingested=3, rejected_malformed=1, unlabeled=2),
+    RunConfig(input="tweets.jsonl", k=5, hashtags=frozenset({"a"})),
+    MODEL,
+    sentiment_report([(TWEET, PREDICTION)], {"pilgubjabar"})[1],
+    evaluate(MODEL, DOCS),
+]
+FROZEN = [r for r in RECORDS if not isinstance(r, (CorpusStats, RunConfig))]
+
+
+def pickled(record):
+    """``record`` through a pickle round trip at each protocol from 2.
+
+    Protocol 2 is the first that pickles slotted objects without help, such
+    as the score table a model caches once it has classified.
+    """
+    clones = [
+        pickle.loads(pickle.dumps(record, protocol))
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    assert all(clone == clones[0] for clone in clones)
+    return clones[-1]
+
+
+def record_id(record):
+    return type(record).__name__
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, pickled])
+@pytest.mark.parametrize("record", RECORDS, ids=record_id)
+def test_copies_and_pickles_equal(record, duplicate):
+    clone = duplicate(record)
+    assert type(clone) is type(record)
+    assert clone == record
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, pickled])
+def test_model_copy_keeps_derived_views(duplicate):
+    clone = duplicate(MODEL)
+    assert clone.total_docs == MODEL.total_docs
+    assert clone.tokens_per_class == MODEL.tokens_per_class
+    assert clone.vocabulary == MODEL.vocabulary
+    assert classify(clone, DOCS[1]) == classify(MODEL, DOCS[1])
+
+
+@pytest.mark.parametrize("record", FROZEN, ids=record_id)
+def test_frozen_records_refuse_assignment(record):
+    name = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("record", [CorpusStats(), RunConfig()], ids=record_id)
+def test_mutable_records_assign_but_do_not_hash(record):
+    name = record._fields[-1]
+    setattr(record, name, 5)
+    assert getattr(record, name) == 5
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    with pytest.raises(TypeError):
+        hash(record)
+
+
+def test_equality_is_by_class_and_fields():
+    assert Tweet("1", "x") == Tweet("1", "x")
+    assert hash(Tweet("1", "x")) == hash(Tweet("1", "x"))
+    assert Tweet("1", "x") != Tweet("1", "y")
+    assert Tweet("1", "x") != ("1", "x", None, None)
+    assert CorpusStats() != RunConfig()
+
+
+def test_repr_names_every_field():
+    assert repr(Tweet("1", "x")) == "Tweet(id='1', text='x', created_at=None, declared_lang=None)"
+
+
+def test_replace_changes_only_the_named_fields():
+    config = RunConfig(input="a.jsonl", seed=7)
+    changed = config.replace(seed=8)
+    assert (changed.input, changed.seed, config.seed) == ("a.jsonl", 8, 7)
+    assert changed.replace(seed=7) == config
+    with pytest.raises(TypeError):
+        config.replace(no_such_field=1)
+
+
+def test_replace_validates_like_construction():
+    with pytest.raises(ValueError):
+        TWEET.replace(text=" ")
+
+
+def test_pipeline_config_copy_shares_memo_and_pickle_refuses_lock():
+    config = default_pipeline_config().replace()
+    run_pipeline(Tweet("1", "bagus"), config)
+    clone = copy.copy(config)
+    assert clone == config
+    assert clone._word_memo is config._word_memo
+    with pytest.raises(TypeError):
+        pickle.dumps(config)
+
+
+def test_pipeline_config_defaults_do_not_share_a_lexicon():
+    assert PipelineConfig().pos_lexicon == {}
+    assert PipelineConfig().pos_lexicon is not PipelineConfig().pos_lexicon
