@@ -1,0 +1,123 @@
+"""Run settings: config-file keys, their flags, and the config-file errors."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from kicaumine import cli
+from kicaumine.config import RunConfig
+from kicaumine.corpus import DEFAULT_HASHTAGS
+from kicaumine.preprocess import DEFAULT_POS_KEEP_TAGS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Per field: a command that takes its flag, the flag arguments, and the
+# config-file line that means the same. Every value differs from the default.
+SETTINGS = {
+    "input": ("train", ["--input", "a.jsonl"], "input=a.jsonl"),
+    "model": ("train", ["--model", "m.json"], "model=m.json"),
+    "out": ("train", ["--out", "o.txt"], "out=o.txt"),
+    "out_labeled": ("collect", ["--out-labeled", "l.jsonl"], "out_labeled=l.jsonl"),
+    "out_unlabeled": ("collect", ["--out-unlabeled", "u.jsonl"], "out_unlabeled=u.jsonl"),
+    "predictions": ("report", ["--predictions", "p.jsonl"], "predictions=p.jsonl"),
+    "gold": ("eval", ["--gold", "g.csv"], "gold=g.csv"),
+    "stopwords": ("train", ["--stopwords", "s.txt"], "stopwords=s.txt"),
+    "pos_lexicon": ("train", ["--pos-lexicon", "lex.tsv"], "pos_lexicon=lex.tsv"),
+    "stem_roots": ("train", ["--stem-roots", "r.txt"], "stem_roots=r.txt"),
+    "wordlist": ("collect", ["--wordlist", "w.txt"], "wordlist=w.txt"),
+    "hashtags_file": ("collect", ["--hashtags-file", "h.txt"], "hashtags_file=h.txt"),
+    "hashtags": ("collect", ["--hashtags", "#Pilkada, jokowi"], "hashtags=#Pilkada, jokowi"),
+    "lang_threshold": ("collect", ["--lang-threshold", "0.25"], "lang_threshold=0.25"),
+    "enable_stopwords": ("train", ["--disable-stopwords"], "enable_stopwords=false"),
+    "enable_pos": ("train", ["--enable-pos"], "enable_pos=true"),
+    "enable_stemming": ("train", ["--disable-stemming"], "enable_stemming=false"),
+    "pos_keep_tags": ("train", ["--pos-keep-tags", "noun,adj"], "pos_keep_tags=noun,adj"),
+    "train_fraction": ("eval", ["--train-fraction", "0.6"], "train_fraction=0.6"),
+    "seed": ("eval", ["--seed", "7"], "seed=7"),
+    "k": ("eval", ["--k", "5"], "k=5"),
+    "format": ("train", ["--format", "json"], "format=json"),
+    "oov": ("classify", ["--oov", "skip"], "oov=skip"),
+}
+
+
+def from_argv(argv):
+    return cli._config_from_args(cli.build_parser().parse_args(argv))
+
+
+def from_file(tmp_path, command, text):
+    path = tmp_path / "run.conf"
+    path.write_text(text, encoding="utf-8")
+    return from_argv([command, "--config", str(path)])
+
+
+def run(argv, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_every_field_has_a_case():
+    assert sorted(SETTINGS) == sorted(RunConfig._fields)
+
+
+@pytest.mark.parametrize("field", sorted(SETTINGS))
+def test_file_line_and_flag_build_equal_configs(field, tmp_path):
+    command, flag_args, line = SETTINGS[field]
+    by_flag = from_argv([command, *flag_args])
+    by_file = from_file(tmp_path, command, f"# {field}\n{line}\n")
+    assert by_file == by_flag
+    assert getattr(by_flag, field) != getattr(RunConfig(), field)
+    assert by_flag.replace(**{field: getattr(RunConfig(), field)}) == RunConfig()
+
+
+def test_bare_k_flag_means_ten_folds(tmp_path):
+    assert from_argv(["eval", "--k"]) == from_file(tmp_path, "eval", "k=10\n")
+    assert from_argv(["eval", "--k"]).k == 10
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# threshold\nlang_threshold=abc\n", "{path}:2: lang_threshold must be a number"),
+        ("train_fraction=0.5x\n", "{path}:1: train_fraction must be a number"),
+        ("seed=seven\n", "{path}:1: seed must be an integer"),
+        ("k=2.5\n", "{path}:1: k must be an integer"),
+        ("enable_pos=yes\n", "enable_pos must be true or false, got 'yes'"),
+        ("seed=1\njust words\n", "{path}:2: expected key=value, got 'just words'"),
+        ("no_such_key=1\n", "{path}:1: unknown config key 'no_such_key'"),
+        ("pos_keep_tags=noun,bogus\n", "unknown POS tag in pos_keep_tags: 'BOGUS'"),
+        ("hashtags=\n", "hashtag set must not be empty"),
+    ],
+)
+def test_config_file_errors_verbatim(text, message, tmp_path, capsys):
+    path = tmp_path / "run.conf"
+    path.write_text(text, encoding="utf-8")
+    result = run(["train", "--config", str(path)], capsys)
+    assert result == (2, "", f"error: {message.format(path=path)}\n")
+
+
+def test_unknown_pos_tag_flag_error_verbatim(capsys):
+    result = run(["train", "--pos-keep-tags", "noun,bogus"], capsys)
+    assert result == (2, "", "error: unknown POS tag in pos_keep_tags: 'BOGUS'\n")
+
+
+def test_empty_list_flags_are_ignored():
+    assert from_argv(["collect", "--hashtags", ""]).hashtags == DEFAULT_HASHTAGS
+    assert from_argv(["train", "--pos-keep-tags", ""]).pos_keep_tags == DEFAULT_POS_KEEP_TAGS
+    assert from_argv(["collect", "--hashtags", ""]) == from_argv(["collect"])
+
+
+def test_every_flag_sets_a_field():
+    parser = cli.build_parser()
+    dests = set()
+    for command in cli._COMMANDS:
+        dests |= vars(parser.parse_args([command])).keys()
+    assert dests - {"config", "command"} == set(RunConfig._fields)
+
+
+def test_readme_lists_every_config_key():
+    text = README.read_text(encoding="utf-8")
+    listing = text.split("Keys mirror the flag names:", 1)[1].split(".", 1)[0]
+    keys = re.findall(r"`(\w+)`", listing)
+    assert sorted(keys) == sorted(RunConfig._fields)
