@@ -13,14 +13,7 @@ import sys
 from contextlib import nullcontext
 from itertools import islice
 
-from .config import (
-    FORMATS,
-    OOV_CHOICES,
-    RunConfig,
-    build_config,
-    _parse_keep_tags,
-    _parse_tags,
-)
+from .config import DEFAULT_K, FORMATS, OOV_CHOICES, RunConfig, build_config, parse_setting
 from .corpus import (
     CorpusStats,
     LabeledTweet,
@@ -645,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--k",
         nargs="?",
-        const=10,
+        const=DEFAULT_K,
         type=int,
         default=None,
         help="k-fold cross-validation with retraining (default k=10 when given)",
@@ -669,40 +662,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = (
-    "input",
-    "model",
-    "out",
-    "out_labeled",
-    "out_unlabeled",
-    "predictions",
-    "gold",
-    "stopwords",
-    "pos_lexicon",
-    "stem_roots",
-    "wordlist",
-    "hashtags_file",
-    "lang_threshold",
-    "enable_stopwords",
-    "enable_pos",
-    "enable_stemming",
-    "train_fraction",
-    "seed",
-    "k",
-    "format",
-    "oov",
-)
-
-
 def _config_from_args(args) -> RunConfig:
     overrides = {}
-    for key in _CONFIG_KEYS:
-        if hasattr(args, key):
-            overrides[key] = getattr(args, key)
-    if getattr(args, "hashtags", None):
-        overrides["hashtags"] = _parse_tags(args.hashtags)
-    if getattr(args, "pos_keep_tags", None):
-        overrides["pos_keep_tags"] = _parse_keep_tags(args.pos_keep_tags)
+    for key in RunConfig._fields:
+        value = getattr(args, key, None)
+        # An empty list flag is ignored, as an unset one is.
+        if key in ("hashtags", "pos_keep_tags"):
+            value = parse_setting(key, value) if value else None
+        overrides[key] = value
     return build_config(config_path=args.config, **overrides)
 
 

@@ -20,99 +20,59 @@ DEFAULT_LANG_THRESHOLD = 0.5
 FORMATS = ("table", "json", "csv")
 OOV_CHOICES = ("smooth", "skip")
 
-_BOOL_KEYS = ("enable_stopwords", "enable_pos", "enable_stemming")
+# Every run setting, in field order, with its default. A config-file value
+# is parsed as its default's type (see ``parse_setting``); file paths are
+# None when unset, and word resources then fall back to the bundled data.
+_DEFAULTS = {
+    # File paths.
+    "input": None,
+    "model": None,
+    "out": None,
+    "out_labeled": None,
+    "out_unlabeled": None,
+    "predictions": None,
+    "gold": None,
+    "stopwords": None,
+    "pos_lexicon": None,
+    "stem_roots": None,
+    "wordlist": None,
+    "hashtags_file": None,
+    # Collection parameters.
+    "hashtags": DEFAULT_HASHTAGS,
+    "lang_threshold": DEFAULT_LANG_THRESHOLD,
+    # Pipeline toggles.
+    "enable_stopwords": True,
+    "enable_pos": False,
+    "enable_stemming": True,
+    "pos_keep_tags": DEFAULT_POS_KEEP_TAGS,
+    # Split / validation parameters.
+    "train_fraction": DEFAULT_TRAIN_FRACTION,
+    "seed": DEFAULT_SEED,
+    "k": 0,
+    # Output.
+    "format": "table",
+    "oov": "smooth",
+}
 
 
 class RunConfig(_Record):
     """Everything a CLI command may need; commands validate their subset.
 
-    File paths are None when unset; word resources then fall back to the
-    bundled data. ``k`` 0 disables k-fold mode.
+    Takes keyword arguments only, one per setting; an unset one takes its
+    default. ``k`` 0 disables k-fold mode.
     """
 
-    __slots__ = _fields = (
-        # File paths.
-        "input",
-        "model",
-        "out",
-        "out_labeled",
-        "out_unlabeled",
-        "predictions",
-        "gold",
-        "stopwords",
-        "pos_lexicon",
-        "stem_roots",
-        "wordlist",
-        "hashtags_file",
-        # Collection parameters.
-        "hashtags",
-        "lang_threshold",
-        # Pipeline toggles.
-        "enable_stopwords",
-        "enable_pos",
-        "enable_stemming",
-        "pos_keep_tags",
-        # Split / validation parameters.
-        "train_fraction",
-        "seed",
-        "k",
-        # Output.
-        "format",
-        "oov",
-    )
+    __slots__ = _fields = tuple(_DEFAULTS)
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
 
-    def __init__(
-        self,
-        input: str | None = None,
-        model: str | None = None,
-        out: str | None = None,
-        out_labeled: str | None = None,
-        out_unlabeled: str | None = None,
-        predictions: str | None = None,
-        gold: str | None = None,
-        stopwords: str | None = None,
-        pos_lexicon: str | None = None,
-        stem_roots: str | None = None,
-        wordlist: str | None = None,
-        hashtags_file: str | None = None,
-        hashtags: frozenset[str] = DEFAULT_HASHTAGS,
-        lang_threshold: float = DEFAULT_LANG_THRESHOLD,
-        enable_stopwords: bool = True,
-        enable_pos: bool = False,
-        enable_stemming: bool = True,
-        pos_keep_tags: frozenset[PosTag] = DEFAULT_POS_KEEP_TAGS,
-        train_fraction: float = DEFAULT_TRAIN_FRACTION,
-        seed: int = DEFAULT_SEED,
-        k: int = 0,
-        format: str = "table",
-        oov: str = "smooth",
-    ):
-        self.input = input
-        self.model = model
-        self.out = out
-        self.out_labeled = out_labeled
-        self.out_unlabeled = out_unlabeled
-        self.predictions = predictions
-        self.gold = gold
-        self.stopwords = stopwords
-        self.pos_lexicon = pos_lexicon
-        self.stem_roots = stem_roots
-        self.wordlist = wordlist
-        self.hashtags_file = hashtags_file
-        self.hashtags = hashtags
-        self.lang_threshold = lang_threshold
-        self.enable_stopwords = enable_stopwords
-        self.enable_pos = enable_pos
-        self.enable_stemming = enable_stemming
-        self.pos_keep_tags = pos_keep_tags
-        self.train_fraction = train_fraction
-        self.seed = seed
-        self.k = k
-        self.format = format
-        self.oov = oov
+    def __init__(self, **settings):
+        unknown = settings.keys() - _DEFAULTS.keys()
+        if unknown:
+            raise TypeError(f"RunConfig got unknown settings: {', '.join(sorted(unknown))}")
+        for name, default in _DEFAULTS.items():
+            setattr(self, name, settings.get(name, default))
 
     def validate_values(self) -> None:
         if not 0.0 <= self.lang_threshold <= 1.0:
@@ -161,8 +121,7 @@ def _parse_bool(key: str, value: str) -> bool:
 
 
 def _parse_tags(value: str) -> frozenset[str]:
-    tags = frozenset(t.strip().lstrip("#").lower() for t in value.split(",") if t.strip())
-    return tags
+    return frozenset(t.strip().lstrip("#").lower() for t in value.split(",") if t.strip())
 
 
 def _parse_keep_tags(value: str) -> frozenset[PosTag]:
@@ -173,6 +132,29 @@ def _parse_keep_tags(value: str) -> frozenset[PosTag]:
         raise ConfigError(f"unknown POS tag in pos_keep_tags: {exc}") from None
 
 
+def parse_setting(key: str, raw: str):
+    """The text ``raw`` as a value of setting ``key``, typed like its default.
+
+    A bad boolean or POS tag raises ConfigError. A bad number raises
+    ValueError, which the config-file parser reports with ``path:line``.
+    """
+    if key == "hashtags":
+        return _parse_tags(raw)
+    if key == "pos_keep_tags":
+        return _parse_keep_tags(raw)
+    default = _DEFAULTS[key]
+    if isinstance(default, bool):
+        return _parse_bool(key, raw)
+    if isinstance(default, (int, float)):
+        kind = type(default)
+        try:
+            return kind(raw)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"{key} must be {what}") from None
+    return raw
+
+
 def parse_config_file(path) -> dict:
     """Read a key=value config file into a dict of typed values."""
     values: dict = {}
@@ -181,7 +163,6 @@ def parse_config_file(path) -> dict:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    known = set(RunConfig._fields)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -190,27 +171,12 @@ def parse_config_file(path) -> dict:
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key = key.strip()
-        value = value.strip()
-        if key not in known:
+        if key not in _DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in _BOOL_KEYS:
-            values[key] = _parse_bool(key, value)
-        elif key == "hashtags":
-            values[key] = _parse_tags(value)
-        elif key == "pos_keep_tags":
-            values[key] = _parse_keep_tags(value)
-        elif key in ("lang_threshold", "train_fraction"):
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: {key} must be a number") from None
-        elif key in ("seed", "k"):
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: {key} must be an integer") from None
-        else:
-            values[key] = value
+        try:
+            values[key] = parse_setting(key, value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return values
 
 

@@ -301,15 +301,29 @@ def filter_hashtags(tweets: list[Tweet], tags: frozenset[str] | set[str]) -> lis
     """
     if not tags:
         raise ConfigError("hashtag set must not be empty")
-    normalized = {tag.lstrip("#").lower() for tag in tags}
-    if not all(normalized):
-        raise ConfigError("hashtag entries must be non-empty")
+    _, needles = _hashtag_needles(tags)
     kept = []
     for tweet in tweets:
         lowered = tweet.text.lower()
-        if any(f"#{tag}" in lowered for tag in normalized):
+        if any(needle in lowered for needle in needles):
             kept.append(tweet)
     return kept
+
+
+def _hashtag_needles(tags, reserved: str | None = None) -> tuple[list[str], list[str]]:
+    """Tracked ``tags`` and the ``#tag`` text that marks each in a lowercased tweet.
+
+    Tags are lowercased and lose a leading '#'; the result is sorted and
+    holds each tag once. A tag equal to ``reserved`` raises ConfigError, and
+    after that check so does an empty tag, whose needle '#' would match
+    every tweet holding a '#'.
+    """
+    normalized = sorted({tag.lstrip("#").lower() for tag in tags})
+    if reserved in normalized:
+        raise ConfigError(f"hashtag {reserved!r} collides with the total group")
+    if "" in normalized:
+        raise ConfigError("hashtag entries must be non-empty")
+    return normalized, [f"#{tag}" for tag in normalized]
 
 
 def _language_tokens(text: str) -> list[str]:

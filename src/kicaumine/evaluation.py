@@ -9,8 +9,8 @@ import json
 import random
 from typing import Mapping, NamedTuple
 
-from .corpus import SentimentLabel, Tweet, _Record
-from .exceptions import ConfigError, EvaluationError, SplitError, UnknownLabelError
+from .corpus import SentimentLabel, Tweet, _hashtag_needles, _Record
+from .exceptions import EvaluationError, SplitError, UnknownLabelError
 from .model import NbModel, OOV_SMOOTH, Prediction, classify
 from .preprocess import Document
 
@@ -185,11 +185,7 @@ def sentiment_report(
     emitted only for non-empty groups and sum to one within each. With no
     predictions at all, only the empty 'all' group is reported.
     """
-    tags = sorted({tag.lstrip("#").lower() for tag in group_by})
-    if ALL_GROUP in tags:
-        raise ConfigError(f"hashtag {ALL_GROUP!r} collides with the total group")
-    if "" in tags:
-        raise ConfigError("hashtag entries must be non-empty")
+    tags, needles = _hashtag_needles(group_by, reserved=ALL_GROUP)
     group_counts: dict[str, dict[SentimentLabel, int]] = {
         ALL_GROUP: {lab: 0 for lab in SentimentLabel}
     }
@@ -199,8 +195,8 @@ def sentiment_report(
     for tweet, prediction in predictions:
         group_counts[ALL_GROUP][prediction.label] += 1
         lowered = tweet.text.lower()
-        for tag in tags:
-            if f"#{tag}" in lowered:
+        for tag, needle in zip(tags, needles):
+            if needle in lowered:
                 group_counts[tag][prediction.label] += 1
     reports = []
     for key in [ALL_GROUP] + (tags if predictions else []):

@@ -127,6 +127,10 @@ class NbModel(_Record):
         object.__setattr__(self, "vocabulary", vocabulary)
         object.__setattr__(self, "_table", None)
 
+    def __getstate__(self):
+        # The score table is a cache: copies and pickles leave it behind.
+        return tuple(None if name == "_table" else getattr(self, name) for name in self.__slots__)
+
     def _score_table(self) -> _ScoreTable:
         # Benign race: concurrent first calls build identical tables.
         table = self._table

@@ -196,7 +196,7 @@ class TestSentimentReport:
         assert reports["b"].counts[POS] == 1
         assert reports["all"].counts[POS] == 1
 
-    @pytest.mark.parametrize("tags", [{"all"}, {"#All", "a"}])
+    @pytest.mark.parametrize("tags", [{"all"}, {"#All", "a"}, {"all", "#"}])
     def test_tag_named_all_rejected(self, tags):
         pairs = self.predictions([("x #all", POS), ("y", NEG)])
         with pytest.raises(ConfigError, match="collides"):

@@ -33,14 +33,10 @@ FROZEN = [r for r in RECORDS if not isinstance(r, (CorpusStats, RunConfig))]
 
 
 def pickled(record):
-    """``record`` through a pickle round trip at each protocol from 2.
-
-    Protocol 2 is the first that pickles slotted objects without help, such
-    as the score table a model caches once it has classified.
-    """
+    """``record`` through a pickle round trip at every protocol."""
     clones = [
         pickle.loads(pickle.dumps(record, protocol))
-        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
     ]
     assert all(clone == clones[0] for clone in clones)
     return clones[-1]
@@ -65,6 +61,13 @@ def test_model_copy_keeps_derived_views(duplicate):
     assert clone.tokens_per_class == MODEL.tokens_per_class
     assert clone.vocabulary == MODEL.vocabulary
     assert classify(clone, DOCS[1]) == classify(MODEL, DOCS[1])
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_classified_model_pickles_without_its_score_table(protocol):
+    assert MODEL._table is not None
+    assert pickle.dumps(MODEL, protocol) == pickle.dumps(train(DOCS), protocol)
+    assert copy.copy(MODEL)._table is None
 
 
 @pytest.mark.parametrize("record", FROZEN, ids=record_id)
