@@ -505,6 +505,54 @@ class TestEval:
         assert len(payload["fold_accuracies"]) == 3
         assert payload["min_accuracy"] <= payload["mean_accuracy"] <= payload["max_accuracy"]
 
+    def kfold_argv(self, tmp_path, positives, negatives, neutrals, k):
+        """``eval --k`` over a written corpus and gold file of the given sizes."""
+        texts = {
+            "p": "bagus mantap hebat nomor {} :)",
+            "n": "buruk jelek kalah nomor {} :(",
+            "z": "biasa saja netral nomor {}",
+        }
+        labels = {"p": "positive", "n": "negative", "z": "neutral"}
+        ids = [
+            f"{prefix}{i}"
+            for prefix, count in (("p", positives), ("n", negatives), ("z", neutrals))
+            for i in range(count)
+        ]
+        corpus = tmp_path / "tweets.jsonl"
+        corpus.write_text(
+            "".join(json.dumps({"id": i, "text": texts[i[0]].format(i[1:])}) + "\n" for i in ids),
+            encoding="utf-8",
+        )
+        gold = self.write_gold(tmp_path, [(i, labels[i[0]]) for i in ids])
+        return ["eval", "--input", str(corpus), "--gold", str(gold), "--k", str(k), "--seed", "7"]
+
+    def test_kfold_fold_losing_a_class_skips_its_test_docs(self, tmp_path, capsys, caplog):
+        # The only neutral document tests in one fold, whose model has no
+        # neutral class; a class with no training documents is left out of
+        # the fold model rather than dropped from it, so only the skip is
+        # logged.
+        argv = self.kfold_argv(tmp_path, 6, 6, 1, 3)
+        code, out, err = run(argv + ["--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", "fold 1: skipping 1 test doc(s) with labels absent from the fold model")
+        ]
+        assert json.loads(out)["fold_accuracies"] == [1.0, 1.0, 1.0]
+
+    def test_kfold_fold_left_with_one_class_exits_1(self, tmp_path, capsys):
+        argv = self.kfold_argv(tmp_path, 5, 1, 0, 3)
+        result = run(argv, capsys)
+        assert result == (1, "", "error: training needs at least two classes, got ['positive']\n")
+
+    def test_kfold_fold_with_no_evaluable_test_docs_exits_1(self, tmp_path, capsys, caplog):
+        # Leave-one-out: the fold testing the lone neutral document skips it.
+        argv = self.kfold_argv(tmp_path, 2, 2, 1, 5)
+        result = run(argv, capsys)
+        assert result == (1, "", "error: fold 1 has no evaluable test documents\n")
+        assert [r.getMessage() for r in caplog.records] == [
+            "fold 1: skipping 1 test doc(s) with labels absent from the fold model"
+        ]
+
     def test_holdout_mode_without_model(self, tmp_path, capsys):
         corpus = tmp_path / "tweets.jsonl"
         rows = [
