@@ -30,6 +30,7 @@ _EXPORTS = {
     "class_prior": "model",
     "classify": "model",
     "cleanse": "preprocess",
+    "cross_validate": "evaluation",
     "default_pipeline_config": "resources",
     "distant_label": "corpus",
     "evaluate": "evaluation",

@@ -35,11 +35,9 @@ from .exceptions import (
 from .model import (
     Prediction,
     classify,
-    count_documents,
     load_model,
     save_model,
     train,
-    train_without,
 )
 from .preprocess import PipelineConfig, run_pipeline
 from .resources import (
@@ -456,7 +454,7 @@ def _gold_documents(config: RunConfig, pipeline: PipelineConfig):
 
 
 def cmd_eval(config: RunConfig) -> int:
-    from .evaluation import evaluate, k_fold, split
+    from .evaluation import cross_validate, evaluate, split
 
     required = ["input", "gold"] if config.k or config.model is None else ["input", "gold", "model"]
     config.require_files(*required)
@@ -464,24 +462,7 @@ def cmd_eval(config: RunConfig) -> int:
     docs = _gold_documents(config, pipeline)
 
     if config.k:
-        folds = k_fold(docs, config.k, config.seed)
-        counts = count_documents(docs)
-        accuracies = []
-        for i, (_, test_docs) in enumerate(folds, start=1):
-            # Same model as train() on the fold's non-empty training docs.
-            fold_model = train_without(counts, test_docs)
-            usable_test = [d for d in test_docs if d.label in fold_model.labels]
-            skipped = len(test_docs) - len(usable_test)
-            if skipped:
-                logger.warning(
-                    "fold %d: skipping %d test doc(s) with labels absent from the fold model",
-                    i,
-                    skipped,
-                )
-            if not usable_test:
-                raise EvaluationError(f"fold {i} has no evaluable test documents")
-            metrics = evaluate(fold_model, usable_test, oov_mode=config.oov)
-            accuracies.append(metrics.accuracy)
+        accuracies = cross_validate(docs, config.k, config.seed, config.oov)
         result = {
             "k": config.k,
             "seed": config.seed,

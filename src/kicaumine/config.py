@@ -89,6 +89,8 @@ class RunConfig(_Record):
             raise ConfigError(f"oov must be one of {OOV_CHOICES}, got {self.oov!r}")
         if not self.hashtags:
             raise ConfigError("hashtag set must not be empty")
+        if not self.pos_keep_tags:
+            raise ConfigError("POS keep-tag set must not be empty")
 
     def require_files(self, *keys: str) -> None:
         """Eagerly check that the named input paths are set and exist.

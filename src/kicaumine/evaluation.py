@@ -6,13 +6,25 @@ identical splits regardless of input order or platform.
 """
 
 import json
+import logging
 import random
+from collections import Counter
+from itertools import chain
 from typing import Mapping, NamedTuple
 
 from .corpus import SentimentLabel, Tweet, _hashtag_needles, _Record
-from .exceptions import EvaluationError, SplitError, UnknownLabelError
-from .model import NbModel, OOV_SMOOTH, Prediction, classify
+from .exceptions import EvaluationError, SplitError, TrainingError, UnknownLabelError
+from .model import (
+    OOV_SMOOTH,
+    NbModel,
+    Prediction,
+    _doc_scores,
+    _ScoreTable,
+    _trained_labels,
+)
 from .preprocess import Document
+
+logger = logging.getLogger(__name__)
 
 ALL_GROUP = "all"
 
@@ -135,6 +147,21 @@ def k_fold(
     return folds
 
 
+def _confusion(
+    table: _ScoreTable, labels: tuple[SentimentLabel, ...], gold: list[Document], oov_mode: str
+) -> dict[SentimentLabel, dict[SentimentLabel, int]]:
+    """Gold-row, predicted-column counts of ``gold`` scored by ``table``.
+
+    The prediction is the label :func:`~kicaumine.model.classify` picks:
+    the highest score, exact ties to the earliest label.
+    """
+    confusion = {g: {p: 0 for p in labels} for g in labels}
+    for doc in gold:
+        scores, _ = _doc_scores(table, doc.tokens, oov_mode)
+        confusion[doc.label][labels[max(range(len(scores)), key=scores.__getitem__)]] += 1
+    return confusion
+
+
 def evaluate(model: NbModel, gold: list[Document], oov_mode: str = OOV_SMOOTH) -> EvalMetrics:
     """Classify gold documents and tabulate the confusion matrix.
 
@@ -149,10 +176,7 @@ def evaluate(model: NbModel, gold: list[Document], oov_mode: str = OOV_SMOOTH) -
             raise UnknownLabelError(
                 f"gold document {doc.source_id!r} labeled {doc.label} outside model labels"
             )
-    confusion = {g: {p: 0 for p in model.labels} for g in model.labels}
-    for doc in gold:
-        prediction = classify(model, doc, oov_mode=oov_mode)
-        confusion[doc.label][prediction.label] += 1
+    confusion = _confusion(model._score_table(), model.labels, gold, oov_mode)
     n_test = len(gold)
     correct = sum(confusion[lab][lab] for lab in model.labels)
     per_class = {}
@@ -170,6 +194,80 @@ def evaluate(model: NbModel, gold: list[Document], oov_mode: str = OOV_SMOOTH) -
         per_class=per_class,
         n_test=n_test,
     )
+
+
+def _class_counts(docs: list[Document]) -> tuple[dict, dict, dict]:
+    """Per label of the non-empty ``docs``: documents, tokens, and each token's count."""
+    groups: dict = {}
+    for doc in docs:
+        if doc.tokens:
+            groups.setdefault(doc.label, []).append(doc.tokens)
+    return (
+        {lab: len(group) for lab, group in groups.items()},
+        {lab: sum(map(len, group)) for lab, group in groups.items()},
+        {lab: Counter(chain.from_iterable(group)) for lab, group in groups.items()},
+    )
+
+
+def cross_validate(
+    docs: list[Document], k: int, seed: int, oov_mode: str = OOV_SMOOTH
+) -> list[float]:
+    """Accuracy of each of the :func:`k_fold` folds of ``docs``.
+
+    A fold is scored as :func:`evaluate` scores the model that
+    :func:`~kicaumine.model.train` builds from the other folds' non-empty
+    documents, with the same floats, warnings and errors, but no model is
+    built. The non-empty documents are counted once; each fold then counts
+    its own test documents, derives the fold model's labels, priors,
+    vocabulary size and class denominators from the difference, and
+    computes log-likelihood rows only for its test tokens. A token whose
+    whole count lies in the fold gets no row and scores as OOV, as the
+    fold model never saw it. The work is linear in the tokens, not in k
+    times the vocabulary.
+
+    Test documents whose label has no training documents in their fold
+    are skipped with a warning; a fold left with none raises
+    EvaluationError.
+    """
+    folds = k_fold(docs, k, seed)
+    docs_per_class, tokens_per_class, token_counts = _class_counts(docs)
+    if None in docs_per_class:
+        doc = next(d for d in docs if d.label is None and d.tokens)
+        raise TrainingError(f"document {doc.source_id!r} is unlabeled")
+    token_totals = Counter(chain.from_iterable(d.tokens for d in docs))
+    accuracies = []
+    for i, (_, test_docs) in enumerate(folds, start=1):
+        held_docs, held_tokens, held_counts = _class_counts(test_docs)
+        train_docs = {lab: n - held_docs.get(lab, 0) for lab, n in docs_per_class.items()}
+        if not any(train_docs.values()):
+            raise TrainingError("no documents to train on")
+        labels = _trained_labels(train_docs)
+        held_totals = Counter(chain.from_iterable(d.tokens for d in test_docs))
+        kept = [token for token, n in held_totals.items() if n < token_totals[token]]
+        train_counts = []
+        for lab in labels:
+            counts, held = token_counts[lab], held_counts.get(lab, {})
+            train_counts.append({token: counts[token] - held.get(token, 0) for token in kept})
+        table = _ScoreTable(
+            [train_docs[lab] for lab in labels],
+            [tokens_per_class[lab] - held_tokens.get(lab, 0) for lab in labels],
+            len(token_totals) - (len(held_totals) - len(kept)),
+            train_counts,
+            kept,
+        )
+        usable_test = [d for d in test_docs if d.label in labels]
+        skipped = len(test_docs) - len(usable_test)
+        if skipped:
+            logger.warning(
+                "fold %d: skipping %d test doc(s) with labels absent from the fold model",
+                i,
+                skipped,
+            )
+        if not usable_test:
+            raise EvaluationError(f"fold {i} has no evaluable test documents")
+        confusion = _confusion(table, labels, usable_test, oov_mode)
+        accuracies.append(sum(confusion[lab][lab] for lab in labels) / len(usable_test))
+    return accuracies
 
 
 def sentiment_report(

@@ -15,7 +15,7 @@ import logging
 import math
 from collections import Counter
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .corpus import SentimentLabel, _Record
 from .exceptions import (
@@ -50,28 +50,27 @@ class Prediction(_Record):
 
 
 class _ScoreTable:
-    """Log-space scores derived from a model, one row per known token.
+    """Log-space scores of a model's counts, one row per given token.
 
-    ``rows[token][j]`` is the log likelihood of ``token`` under the j-th
-    model label; ``oov_log_lik[j]`` is that of a token the model never saw.
+    The per-label arguments are in label order: ``docs_per_class[j]``,
+    ``tokens_per_class[j]`` and ``token_counts[j]`` (token to count, absent
+    meaning 0) describe the j-th label's class. ``rows[token][j]`` is the
+    log likelihood of ``token`` under the j-th label; ``oov_log_lik[j]`` is
+    that of a token without a row.
     """
 
     __slots__ = ("rows", "log_priors", "oov_log_lik")
 
-    def __init__(self, model):
-        vocab = list(model.vocabulary)
-        self.log_priors = tuple(
-            math.log(model.docs_per_class[lab] / model.total_docs) for lab in model.labels
-        )
-        columns = []
-        oov = []
-        for lab in model.labels:
-            counts = model.token_counts[lab]
-            denom = model.tokens_per_class[lab] + len(vocab)
-            columns.append([math.log((counts.get(token, 0) + 1) / denom) for token in vocab])
-            oov.append(math.log(1 / denom))
-        self.rows = dict(zip(vocab, zip(*columns)))
-        self.oov_log_lik = tuple(oov)
+    def __init__(self, docs_per_class, tokens_per_class, vocabulary_size, token_counts, tokens):
+        total_docs = sum(docs_per_class)
+        self.log_priors = tuple(math.log(n / total_docs) for n in docs_per_class)
+        denoms = [n + vocabulary_size for n in tokens_per_class]
+        columns = [
+            [math.log((counts.get(token, 0) + 1) / denom) for token in tokens]
+            for counts, denom in zip(token_counts, denoms)
+        ]
+        self.rows = dict(zip(tokens, zip(*columns)))
+        self.oov_log_lik = tuple(math.log(1 / denom) for denom in denoms)
 
 
 class NbModel(_Record):
@@ -135,43 +134,26 @@ class NbModel(_Record):
         # Benign race: concurrent first calls build identical tables.
         table = self._table
         if table is None:
-            table = _ScoreTable(self)
+            labels = self.labels
+            table = _ScoreTable(
+                [self.docs_per_class[lab] for lab in labels],
+                [self.tokens_per_class[lab] for lab in labels],
+                len(self.vocabulary),
+                [self.token_counts[lab] for lab in labels],
+                list(self.vocabulary),
+            )
             object.__setattr__(self, "_table", table)
         return table
 
 
-def _canonical_label_order(labels: Iterable[SentimentLabel]) -> tuple[SentimentLabel, ...]:
-    wanted = set(labels)
-    return tuple(lab for lab in SentimentLabel if lab in wanted)
-
-
-class TrainingCounts(NamedTuple):
-    """Per-class document and token counts of a labeled document collection."""
-
-    docs_per_class: Counter
-    token_counts: dict[SentimentLabel, Counter]
-
-
-def _count(docs: Iterable[Document], label_set: Collection[SentimentLabel]) -> TrainingCounts:
-    """Count documents into per-class tallies, with the checks of :func:`train`.
-
-    Every document must carry a label from ``label_set`` and a non-empty
-    token list; violations raise TrainingError naming the document.
-    """
-    docs_per_class: Counter = Counter()
-    token_counts: dict[SentimentLabel, Counter] = {lab: Counter() for lab in label_set}
-    for doc in docs:
-        if doc.label is None:
-            raise TrainingError(f"document {doc.source_id!r} is unlabeled")
-        if doc.label not in label_set:
-            raise TrainingError(
-                f"document {doc.source_id!r} labeled {doc.label} outside the label set"
-            )
-        if doc.empty:
-            raise TrainingError(f"document {doc.source_id!r} has no tokens")
-        docs_per_class[doc.label] += 1
-        token_counts[doc.label].update(doc.tokens)
-    return TrainingCounts(docs_per_class, token_counts)
+def _trained_labels(docs_per_class: Mapping[SentimentLabel, int]) -> tuple[SentimentLabel, ...]:
+    """The classes with documents, in canonical order; fewer than two raise."""
+    labels = tuple(lab for lab in SentimentLabel if docs_per_class.get(lab, 0) > 0)
+    if len(labels) < 2:
+        raise DegenerateTrainingError(
+            f"training needs at least two classes, got {[str(l) for l in labels]}"
+        )
+    return labels
 
 
 def train(docs: list[Document], labels: Iterable[SentimentLabel] | None = None) -> NbModel:
@@ -188,62 +170,23 @@ def train(docs: list[Document], labels: Iterable[SentimentLabel] | None = None) 
     label_set = set(labels) if labels is not None else {d.label for d in docs} - {None}
     if not label_set:
         raise TrainingError("no labels to train on")
-    return _model_from_counts(label_set, _count(docs, label_set))
-
-
-def count_documents(docs: Iterable[Document]) -> TrainingCounts:
-    """Count a gold collection once, for repeated :func:`train_without` calls.
-
-    Empty documents are skipped, since training cannot use them; the rest
-    are counted under their observed labels with the checks of
-    :func:`train`.
-    """
-    usable = [d for d in docs if not d.empty]
-    return _count(usable, {d.label for d in usable} - {None})
-
-
-def train_without(counts: TrainingCounts, held_out: Iterable[Document]) -> NbModel:
-    """Train on the counted documents minus ``held_out``, by subtraction.
-
-    ``counts`` comes from :func:`count_documents`, and ``held_out`` is part
-    of the collection it counted; empty held-out documents are skipped as
-    they were there. The result equals :func:`train` on the remaining
-    non-empty documents, errors included, at the cost of the held-out
-    tokens plus one pass over each class vocabulary instead of a recount of
-    every token.
-    """
-    removed = _count((d for d in held_out if not d.empty), counts.token_counts.keys())
-    for lab, tokens in removed.token_counts.items():
-        if removed.docs_per_class[lab] > counts.docs_per_class[lab] or any(
-            n > counts.token_counts[lab][t] for t, n in tokens.items()
-        ):
-            raise ValueError("held-out documents are not part of the counted collection")
-    # Counter subtraction keeps only positive counts, so classes and tokens
-    # left with nothing drop out, as they would from a recount.
-    docs_per_class = counts.docs_per_class - removed.docs_per_class
-    if not docs_per_class:
-        raise TrainingError("no documents to train on")
-    remaining = {
-        lab: counts.token_counts[lab] - removed.token_counts[lab] for lab in docs_per_class
-    }
-    return _model_from_counts(set(docs_per_class), TrainingCounts(docs_per_class, remaining))
-
-
-def _model_from_counts(
-    label_set: Collection[SentimentLabel], counts: TrainingCounts
-) -> NbModel:
-    """Drop classes without documents, reject fewer than two, build the model."""
-    docs_per_class, token_counts = counts
-    token_counts = dict(token_counts)
+    docs_per_class: Counter = Counter()
+    token_counts: dict[SentimentLabel, Counter] = {lab: Counter() for lab in label_set}
+    for doc in docs:
+        if doc.label is None:
+            raise TrainingError(f"document {doc.source_id!r} is unlabeled")
+        if doc.label not in label_set:
+            raise TrainingError(
+                f"document {doc.source_id!r} labeled {doc.label} outside the label set"
+            )
+        if doc.empty:
+            raise TrainingError(f"document {doc.source_id!r} has no tokens")
+        docs_per_class[doc.label] += 1
+        token_counts[doc.label].update(doc.tokens)
     for lab in sorted(label_set, key=lambda l: l.value):
         if docs_per_class[lab] == 0:
             logger.warning("label %s has no training documents; dropping it", lab)
-            del token_counts[lab]
-    effective = _canonical_label_order(token_counts)
-    if len(effective) < 2:
-        raise DegenerateTrainingError(
-            f"training needs at least two classes, got {[str(l) for l in effective]}"
-        )
+    effective = _trained_labels(docs_per_class)
     return NbModel(
         labels=effective,
         docs_per_class={lab: docs_per_class[lab] for lab in effective},
@@ -273,14 +216,17 @@ def token_likelihood(model: NbModel, token: str, label: SentimentLabel) -> float
     return (count + 1) / (model.tokens_per_class[label] + len(model.vocabulary))
 
 
-def _doc_scores(model: NbModel, tokens: Iterable[str], oov_mode: str) -> tuple[list[float], int]:
+def _doc_scores(table: _ScoreTable, tokens: Iterable[str], oov_mode: str) -> tuple[list[float], int]:
+    """Per-label log scores of ``tokens`` under ``table``, and their OOV count."""
     if oov_mode not in _OOV_MODES:
         raise ValueError(f"oov_mode must be one of {_OOV_MODES}, got {oov_mode!r}")
-    table = model._score_table()
     rows = table.rows
+    counts: dict[str, int] = {}
+    for token in tokens:
+        counts[token] = counts.get(token, 0) + 1
     known = []
     oov = 0
-    for token, count in Counter(tokens).items():
+    for token, count in counts.items():
         row = rows.get(token)
         if row is None:
             oov += count
@@ -302,7 +248,7 @@ def _doc_scores(model: NbModel, tokens: Iterable[str], oov_mode: str) -> tuple[l
 def log_score(model: NbModel, doc: Document, label: SentimentLabel, oov_mode: str = OOV_SMOOTH) -> float:
     """Log prior plus summed log token likelihoods for one class."""
     _require_label(model, label)
-    scores, _ = _doc_scores(model, doc.tokens, oov_mode)
+    scores, _ = _doc_scores(model._score_table(), doc.tokens, oov_mode)
     return scores[model.labels.index(label)]
 
 
@@ -313,7 +259,7 @@ def classify(model: NbModel, doc: Document, oov_mode: str = OOV_SMOOTH) -> Predi
     Exact ties resolve to the earliest label in the model's order. An
     empty document degrades to the class priors.
     """
-    scores, oov = _doc_scores(model, doc.tokens, oov_mode)
+    scores, oov = _doc_scores(model._score_table(), doc.tokens, oov_mode)
     best = max(range(len(scores)), key=scores.__getitem__)
     top = scores[best]
     weights = [math.exp(s - top) for s in scores]

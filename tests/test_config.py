@@ -88,6 +88,8 @@ def test_bare_k_flag_means_ten_folds(tmp_path):
         ("no_such_key=1\n", "{path}:1: unknown config key 'no_such_key'"),
         ("pos_keep_tags=noun,bogus\n", "unknown POS tag in pos_keep_tags: 'BOGUS'"),
         ("hashtags=\n", "hashtag set must not be empty"),
+        ("pos_keep_tags=\n", "POS keep-tag set must not be empty"),
+        ("enable_pos=false\npos_keep_tags= , \n", "POS keep-tag set must not be empty"),
     ],
 )
 def test_config_file_errors_verbatim(text, message, tmp_path, capsys):
@@ -100,6 +102,12 @@ def test_config_file_errors_verbatim(text, message, tmp_path, capsys):
 def test_unknown_pos_tag_flag_error_verbatim(capsys):
     result = run(["train", "--pos-keep-tags", "noun,bogus"], capsys)
     assert result == (2, "", "error: unknown POS tag in pos_keep_tags: 'BOGUS'\n")
+
+
+@pytest.mark.parametrize("value", [",", " , "])
+def test_empty_pos_keep_tags_flag_error_verbatim(value, capsys):
+    result = run(["eval", "--enable-pos", "--pos-keep-tags", value], capsys)
+    assert result == (2, "", "error: POS keep-tag set must not be empty\n")
 
 
 def test_empty_list_flags_are_ignored():

@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import logging
 import math
 import random
 from fractions import Fraction
@@ -9,25 +10,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import NEG, NEU, POS, make_doc
+import kfold_oracle
+from kicaumine import evaluation
 from kicaumine.corpus import SentimentLabel
 from kicaumine.exceptions import (
     DegenerateTrainingError,
+    KicaumineError,
     ModelFormatError,
     TrainingError,
     UnknownLabelError,
 )
-from kicaumine.evaluation import k_fold
 from kicaumine.model import (
+    OOV_SKIP,
+    OOV_SMOOTH,
     NbModel,
+    _doc_scores,
     class_prior,
     classify,
-    count_documents,
     load_model,
     log_score,
     save_model,
     token_likelihood,
     train,
-    train_without,
 )
 from kicaumine.preprocess import extract_unigrams
 
@@ -356,15 +360,28 @@ class TestSaveLoad:
             load_model(io.StringIO(json.dumps(payload)))
 
 
-def fold_outcome(build):
-    """A fold model's saved bytes, or the type and message it raised."""
-    try:
-        model = build()
-    except TrainingError as exc:
-        return (type(exc), str(exc))
-    sink = io.StringIO()
-    save_model(model, sink)
-    return (model, sink.getvalue())
+def kfold_outcome(run, monkeypatch, caplog):
+    """What a k-fold run returned or raised, what it logged, and every score.
+
+    ``evaluation._confusion`` is wrapped to record, for each fold, the
+    labels and each test document's scores and OOV count, so the fold
+    tables are compared float for float, not only through accuracies.
+    """
+    scored = []
+    confusion = evaluation._confusion
+
+    def recording(table, labels, gold, oov_mode):
+        scored.append((labels, [(d.source_id, _doc_scores(table, d.tokens, oov_mode)) for d in gold]))
+        return confusion(table, labels, gold, oov_mode)
+
+    caplog.clear()
+    with monkeypatch.context() as patch, caplog.at_level(logging.WARNING):
+        patch.setattr(evaluation, "_confusion", recording)
+        try:
+            result = run()
+        except KicaumineError as exc:
+            result = (type(exc), str(exc))
+    return result, [(r.levelname, r.getMessage()) for r in caplog.records], scored
 
 
 def gold_like_corpus(rng, n_docs, labels, empty_share):
@@ -377,48 +394,82 @@ def gold_like_corpus(rng, n_docs, labels, empty_share):
 
 
 class TestTrainWithout:
-    """Fold models built by subtraction against train(usable_train), the oracle."""
+    """Each fold scored without its test documents, against the former loop.
 
-    def assert_folds_match(self, docs, k, seed):
-        counts = count_documents(docs)
-        for train_docs, test_docs in k_fold(docs, k, seed):
-            expected = fold_outcome(lambda: train([d for d in train_docs if not d.empty]))
-            got = fold_outcome(lambda: train_without(counts, test_docs))
+    ``evaluation.cross_validate`` scores each fold from the counts without
+    building a model; ``kfold_oracle.fold_accuracies`` is the loop it
+    replaced, which built each fold's model by count subtraction. Both
+    must give the same accuracies, scores, warnings and errors, under
+    either OOV mode.
+    """
+
+    def assert_folds_match(self, docs, k, seed, monkeypatch, caplog):
+        for oov in (OOV_SMOOTH, OOV_SKIP):
+            expected = kfold_outcome(
+                lambda: kfold_oracle.fold_accuracies(docs, k, seed, oov), monkeypatch, caplog
+            )
+            got = kfold_outcome(
+                lambda: evaluation.cross_validate(docs, k, seed, oov), monkeypatch, caplog
+            )
             assert got == expected
+        return got
 
     @pytest.mark.parametrize("k,seed", [(2, 0), (3, 7), (5, 42), (10, 1), (40, 3)])
-    def test_random_corpora(self, k, seed):
+    def test_random_corpora(self, k, seed, monkeypatch, caplog):
         rng = random.Random(seed)
         docs = gold_like_corpus(rng, 40, [NEG, POS, NEU], empty_share=0.15)
-        self.assert_folds_match(docs, k, seed)
+        result, _, scored = self.assert_folds_match(docs, k, seed, monkeypatch, caplog)
+        assert len(result) == k
+        assert sum(len(fold) for _, fold in scored) == 40
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_fold_losing_a_class(self, seed):
+    def test_fold_losing_a_class(self, seed, monkeypatch, caplog):
         # One neutral document: the fold that tests it trains on two classes.
         docs = gold_like_corpus(random.Random(seed), 12, [NEG, POS], empty_share=0.0)
         docs.append(make_doc("zz-neutral", ["netral"], NEU))
-        self.assert_folds_match(docs, 4, seed)
+        _, warnings, scored = self.assert_folds_match(docs, 4, seed, monkeypatch, caplog)
+        assert len(warnings) == 1 and "skipping 1 test doc(s)" in warnings[0][1]
+        assert sorted(len(labels) for labels, _ in scored) == [2, 3, 3, 3]
 
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_fold_left_with_one_class_raises_like_train(self, seed):
+    def test_fold_left_with_one_class_raises_like_train(self, seed, monkeypatch, caplog):
         docs = [make_doc(f"p{i}", ["bagus"], POS) for i in range(5)]
         docs.append(make_doc("n0", ["buruk"], NEG))
-        self.assert_folds_match(docs, 3, seed)
+        result, _, _ = self.assert_folds_match(docs, 3, seed, monkeypatch, caplog)
+        assert result == (
+            DegenerateTrainingError, "training needs at least two classes, got ['positive']"
+        )
 
-    def test_all_training_documents_empty_raises_like_train(self):
+    def test_all_training_documents_empty_raises_like_train(self, monkeypatch, caplog):
         docs = [make_doc("a", ["bagus"], POS), make_doc("b", [], NEG), make_doc("c", [], POS)]
-        self.assert_folds_match(docs, 3, 0)
-        with pytest.raises(TrainingError, match="no documents to train on"):
-            train_without(count_documents([]), [])
+        self.assert_folds_match(docs, 3, 0, monkeypatch, caplog)
+        docs = [make_doc("a", [], POS), make_doc("b", [], NEG)]
+        result, _, _ = self.assert_folds_match(docs, 2, 0, monkeypatch, caplog)
+        assert result == (TrainingError, "no documents to train on")
 
-    def test_whole_corpus_held_in(self, toy_docs, toy_model):
-        counts = count_documents(toy_docs)
-        assert train_without(counts, []) == toy_model
+    def test_log_calls_bounded_by_test_tokens(self, monkeypatch):
+        # A vocabulary far larger than any fold's test tokens: the former
+        # loop took one log per vocabulary word, class and fold.
+        rng = random.Random(11)
+        vocab = ["".join(letters) for letters in itertools.product("abcdefghij", "klmnopqrst", "uvwx")]
+        docs = [
+            make_doc(f"d{i:03d}", rng.choices(vocab, k=rng.randint(1, 8)), lab)
+            for i, lab in enumerate(itertools.islice(itertools.cycle([NEG, POS, NEU]), 90))
+        ]
+        k, n_labels = 10, 3
+        bound = (sum(len(set(d.tokens)) for d in docs) + 2 * k) * n_labels
+        calls = []
+        log = math.log
 
-    def test_held_out_outside_the_counted_collection_rejected(self, toy_docs):
-        n2 = make_doc("n2", ["buruk"], NEG)
-        counts = count_documents(toy_docs[:2] + [n2])
-        # A token the class never counted, then one document removed twice.
-        for held_out in ([toy_docs[2]], [n2, n2]):
-            with pytest.raises(ValueError, match="not part of the counted collection"):
-                train_without(counts, held_out)
+        def counting_log(x):
+            calls.append(x)
+            return log(x)
+
+        monkeypatch.setattr(math, "log", counting_log)
+        expected = kfold_oracle.fold_accuracies(docs, k, 3, OOV_SMOOTH)
+        oracle_calls = len(calls)
+        del calls[:]
+        assert evaluation.cross_validate(docs, k, 3, OOV_SMOOTH) == expected
+        assert len(calls) <= bound
+        corpus_vocab = {t for d in docs for t in d.tokens}
+        assert oracle_calls > k * len(corpus_vocab) * n_labels // 2 > 2 * bound
