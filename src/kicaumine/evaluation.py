@@ -1,4 +1,5 @@
-"""Splitting, metrics against manual gold labels, and sentiment rollups.
+"""Splitting, cross-validation, metrics against manual gold labels, and
+sentiment rollups.
 
 Shuffles are driven by ``random.Random(seed)`` (Mersenne Twister) over
 documents first sorted by id, so identical (documents, seed) pairs give

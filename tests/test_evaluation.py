@@ -1,10 +1,12 @@
+import random
+
 import pytest
 
 from conftest import NEG, NEU, POS, make_doc
 from kicaumine.corpus import Tweet
 from kicaumine.evaluation import evaluate, k_fold, sentiment_report, split
 from kicaumine.exceptions import ConfigError, EvaluationError, SplitError, UnknownLabelError
-from kicaumine.model import Prediction, train
+from kicaumine.model import OOV_SKIP, OOV_SMOOTH, Prediction, classify, train
 
 
 def numbered_docs(n, label=POS):
@@ -150,6 +152,23 @@ class TestEvaluate:
             sum(row.values()) for row in metrics.confusion.values()
         )
         assert metrics.accuracy == pytest.approx(micro_recall)
+
+    @pytest.mark.parametrize("oov_mode", [OOV_SMOOTH, OOV_SKIP])
+    def test_confusion_tabulates_classify(self, three_class_model, oov_mode):
+        # Tied models and OOV-only documents included: evaluate predicts
+        # without building a Prediction, and must pick classify's label.
+        rng = random.Random(5)
+        vocab = ["jelek", "bagus", "biasa", "asing", "lain"]
+        tied = train([make_doc("p", ["bagus"], POS), make_doc("n", ["jelek"], NEG)])
+        for model in (three_class_model, tied):
+            gold = [
+                make_doc(f"g{i}", rng.choices(vocab, k=rng.randint(0, 4)), rng.choice(model.labels))
+                for i in range(60)
+            ]
+            expected = {g: {p: 0 for p in model.labels} for g in model.labels}
+            for doc in gold:
+                expected[doc.label][classify(model, doc, oov_mode).label] += 1
+            assert evaluate(model, gold, oov_mode).confusion == expected
 
     def test_empty_gold_rejected(self, three_class_model):
         with pytest.raises(EvaluationError):
