@@ -9,9 +9,11 @@ and identical inputs plus an identical seed reproduce identical bytes.
 import argparse
 import json
 import logging
+import shutil
 import sys
+import tempfile
 from contextlib import nullcontext
-from itertools import islice
+from itertools import chain, islice
 
 from .config import DEFAULT_K, FORMATS, OOV_CHOICES, RunConfig, build_config, parse_setting
 from .corpus import (
@@ -20,10 +22,11 @@ from .corpus import (
     LabelSource,
     SentimentLabel,
     Tweet,
-    distant_label,
-    filter_hashtags,
-    filter_language,
-    ingest_jsonl,
+    _DISTANT_LABELS,
+    _emoticon_outcome,
+    _hashtag_test,
+    _language_test,
+    decode_json,
     iter_tweets,
 )
 from .exceptions import (
@@ -53,6 +56,10 @@ logger = logging.getLogger("kicaumine")
 
 # Ids named in one warning line; the rest are only counted.
 _MAX_LOGGED_IDS = 10
+
+# Encodes every JSON Lines record written; json.dumps with these options
+# would build a new encoder for each record.
+_encode_record = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 # Tweets that classify reads, then scores, then writes, per round. One
 # tweet per round ran about 10% slower: between two tweets, each stage's
@@ -99,7 +106,7 @@ def _read_strict_jsonl(path, kind: str, parse) -> dict:
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                record = json.loads(line)
+                record = decode_json(line)
                 if not isinstance(record, dict):
                     raise TypeError("record is not a JSON object")
                 if not isinstance(record.get("id"), str):
@@ -148,7 +155,7 @@ def _write_jsonl(path, records) -> int:
     count = 0
     with nullcontext(sys.stdout) if path is None else atomic_writer(path) as handle:
         for count, record in enumerate(records, start=1):
-            handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False))
+            handle.write(_encode_record(record))
             handle.write("\n")
     return count
 
@@ -354,31 +361,48 @@ def cmd_collect(config: RunConfig) -> int:
         raise ConfigError("--out-labeled and --out-unlabeled are required")
     tags = _effective_hashtags(config)
     wordlist = load_wordlist(config.wordlist)
-
-    with open(config.input, "rb") as handle:
-        try:
-            tweets, stats = ingest_jsonl(handle)
-        except EmptyCorpusError:
-            raise EmptyCorpusError(f"no valid tweets in {config.input}") from None
-    on_topic = filter_hashtags(tweets, tags)
-    stats.rejected_hashtag += len(tweets) - len(on_topic)
-    indonesian, delta = filter_language(on_topic, wordlist, config.lang_threshold)
-    stats.add(delta)
-    labeled, unlabeled, delta = distant_label(indonesian)
-    stats.add(delta)
-    if not stats.check_partition():
-        raise RuntimeError("internal error: corpus stats do not partition the input")
-
-    _write_jsonl(
-        config.out_labeled,
-        (
-            {**_tweet_record(lt.tweet), "label": lt.label.value, "label_source": lt.source.value}
-            for lt in labeled
-        ),
-    )
-    _write_jsonl(config.out_unlabeled, (_tweet_record(t) for t in unlabeled))
+    stats = CorpusStats()
+    # The unlabeled lines wait in a spool until the labeled target is
+    # written and closed, so two FIFOs read one after the other complete,
+    # and when both flags name one path the unlabeled file wins.
+    with (
+        open(config.input, "rb") as handle,
+        tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool,
+    ):
+        tweets = iter_tweets(handle, stats)
+        # An export with no valid tweet is reported before bad filter settings.
+        first = next(tweets, None)
+        if first is None:
+            raise EmptyCorpusError(f"no valid tweets in {config.input}")
+        on_topic = _hashtag_test(tags)
+        in_language = _language_test(wordlist, config.lang_threshold)
+        with atomic_writer(config.out_labeled) as labeled:
+            for tweet in chain((first,), tweets):
+                lowered = tweet.text.lower()
+                if not on_topic(lowered):
+                    stats.rejected_hashtag += 1
+                    continue
+                if not in_language(lowered):
+                    stats.rejected_language += 1
+                    continue
+                outcome = _emoticon_outcome(tweet.text)
+                setattr(stats, outcome, getattr(stats, outcome) + 1)
+                if outcome in _DISTANT_LABELS:
+                    record = _tweet_record(tweet)
+                    record["label"] = _DISTANT_LABELS[outcome].value
+                    record["label_source"] = LabelSource.DISTANT.value
+                    labeled.write(_encode_record(record) + "\n")
+                elif outcome == "unlabeled":
+                    spool.write(_encode_record(_tweet_record(tweet)) + "\n")
+            if not stats.check_partition():
+                raise RuntimeError("internal error: corpus stats do not partition the input")
+        spool.seek(0)
+        with atomic_writer(config.out_unlabeled) as unlabeled:
+            shutil.copyfileobj(spool, unlabeled)
     logger.info(
-        "collected %d labeled and %d unlabeled tweets", len(labeled), len(unlabeled)
+        "collected %d labeled and %d unlabeled tweets",
+        stats.labeled_positive + stats.labeled_negative,
+        stats.unlabeled,
     )
     _emit(_format_stats(stats, config.format), config.out)
     return 0

@@ -1,14 +1,20 @@
 """Corpus assembly: ingest tweet exports, filter, and emoticon-label them.
 
 The collection chain is ingest -> hashtag filter -> language filter ->
-distant labeling. Live crawling is deliberately absent: tweets enter as
-JSON Lines exports, read one line at a time by :func:`iter_tweets`.
+distant labeling, applied one tweet at a time. Live crawling is
+deliberately absent: tweets enter as JSON Lines exports, read one line at
+a time by :func:`iter_tweets`. The hashtag and language tests take a
+tweet's lowercased text, so that one lowering serves both, and each is
+built by a factory that first checks its settings (ConfigError). The list
+functions ``filter_hashtags``, ``filter_language`` and ``distant_label``
+apply the same tests to a whole list.
 """
 
 import json
 import logging
 from enum import Enum
 from itertools import chain
+from json.scanner import make_scanner
 
 from .exceptions import ConfigError, EmptyCorpusError
 
@@ -27,6 +33,10 @@ _UTF8_BOM = b"\xef\xbb\xbf"
 
 POSITIVE_EMOTICON = ":)"
 NEGATIVE_EMOTICON = ":("
+
+# Decodes one JSON value at a position of a string. It skips the BOM test
+# and the two whitespace matches that json.loads spends on every call.
+_scan_json = make_scanner(json.JSONDecoder())
 
 
 class SentimentLabel(Enum):
@@ -215,6 +225,24 @@ class CorpusStats(_Record):
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
+def decode_json(text: str):
+    """The JSON value that ``text``, with no whitespace around it, holds.
+
+    Every decode failure raises ValueError: malformed or trailing text, an
+    integer too long to convert, and nesting past the interpreter's
+    recursion limit, which ``json.loads`` raises as RecursionError.
+    """
+    try:
+        value, end = _scan_json(text, 0)
+    except StopIteration as exc:
+        raise json.JSONDecodeError("Expecting value", text, exc.value) from None
+    except RecursionError:
+        raise ValueError("JSON value nested too deeply") from None
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return value
+
+
 def iter_tweets(source, stats: CorpusStats):
     """Yield the valid tweets of a JSON Lines stream, one object per line.
 
@@ -247,33 +275,22 @@ def iter_tweets(source, stats: CorpusStats):
             continue
         stats.total_ingested += 1
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
+            record = decode_json(line)
+            created_at = record.get("created_at")  # AttributeError: not an object
+            declared_lang = record.get("lang")
+            tweet = Tweet(
+                record.get("id"),
+                record.get("text"),
+                created_at if isinstance(created_at, str) else None,
+                declared_lang if isinstance(declared_lang, str) else None,
+            )
+        except (AttributeError, TypeError, ValueError):
             stats.rejected_malformed += 1
             continue
-        if not isinstance(record, dict):
+        if tweet.id in seen_ids:
             stats.rejected_malformed += 1
             continue
-        tweet_id = record.get("id")
-        text = record.get("text")
-        if not isinstance(tweet_id, str) or not tweet_id:
-            stats.rejected_malformed += 1
-            continue
-        if not isinstance(text, str) or not text.strip():
-            stats.rejected_malformed += 1
-            continue
-        if tweet_id in seen_ids:
-            stats.rejected_malformed += 1
-            continue
-        seen_ids.add(tweet_id)
-        created_at = record.get("created_at")
-        declared_lang = record.get("lang")
-        tweet = Tweet(
-            id=tweet_id,
-            text=text,
-            created_at=created_at if isinstance(created_at, str) else None,
-            declared_lang=declared_lang if isinstance(declared_lang, str) else None,
-        )
+        seen_ids.add(tweet.id)
         if tweet.overlong:
             stats.flagged_overlong += 1
         yield tweet
@@ -292,22 +309,32 @@ def ingest_jsonl(source) -> tuple[list[Tweet], CorpusStats]:
     return tweets, stats
 
 
-def filter_hashtags(tweets: list[Tweet], tags: frozenset[str] | set[str]) -> list[Tweet]:
-    """Keep tweets containing at least one tracked hashtag.
+def _hashtag_test(tags: frozenset[str] | set[str]):
+    """Whether a lowercased tweet holds ``#tag`` for a tracked tag.
 
     Tags are given without the '#' prefix; matching is case-insensitive
-    substring search for ``#tag``. Order is preserved and the operation is
-    idempotent.
+    substring search for ``#tag``.
     """
     if not tags:
         raise ConfigError("hashtag set must not be empty")
     _, needles = _hashtag_needles(tags)
-    kept = []
-    for tweet in tweets:
-        lowered = tweet.text.lower()
-        if any(needle in lowered for needle in needles):
-            kept.append(tweet)
-    return kept
+
+    def on_topic(lowered: str) -> bool:
+        for needle in needles:
+            if needle in lowered:
+                return True
+        return False
+
+    return on_topic
+
+
+def filter_hashtags(tweets: list[Tweet], tags: frozenset[str] | set[str]) -> list[Tweet]:
+    """Keep tweets containing at least one tracked hashtag (see :func:`_hashtag_test`).
+
+    Order is preserved and the operation is idempotent.
+    """
+    on_topic = _hashtag_test(tags)
+    return [tweet for tweet in tweets if on_topic(tweet.text.lower())]
 
 
 def _hashtag_needles(tags, reserved: str | None = None) -> tuple[list[str], list[str]]:
@@ -326,37 +353,55 @@ def _hashtag_needles(tags, reserved: str | None = None) -> tuple[list[str], list
     return normalized, [f"#{tag}" for tag in normalized]
 
 
-def _language_tokens(text: str) -> list[str]:
-    """Whitespace-split, case-folded, letter-only tokens of ``text``."""
-    return [w for w in text.lower().split() if w.isalpha()]
+def _language_test(wordlist: frozenset[str] | set[str], threshold: float):
+    """Whether a lowercased tweet's dictionary-word ratio reaches ``threshold``.
 
-
-def filter_language(
-    tweets: list[Tweet], wordlist: frozenset[str] | set[str], threshold: float = 0.5
-) -> tuple[list[Tweet], CorpusStats]:
-    """Keep tweets whose dictionary-word ratio reaches ``threshold``.
-
-    A tweet is retained iff at least ``threshold`` of its letter-only
-    tokens appear in ``wordlist``. Tweets with no such tokens are dropped.
-    Returns the retained tweets and a stats delta counting the drops.
+    The ratio is over the whitespace-separated, letter-only tokens: a tweet
+    passes iff at least ``threshold`` of them are in ``wordlist``, and one
+    with no such token fails.
     """
     if not wordlist:
         raise ConfigError("language wordlist must not be empty")
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"language threshold must be in [0, 1], got {threshold}")
-    kept = []
-    delta = CorpusStats()
-    for tweet in tweets:
-        tokens = _language_tokens(tweet.text)
-        if not tokens:
-            delta.rejected_language += 1
-            continue
-        ratio = sum(1 for w in tokens if w in wordlist) / len(tokens)
-        if ratio >= threshold:
-            kept.append(tweet)
-        else:
-            delta.rejected_language += 1
-    return kept, delta
+    in_wordlist = wordlist.__contains__
+
+    def in_language(lowered: str) -> bool:
+        tokens = [w for w in lowered.split() if w.isalpha()]
+        return bool(tokens) and sum(map(in_wordlist, tokens)) / len(tokens) >= threshold
+
+    return in_language
+
+
+def filter_language(
+    tweets: list[Tweet], wordlist: frozenset[str] | set[str], threshold: float = 0.5
+) -> tuple[list[Tweet], CorpusStats]:
+    """Keep tweets that pass :func:`_language_test`.
+
+    Returns the retained tweets and a stats delta counting the drops.
+    """
+    in_language = _language_test(wordlist, threshold)
+    kept = [tweet for tweet in tweets if in_language(tweet.text.lower())]
+    return kept, CorpusStats(rejected_language=len(tweets) - len(kept))
+
+
+# The label of each distant-labeling outcome that has one.
+_DISTANT_LABELS = {
+    "labeled_positive": SentimentLabel.POSITIVE,
+    "labeled_negative": SentimentLabel.NEGATIVE,
+}
+
+
+def _emoticon_outcome(text: str) -> str:
+    """The CorpusStats field that counts what distant labeling makes of ``text``.
+
+    ``:)`` alone marks positive, ``:(`` alone marks negative; a tweet
+    showing both is discarded as contradictory supervision, and one with
+    neither goes to the unlabeled pile.
+    """
+    if POSITIVE_EMOTICON in text:
+        return "rejected_ambiguous_emoticon" if NEGATIVE_EMOTICON in text else "labeled_positive"
+    return "labeled_negative" if NEGATIVE_EMOTICON in text else "unlabeled"
 
 
 def distant_label(
@@ -364,26 +409,17 @@ def distant_label(
 ) -> tuple[list[LabeledTweet], list[Tweet], CorpusStats]:
     """Assign positive/negative labels from the two emoticon keywords.
 
-    ``:)`` alone marks positive, ``:(`` alone marks negative; a tweet
-    showing both is discarded as contradictory supervision, and one with
-    neither goes to the unlabeled pile. Total over any input: every tweet
-    lands in exactly one of labeled, unlabeled, or ambiguous-rejected.
+    See :func:`_emoticon_outcome`. Total over any input: every tweet lands
+    in exactly one of labeled, unlabeled, or ambiguous-rejected.
     """
     labeled: list[LabeledTweet] = []
     unlabeled: list[Tweet] = []
     delta = CorpusStats()
     for tweet in tweets:
-        has_pos = POSITIVE_EMOTICON in tweet.text
-        has_neg = NEGATIVE_EMOTICON in tweet.text
-        if has_pos and has_neg:
-            delta.rejected_ambiguous_emoticon += 1
-        elif has_pos:
-            labeled.append(LabeledTweet(tweet, SentimentLabel.POSITIVE, LabelSource.DISTANT))
-            delta.labeled_positive += 1
-        elif has_neg:
-            labeled.append(LabeledTweet(tweet, SentimentLabel.NEGATIVE, LabelSource.DISTANT))
-            delta.labeled_negative += 1
-        else:
+        outcome = _emoticon_outcome(tweet.text)
+        setattr(delta, outcome, getattr(delta, outcome) + 1)
+        if outcome in _DISTANT_LABELS:
+            labeled.append(LabeledTweet(tweet, _DISTANT_LABELS[outcome], LabelSource.DISTANT))
+        elif outcome == "unlabeled":
             unlabeled.append(tweet)
-            delta.unlabeled += 1
     return labeled, unlabeled, delta

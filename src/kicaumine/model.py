@@ -17,7 +17,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import SentimentLabel, _Record
+from .corpus import SentimentLabel, _Record, decode_json
 from .exceptions import (
     DegenerateTrainingError,
     ModelFormatError,
@@ -317,8 +317,8 @@ def load_model(source) -> NbModel:
     else:
         text = source.read()
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = decode_json(text.strip(" \t\n\r"))  # the whitespace json.loads skips
+    except ValueError as exc:
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ModelFormatError("model file must hold a JSON object")

@@ -118,10 +118,12 @@ class PipelineConfig(_Record):
         "pos_lexicon",
         "root_words",
     )
-    # Raw word -> its output tokens, filled by run_pipeline. The memo and
-    # its lock are not fields, so ``replace`` gives the new config an empty
-    # memo, and neither is compared or shown.
-    __slots__ = (*_fields, "_word_memo", "_word_memo_lock")
+    # Raw word -> its output tokens, filled by run_pipeline. The memo, its
+    # lock and the stemmer's ``stem`` (None when stemming is off), resolved
+    # here once rather than looked up by root set on every memo miss, are
+    # not fields, so ``replace`` gives the new config an empty memo, and
+    # none of them is compared or shown.
+    __slots__ = (*_fields, "_word_memo", "_word_memo_lock", "_stem")
 
     def __init__(
         self,
@@ -142,6 +144,9 @@ class PipelineConfig(_Record):
         object.__setattr__(self, "root_words", root_words)
         object.__setattr__(self, "_word_memo", {})
         object.__setattr__(self, "_word_memo_lock", threading.Lock())
+        object.__setattr__(
+            self, "_stem", stemmer_for(root_words).stem if enable_stemming else None
+        )
 
 
 def cleanse(text: str) -> str:
@@ -325,7 +330,7 @@ def _word_tokens(word: str, config: PipelineConfig) -> tuple[str, ...]:
     else:
         stopwords = config.stopword_list if config.enable_stopwords else ()
         lexicon, keep = config.pos_lexicon, config.pos_keep_tags
-        stem = stemmer_for(config.root_words).stem if config.enable_stemming else None
+        stem = config._stem
         kept = []
         for token in _fold_tokens(cleansed):
             if token in stopwords:

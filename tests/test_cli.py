@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -220,6 +221,42 @@ class TestCollect:
         json.loads(proc.stdout)  # stdout is pure data
         assert "collected" in proc.stderr
 
+    def collect_argv(self, labeled, unlabeled):
+        return [
+            "collect",
+            "--input", demo_corpus_path(),
+            "--out-labeled", str(labeled),
+            "--out-unlabeled", str(unlabeled),
+        ]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_fifo_targets_read_one_after_the_other(self, collected, tmp_path):
+        fifos = [tmp_path / "labeled.fifo", tmp_path / "unlabeled.fifo"]
+        for fifo in fifos:
+            os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.extend(f.read_bytes() for f in fifos), daemon=True
+        )
+        reader.start()
+        # A subprocess, so that a collect blocked on opening a FIFO fails the
+        # test by its timeout instead of hanging it.
+        proc = subprocess.run(
+            [sys.executable, "-m", "kicaumine.cli", *self.collect_argv(*fifos)],
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reader.join(timeout=10)
+        assert received == [collected[0].read_bytes(), collected[1].read_bytes()]
+
+    def test_same_path_for_both_targets_keeps_unlabeled(self, collected, tmp_path, capsys):
+        both = tmp_path / "both.jsonl"
+        code, _, _ = run(self.collect_argv(both, both), capsys)
+        assert code == 0
+        assert both.read_bytes() == collected[1].read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["both.jsonl", "labeled.jsonl", "unlabeled.jsonl"]
+
 
 class TestTrain:
     def test_model_round_trips(self, collected, tmp_path, capsys):
@@ -392,6 +429,41 @@ class TestBoundedMemory:
         self.peak_bytes(toy_model_file, tmp_path, 10)  # one-time caches
         small_peak, small_size = self.peak_bytes(toy_model_file, tmp_path, n)
         large_peak, large_size = self.peak_bytes(toy_model_file, tmp_path, 8 * n)
+        assert large_peak - small_peak < (large_size - small_size) / 4
+
+    def test_collect_peak_grows_far_less_than_input(self, tmp_path):
+        def peak_bytes(n):
+            tweets = tmp_path / f"in{n}.jsonl"
+            with open(tweets, "w", encoding="utf-8") as handle:
+                for i in range(n):
+                    text = f"{self.TEXT} #pilgubjabar {':)' if i % 2 else ''}"
+                    handle.write(json.dumps({"id": f"tweet{i:07d}", "text": text}) + "\n")
+            argv = [
+                "collect",
+                "--input", str(tweets),
+                "--out-labeled", str(tmp_path / "l.jsonl"),
+                "--out-unlabeled", str(tmp_path / "u.jsonl"),
+                "--wordlist", str(tmp_path / "words.txt"),
+                "--out", str(tmp_path / "stats.json"),
+                "--format", "json",
+            ]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, tweets.stat().st_size
+
+        (tmp_path / "words.txt").write_text(
+            "".join(f"{word * 2}\n" for word in self.WORDS), encoding="utf-8"
+        )
+        n = 600
+        peak_bytes(10)  # one-time caches
+        small_peak, small_size = peak_bytes(n)
+        large_peak, large_size = peak_bytes(8 * n)
+        stats = json.loads((tmp_path / "stats.json").read_text(encoding="utf-8"))
+        assert (stats["labeled_positive"], stats["unlabeled"]) == (4 * n, 4 * n)
         assert large_peak - small_peak < (large_size - small_size) / 4
 
 
@@ -812,6 +884,103 @@ class TestReport:
         assert code == 2
         assert out == ""
         assert "hashtag entries must be non-empty" in err
+
+
+# JSON that json.loads fails on with other errors than a JSONDecodeError:
+# nesting past the recursion limit, and (CPython 3.11 and later) an integer
+# of more digits than int() converts.
+DEEP = "[" * 100_000
+HOSTILE_LINES = [DEEP, '{"id": "deep", "text": ' + DEEP, '{"id": "big", "n": ' + "1" * 5_000 + "}"]
+
+
+class TestHostileJson:
+    def exports(self, tmp_path):
+        """The demo corpus, and the same with the hostile lines appended."""
+        demo = tmp_path / "demo.jsonl"
+        shutil.copyfile(demo_corpus_path(), demo)
+        hostile = tmp_path / "hostile.jsonl"
+        hostile.write_text(
+            demo.read_text(encoding="utf-8") + "\n".join(HOSTILE_LINES) + "\n", encoding="utf-8"
+        )
+        return demo, hostile
+
+    def test_collect_counts_them_as_malformed(self, tmp_path, capsys):
+        outputs = {}
+        for export in self.exports(tmp_path):
+            labeled, unlabeled = tmp_path / f"{export.stem}.l", tmp_path / f"{export.stem}.u"
+            code, out, _ = run(
+                [
+                    "collect",
+                    "--input", str(export),
+                    "--out-labeled", str(labeled),
+                    "--out-unlabeled", str(unlabeled),
+                    "--format", "json",
+                ],
+                capsys,
+            )
+            assert code == 0
+            outputs[export.stem] = (json.loads(out), labeled.read_bytes(), unlabeled.read_bytes())
+        demo, hostile = outputs["demo"], outputs["hostile"]
+        extra = len(HOSTILE_LINES)
+        assert hostile[0] == {
+            **demo[0],
+            "total_ingested": demo[0]["total_ingested"] + extra,
+            "rejected_malformed": demo[0]["rejected_malformed"] + extra,
+        }
+        assert hostile[1:] == demo[1:]
+
+    @pytest.mark.parametrize("command", ["classify", "eval", "report"])
+    def test_readers_skip_them(self, command, toy_model_file, tmp_path, capsys):
+        gold = tmp_path / "gold.csv"
+        gold.write_text("id,label\nt1,positive\nt3,negative\n", encoding="utf-8")
+        predictions = tmp_path / "pred.jsonl"
+        predictions.write_text(
+            json.dumps({"id": "t1", "label": "positive"}) + "\n", encoding="utf-8"
+        )
+        argv = {
+            "classify": ["classify", "--model", str(toy_model_file)],
+            "eval": ["eval", "--gold", str(gold), "--model", str(toy_model_file)],
+            "report": ["report", "--predictions", str(predictions)],
+        }[command]
+        results = [run(argv + ["--input", str(export)], capsys) for export in self.exports(tmp_path)]
+        assert results[0][0] == 0
+        assert results[1] == results[0]
+
+    @pytest.mark.parametrize(
+        "kind, first_line",
+        [
+            ("labeled", {"id": "a", "text": "bagus", "label": "positive"}),
+            ("predictions", {"id": "t1", "label": "positive"}),
+        ],
+    )
+    @pytest.mark.parametrize("hostile", HOSTILE_LINES[1:], ids=["deep", "huge-int"])
+    def test_strict_reader_names_the_line(self, kind, first_line, hostile, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(first_line) + "\n" + hostile + "\n", encoding="utf-8")
+        if kind == "labeled":
+            argv = ["train", "--input", str(bad), "--model", str(tmp_path / "m.json")]
+        else:
+            argv = ["report", "--input", demo_corpus_path(), "--predictions", str(bad)]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        [message] = err.splitlines()
+        assert message.startswith(f"error: {bad}:2: bad ")
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "model_text",
+        ['{"labels": ' + DEEP, '{"alpha": ' + "1" * 5_000 + "}"],
+        ids=["deep", "huge-int"],
+    )
+    def test_model_file_exits_1(self, model_text, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(model_text, encoding="utf-8")
+        code, out, err = run(
+            ["classify", "--input", demo_corpus_path(), "--model", str(model)], capsys
+        )
+        assert (code, out) == (1, "")
+        [message] = err.splitlines()
+        assert message.startswith("error: ")
 
 
 NOT_UTF8 = b"\xff\xfe"

@@ -179,3 +179,28 @@ class TestMemoBounds:
         run_pipeline(Tweet("1", "bagus"), config)
         assert config == config.replace()
         assert "_word_memo" not in repr(config)
+
+
+class _CountingRoots(frozenset):
+    """A root set that counts the equality tests made on it."""
+
+    eq_calls = 0
+    __hash__ = frozenset.__hash__
+
+    def __eq__(self, other):
+        type(self).eq_calls += 1
+        return frozenset.__eq__(self, other)
+
+
+def test_stemmer_resolved_once_per_config():
+    # The stemmer cache is keyed by root set; a second, equal set that is a
+    # different object is found there only by comparing all its roots.
+    roots = default_pipeline_config().root_words
+    run_pipeline(Tweet("t", "pemilihan"), PipelineConfig(root_words=_CountingRoots(roots)))
+    second = PipelineConfig(root_words=_CountingRoots(roots))
+    _CountingRoots.eq_calls = 0
+    words = [f"kata{''.join(letters)}" for letters in itertools.product("abcde", repeat=3)]
+    run_pipeline(Tweet("t", " ".join(words)), second)
+    run_pipeline(Tweet("t", " ".join(words)), second.replace(enable_stopwords=False))
+    assert len(second._word_memo) == len(words)
+    assert _CountingRoots.eq_calls <= 1
