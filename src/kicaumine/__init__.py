@@ -27,27 +27,23 @@ _EXPORTS = {
     "SentimentLabel": "corpus",
     "Tweet": "corpus",
     "case_fold": "preprocess",
-    "class_prior": "model",
     "classify": "model",
     "cleanse": "preprocess",
     "cross_validate": "evaluation",
     "default_pipeline_config": "resources",
     "distant_label": "corpus",
     "evaluate": "evaluation",
-    "extract_unigrams": "preprocess",
     "filter_hashtags": "corpus",
     "filter_language": "corpus",
     "ingest_jsonl": "corpus",
     "k_fold": "evaluation",
     "load_model": "model",
-    "log_score": "model",
     "pos_tag": "preprocess",
     "remove_stopwords": "preprocess",
     "run_pipeline": "preprocess",
     "save_model": "model",
     "sentiment_report": "evaluation",
     "split": "evaluation",
-    "token_likelihood": "model",
     "tokenize": "preprocess",
     "train": "model",
 }

@@ -259,6 +259,11 @@ def _format_stats(stats, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(stats.as_dict(), sort_keys=True, indent=2)
     rows = sorted(stats.as_dict().items())
+    if fmt == "csv":
+        buffer, writer = _csv_writer()
+        writer.writerow(["field", "value"])
+        writer.writerows(rows)
+        return buffer.getvalue()
     width = max(len(key) for key, _ in rows)
     return "\n".join(f"{key.ljust(width)}  {value}" for key, value in rows)
 
@@ -646,7 +651,8 @@ def build_parser() -> argparse.ArgumentParser:
         const=DEFAULT_K,
         type=int,
         default=None,
-        help="k-fold cross-validation with retraining (default k=10 when given)",
+        help="k-fold cross-validation, all folds scored from one count of the gold data "
+        "(default k=10 when given)",
     )
     p_eval.add_argument("--seed", type=int, help="shuffle seed (default 42)")
     p_eval.add_argument(

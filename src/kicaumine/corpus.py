@@ -250,8 +250,11 @@ def iter_tweets(source, stats: CorpusStats):
     file). A line is accepted when it parses as a JSON object carrying a
     non-empty string ``id`` and a string ``text`` that is non-empty after
     trimming; ``created_at`` and ``lang`` are picked up when present.
-    Malformed lines, bytes that are not UTF-8 and duplicate ids are
+    Malformed lines, bytes that are not UTF-8, lines whose ``id``, ``text``,
+    ``created_at`` or ``lang`` holds a lone surrogate and duplicate ids are
     counted in ``stats``, never fatal; the first occurrence of an id wins.
+    A surrogate is looked for only in lines holding ``\\u``: UTF-8 cannot
+    encode one, so in decoded text only a JSON escape can make one.
     Blank lines are skipped without counting, and a UTF-8 byte-order mark
     opening the first line is dropped. Memory held between lines is the
     set of ids seen so far.
@@ -284,6 +287,10 @@ def iter_tweets(source, stats: CorpusStats):
                 created_at if isinstance(created_at, str) else None,
                 declared_lang if isinstance(declared_lang, str) else None,
             )
+            if "\\u" in line:
+                # No output can hold a lone surrogate: UTF-8 encoding raises
+                # UnicodeEncodeError, a ValueError.
+                f"{tweet.id}{tweet.text}{tweet.created_at}{tweet.declared_lang}".encode()
         except (AttributeError, TypeError, ValueError):
             stats.rejected_malformed += 1
             continue

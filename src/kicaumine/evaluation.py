@@ -19,6 +19,8 @@ from .model import (
     OOV_SMOOTH,
     NbModel,
     Prediction,
+    _best,
+    _class_counts,
     _doc_scores,
     _ScoreTable,
     _trained_labels,
@@ -153,13 +155,13 @@ def _confusion(
 ) -> dict[SentimentLabel, dict[SentimentLabel, int]]:
     """Gold-row, predicted-column counts of ``gold`` scored by ``table``.
 
-    The prediction is the label :func:`~kicaumine.model.classify` picks:
-    the highest score, exact ties to the earliest label.
+    The prediction is the label :func:`~kicaumine.model.classify` picks,
+    by the same rule.
     """
     confusion = {g: {p: 0 for p in labels} for g in labels}
     for doc in gold:
         scores, _ = _doc_scores(table, doc.tokens, oov_mode)
-        confusion[doc.label][labels[max(range(len(scores)), key=scores.__getitem__)]] += 1
+        confusion[doc.label][labels[_best(scores)]] += 1
     return confusion
 
 
@@ -194,19 +196,6 @@ def evaluate(model: NbModel, gold: list[Document], oov_mode: str = OOV_SMOOTH) -
         accuracy=correct / n_test,
         per_class=per_class,
         n_test=n_test,
-    )
-
-
-def _class_counts(docs: list[Document]) -> tuple[dict, dict, dict]:
-    """Per label of the non-empty ``docs``: documents, tokens, and each token's count."""
-    groups: dict = {}
-    for doc in docs:
-        if doc.tokens:
-            groups.setdefault(doc.label, []).append(doc.tokens)
-    return (
-        {lab: len(group) for lab, group in groups.items()},
-        {lab: sum(map(len, group)) for lab, group in groups.items()},
-        {lab: Counter(chain.from_iterable(group)) for lab, group in groups.items()},
     )
 
 

@@ -11,23 +11,16 @@ lookup per distinct token.
 """
 
 import json
-import logging
 import math
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .corpus import SentimentLabel, _Record, decode_json
-from .exceptions import (
-    DegenerateTrainingError,
-    ModelFormatError,
-    TrainingError,
-    UnknownLabelError,
-)
+from .exceptions import DegenerateTrainingError, ModelFormatError, TrainingError
 from .preprocess import Document
 from .resources import atomic_writer
-
-logger = logging.getLogger(__name__)
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -156,64 +149,39 @@ def _trained_labels(docs_per_class: Mapping[SentimentLabel, int]) -> tuple[Senti
     return labels
 
 
-def train(docs: list[Document], labels: Iterable[SentimentLabel] | None = None) -> NbModel:
-    """Count a labeled document collection into an immutable model.
-
-    Every document must carry a label from ``labels`` (default: the labels
-    observed in the documents) and a non-empty token list; violations
-    raise TrainingError naming the document. Labels that end up with no
-    documents are dropped with a warning. Fewer than two surviving classes
-    is a degenerate problem and raises.
-    """
-    if not docs:
-        raise TrainingError("no documents to train on")
-    label_set = set(labels) if labels is not None else {d.label for d in docs} - {None}
-    if not label_set:
-        raise TrainingError("no labels to train on")
-    docs_per_class: Counter = Counter()
-    token_counts: dict[SentimentLabel, Counter] = {lab: Counter() for lab in label_set}
+def _class_counts(docs: list[Document]) -> tuple[dict, dict, dict]:
+    """Per label of the non-empty ``docs``: documents, tokens, and each token's count."""
+    groups: dict = {}
     for doc in docs:
-        if doc.label is None:
-            raise TrainingError(f"document {doc.source_id!r} is unlabeled")
-        if doc.label not in label_set:
-            raise TrainingError(
-                f"document {doc.source_id!r} labeled {doc.label} outside the label set"
-            )
-        if doc.empty:
-            raise TrainingError(f"document {doc.source_id!r} has no tokens")
-        docs_per_class[doc.label] += 1
-        token_counts[doc.label].update(doc.tokens)
-    for lab in sorted(label_set, key=lambda l: l.value):
-        if docs_per_class[lab] == 0:
-            logger.warning("label %s has no training documents; dropping it", lab)
-    effective = _trained_labels(docs_per_class)
-    return NbModel(
-        labels=effective,
-        docs_per_class={lab: docs_per_class[lab] for lab in effective},
-        token_counts={lab: dict(token_counts[lab]) for lab in effective},
+        if doc.tokens:
+            groups.setdefault(doc.label, []).append(doc.tokens)
+    return (
+        {lab: len(group) for lab, group in groups.items()},
+        {lab: sum(map(len, group)) for lab, group in groups.items()},
+        {lab: Counter(chain.from_iterable(group)) for lab, group in groups.items()},
     )
 
 
-def _require_label(model: NbModel, label: SentimentLabel) -> None:
-    if label not in model.labels:
-        raise UnknownLabelError(f"label {label} not in model labels {model.labels}")
+def train(docs: list[Document]) -> NbModel:
+    """Count a labeled document collection into an immutable model.
 
-
-def class_prior(model: NbModel, label: SentimentLabel) -> float:
-    """Fraction of training documents in ``label``'s class."""
-    _require_label(model, label)
-    return model.docs_per_class[label] / model.total_docs
-
-
-def token_likelihood(model: NbModel, token: str, label: SentimentLabel) -> float:
-    """Smoothed probability of ``token`` given the class.
-
-    ``(count + 1) / (class token total + vocabulary size)``; tokens unseen
-    in the class (or anywhere) use count zero, so the result is never 0.
+    Every document must carry a label and a non-empty token list; the
+    first that does not raises TrainingError naming it. Fewer than two
+    classes is a degenerate problem and raises.
     """
-    _require_label(model, label)
-    count = model.token_counts[label].get(token, 0)
-    return (count + 1) / (model.tokens_per_class[label] + len(model.vocabulary))
+    if not docs:
+        raise TrainingError("no documents to train on")
+    docs_per_class, _, token_counts = _class_counts(docs)
+    if None in docs_per_class or sum(docs_per_class.values()) != len(docs):
+        doc = next(d for d in docs if d.label is None or d.empty)
+        problem = "is unlabeled" if doc.label is None else "has no tokens"
+        raise TrainingError(f"document {doc.source_id!r} {problem}")
+    labels = _trained_labels(docs_per_class)
+    return NbModel(
+        labels=labels,
+        docs_per_class=docs_per_class,
+        token_counts={lab: dict(token_counts[lab]) for lab in labels},
+    )
 
 
 def _doc_scores(table: _ScoreTable, tokens: Iterable[str], oov_mode: str) -> tuple[list[float], int]:
@@ -245,11 +213,9 @@ def _doc_scores(table: _ScoreTable, tokens: Iterable[str], oov_mode: str) -> tup
     return scores, oov
 
 
-def log_score(model: NbModel, doc: Document, label: SentimentLabel, oov_mode: str = OOV_SMOOTH) -> float:
-    """Log prior plus summed log token likelihoods for one class."""
-    _require_label(model, label)
-    scores, _ = _doc_scores(model._score_table(), doc.tokens, oov_mode)
-    return scores[model.labels.index(label)]
+def _best(scores: list[float]) -> int:
+    """Index of the highest score; exact ties go to the earliest."""
+    return max(range(len(scores)), key=scores.__getitem__)
 
 
 def classify(model: NbModel, doc: Document, oov_mode: str = OOV_SMOOTH) -> Prediction:
@@ -260,7 +226,7 @@ def classify(model: NbModel, doc: Document, oov_mode: str = OOV_SMOOTH) -> Predi
     empty document degrades to the class priors.
     """
     scores, oov = _doc_scores(model._score_table(), doc.tokens, oov_mode)
-    best = max(range(len(scores)), key=scores.__getitem__)
+    best = _best(scores)
     top = scores[best]
     weights = [math.exp(s - top) for s in scores]
     total = sum(weights)

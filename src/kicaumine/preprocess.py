@@ -13,7 +13,6 @@ only the rule that drops leading ``RT`` words looks at more than one word.
 import logging
 import re
 import threading
-from collections import Counter
 from enum import Enum
 from itertools import dropwhile
 from typing import Mapping, NamedTuple
@@ -347,8 +346,3 @@ def _word_tokens(word: str, config: PipelineConfig) -> tuple[str, ...]:
             if len(memo) < _WORD_MEMO_MAX_ENTRIES:
                 memo[word] = out
     return out
-
-
-def extract_unigrams(doc: Document) -> Counter:
-    """Token -> occurrence count multiset of the document."""
-    return Counter(doc.tokens)

@@ -10,7 +10,10 @@ former ``kicaumine.model`` functions, and ``fold_accuracies`` is the former
 body of ``cmd_eval``'s k-fold branch up to the accuracy list. They are
 kept unchanged apart from this docstring, the imports, the logger and the
 function wrapping the loop, and they are the oracle that
-``tests/test_model.py`` checks ``cross_validate`` against.
+``tests/test_model.py`` checks ``cross_validate`` against. ``_count`` and
+``_model_from_counts`` over the observed labels are also the counting
+loop that ``model.train`` ran before it counted through
+``model._class_counts``, and the oracle for ``train``.
 """
 
 import logging

@@ -9,6 +9,7 @@ the bundled demo corpus and byte-level determinism of the CLI.
 
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -22,11 +23,9 @@ from kicaumine.corpus import SentimentLabel
 from kicaumine.evaluation import evaluate, split
 from kicaumine.model import (
     NbModel,
-    class_prior,
     classify,
     load_model,
     save_model,
-    token_likelihood,
     train,
 )
 from kicaumine.preprocess import (
@@ -112,21 +111,23 @@ class TestCriterion2SmoothingNormalization:
                 docs_per_class={label: rng.randint(1, 60) for label in labels},
                 token_counts=token_counts,
             )
-            for label in model.labels:
-                total = sum(
-                    token_likelihood(model, token, label) for token in model.vocabulary
-                )
+            table = model._score_table()
+            assert table.rows.keys() == model.vocabulary
+            for j in range(len(model.labels)):
+                total = sum(math.exp(row[j]) for row in table.rows.values())
                 assert abs(total - 1.0) <= 1e-9
-            prior_total = sum(class_prior(model, label) for label in model.labels)
+            prior_total = sum(map(math.exp, table.log_priors))
             assert abs(prior_total - 1.0) <= 1e-9
         report("2 smoothing and prior normalization on 100 random models")
 
 
 class TestCriterion3HandOracleFixture:
     def test_hand_computed_values(self, toy_model):
-        assert class_prior(toy_model, POS) == 2 / 3
-        assert token_likelihood(toy_model, "bagus", POS) == 3 / 8
-        assert token_likelihood(toy_model, "bagus", NEG) == 1 / 6
+        table = toy_model._score_table()
+        pos, neg = toy_model.labels.index(POS), toy_model.labels.index(NEG)
+        assert table.log_priors[pos] == math.log(2 / 3)
+        assert table.rows["bagus"][pos] == math.log(3 / 8)
+        assert table.rows["bagus"][neg] == math.log(1 / 6)
         prediction = classify(toy_model, make_doc("d", ["bagus"]))
         assert prediction.label is POS
         assert abs(prediction.posteriors[POS] - 0.8182) <= 1e-4

@@ -58,6 +58,21 @@ def toy_model_file(tmp_path):
 
 
 class TestCollect:
+    def test_csv_stats_match_json(self, collected, tmp_path, capsys):
+        stats = collected[2]
+        code, out, _ = run(
+            [
+                "collect",
+                "--input", demo_corpus_path(),
+                "--out-labeled", str(tmp_path / "l.jsonl"),
+                "--out-unlabeled", str(tmp_path / "u.jsonl"),
+                "--format", "csv",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines() == ["field,value"] + [f"{k},{v}" for k, v in sorted(stats.items())]
+
     def test_demo_corpus_outcomes(self, collected):
         labeled, unlabeled, stats = collected
         assert stats["total_ingested"] == 6
@@ -891,6 +906,13 @@ class TestReport:
 # of more digits than int() converts.
 DEEP = "[" * 100_000
 HOSTILE_LINES = [DEEP, '{"id": "deep", "text": ' + DEEP, '{"id": "big", "n": ' + "1" * 5_000 + "}"]
+# Lone surrogate escapes: in a text, which collect writes, and in an id,
+# which classify writes.
+SURROGATE_LINES = [
+    '{"id": "s1", "text": "bagus calon \\ud800 #pilgubjabar :)"}',
+    '{"id": "s\\udc00", "text": "bagus calon #pilgubjabar :)"}',
+]
+EXPORT_HOSTILE_LINES = HOSTILE_LINES + SURROGATE_LINES
 
 
 class TestHostileJson:
@@ -900,7 +922,8 @@ class TestHostileJson:
         shutil.copyfile(demo_corpus_path(), demo)
         hostile = tmp_path / "hostile.jsonl"
         hostile.write_text(
-            demo.read_text(encoding="utf-8") + "\n".join(HOSTILE_LINES) + "\n", encoding="utf-8"
+            demo.read_text(encoding="utf-8") + "\n".join(EXPORT_HOSTILE_LINES) + "\n",
+            encoding="utf-8",
         )
         return demo, hostile
 
@@ -921,7 +944,7 @@ class TestHostileJson:
             assert code == 0
             outputs[export.stem] = (json.loads(out), labeled.read_bytes(), unlabeled.read_bytes())
         demo, hostile = outputs["demo"], outputs["hostile"]
-        extra = len(HOSTILE_LINES)
+        extra = len(EXPORT_HOSTILE_LINES)
         assert hostile[0] == {
             **demo[0],
             "total_ingested": demo[0]["total_ingested"] + extra,

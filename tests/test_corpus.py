@@ -85,6 +85,22 @@ class TestIngest:
         assert [t.id for t in tweets] == ["1"]
         assert stats.rejected_malformed == 1
 
+    @pytest.mark.parametrize("field", ["id", "text", "created_at", "lang"])
+    def test_lone_surrogate_is_malformed(self, field):
+        record = {"id": "1", "text": "a", "created_at": "2018", "lang": "id"}
+        record[field] += "\ud800"
+        # json.dumps writes the surrogate as the escape \ud800.
+        source = lines(record, {"id": "2", "text": "b"})
+        for given_lines in (source, [line.encode() for line in source]):
+            stats = CorpusStats()
+            assert [t.id for t in iter_tweets(given_lines, stats)] == ["2"]
+            assert (stats.total_ingested, stats.rejected_malformed) == (2, 1)
+
+    def test_surrogate_pair_escape_is_kept(self):
+        tweets, stats = ingest_jsonl(['{"id":"1","text":"a \\ud83d\\ude00"}'])
+        assert tweets[0].text == "a \U0001f600"
+        assert stats.rejected_malformed == 0
+
     def test_overlong_tweets_accepted_but_flagged(self):
         long_text = "a" * 141
         tweets, stats = ingest_jsonl(lines({"id": "1", "text": long_text}))

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import kernel_oracle as oracle
 from conftest import NEG, NEU, POS
 from kicaumine import preprocess
-from kicaumine.model import OOV_SKIP, OOV_SMOOTH, NbModel, classify, log_score
+from kicaumine.model import OOV_SKIP, OOV_SMOOTH, NbModel, _doc_scores, classify
 from kicaumine.preprocess import Document, case_fold, tokenize
 
 ALL_CHARS = [chr(c) for c in range(sys.maxunicode + 1)]
@@ -165,8 +165,8 @@ class TestScores:
     def test_bit_identical_to_oracle(self, oov_mode, seed):
         model, doc = random_case(random.Random(seed))
         expected, oov = oracle_scores(model, doc.tokens, oov_mode)
-        got = [log_score(model, doc, lab, oov_mode=oov_mode) for lab in model.labels]
-        assert got == expected
+        got, got_oov = _doc_scores(model._score_table(), doc.tokens, oov_mode)
+        assert (got, got_oov) == (expected, oov)
         best, posteriors = oracle_posteriors(expected)
         prediction = classify(model, doc, oov_mode=oov_mode)
         assert prediction.label == model.labels[best]
@@ -180,4 +180,4 @@ class TestScores:
         scores, _ = oracle_scores(model, (), OOV_SMOOTH)
         expected = [math.log(model.docs_per_class[lab] / model.total_docs) for lab in model.labels]
         assert scores == expected
-        assert [log_score(model, empty, lab) for lab in model.labels] == expected
+        assert _doc_scores(model._score_table(), empty.tokens, OOV_SMOOTH) == (expected, 0)

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,22 +19,17 @@ from kicaumine.exceptions import (
     KicaumineError,
     ModelFormatError,
     TrainingError,
-    UnknownLabelError,
 )
 from kicaumine.model import (
     OOV_SKIP,
     OOV_SMOOTH,
     NbModel,
     _doc_scores,
-    class_prior,
     classify,
     load_model,
-    log_score,
     save_model,
-    token_likelihood,
     train,
 )
-from kicaumine.preprocess import extract_unigrams
 
 
 def rational_class_score(model, tokens, label):
@@ -55,6 +51,24 @@ def rational_argmax(model, tokens):
         if best_score is None or score > best_score:
             best_label, best_score = label, score
     return best_label
+
+
+def log_priors(model):
+    """Each label's log prior, from the model's score table."""
+    return dict(zip(model.labels, model._score_table().log_priors))
+
+
+def log_likelihood(model, token, label):
+    """The score table's log likelihood of ``token`` under ``label``."""
+    table = model._score_table()
+    row = table.rows.get(token, table.oov_log_lik)
+    return row[model.labels.index(label)]
+
+
+def log_scores(model, tokens, oov_mode=OOV_SMOOTH):
+    """Each label's log score of ``tokens``."""
+    scores, _ = _doc_scores(model._score_table(), tokens, oov_mode)
+    return dict(zip(model.labels, scores))
 
 
 def random_count_model(rng):
@@ -84,11 +98,10 @@ class TestTrain:
         assert toy_model.tokens_per_class == {POS: 4, NEG: 2}
         # brute-force recount oracle: re-derive every count from the raw docs
         for lab in toy_model.labels:
-            expected = {}
+            expected = Counter()
             for doc in toy_docs:
                 if doc.label is lab:
-                    for tok, n in extract_unigrams(doc).items():
-                        expected[tok] = expected.get(tok, 0) + n
+                    expected.update(doc.tokens)
             assert toy_model.token_counts[lab] == expected
             assert toy_model.tokens_per_class[lab] == sum(expected.values())
 
@@ -112,74 +125,75 @@ class TestTrain:
         with pytest.raises(TrainingError, match="no tokens"):
             train([make_doc("1", [], POS), make_doc("2", ["b"], NEG)])
 
-    def test_label_outside_set_rejected(self):
-        with pytest.raises(TrainingError, match="outside"):
-            train([make_doc("1", ["a"], NEU)], labels=[POS, NEG])
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([None, NEG, POS, NEU]),
+                st.lists(st.sampled_from(["a", "b", "cc", "d"]), max_size=4),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_matches_former_counting_loop(self, spec):
+        # kfold_oracle keeps train's former loop; without ``labels=`` its
+        # label set was the observed labels.
+        docs = [make_doc(f"d{i}", tokens, label) for i, (label, tokens) in enumerate(spec)]
+        observed = {d.label for d in docs} - {None}
 
-    def test_docless_label_dropped_with_warning(self, toy_docs, caplog):
-        model = train(toy_docs, labels=[NEG, POS, NEU])
-        assert model.labels == (NEG, POS)
-        assert any("dropping" in record.message for record in caplog.records)
+        def outcome(build):
+            try:
+                return build()
+            except TrainingError as exc:
+                return type(exc), str(exc)
+
+        expected = outcome(
+            lambda: kfold_oracle._model_from_counts(observed, kfold_oracle._count(docs, observed))
+        )
+        assert outcome(lambda: train(docs)) == expected
 
 
 class TestPriorsAndLikelihoods:
     def test_priors(self, toy_model):
-        assert class_prior(toy_model, POS) == 2 / 3
-        assert class_prior(toy_model, NEG) == 1 / 3
+        assert log_priors(toy_model) == {POS: math.log(2 / 3), NEG: math.log(1 / 3)}
 
     def test_priors_normalize(self, toy_model):
-        assert sum(class_prior(toy_model, lab) for lab in toy_model.labels) == pytest.approx(
-            1.0, abs=1e-9
-        )
+        assert sum(map(math.exp, log_priors(toy_model).values())) == pytest.approx(1.0, abs=1e-9)
 
     def test_seen_token_likelihood(self, toy_model):
-        assert token_likelihood(toy_model, "bagus", POS) == 3 / 8
-        assert token_likelihood(toy_model, "bagus", NEG) == 1 / 6
+        assert log_likelihood(toy_model, "bagus", POS) == math.log(3 / 8)
+        assert log_likelihood(toy_model, "bagus", NEG) == math.log(1 / 6)
 
     def test_unseen_token_likelihood(self, toy_model):
-        assert token_likelihood(toy_model, "jelek", POS) == 1 / 8
-
-    def test_unknown_label_raises(self, toy_model):
-        with pytest.raises(UnknownLabelError):
-            class_prior(toy_model, NEU)
-        with pytest.raises(UnknownLabelError):
-            token_likelihood(toy_model, "bagus", NEU)
+        assert "jelek" not in toy_model._score_table().rows
+        assert log_likelihood(toy_model, "jelek", POS) == math.log(1 / 8)
 
     @settings(max_examples=40)
     @given(st.integers(0, 10**6))
     def test_likelihoods_normalize_over_vocabulary(self, seed):
         model = random_count_model(random.Random(seed))
+        assert model._score_table().rows.keys() == model.vocabulary
         for lab in model.labels:
-            total = sum(token_likelihood(model, tok, lab) for tok in model.vocabulary)
+            total = sum(math.exp(log_likelihood(model, tok, lab)) for tok in model.vocabulary)
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
 class TestLogScore:
     def test_single_token_document(self, toy_model):
-        doc = make_doc("d", ["bagus"])
-        assert log_score(toy_model, doc, POS) == pytest.approx(math.log(1 / 4), abs=1e-12)
+        assert log_scores(toy_model, ["bagus"])[POS] == pytest.approx(math.log(1 / 4), abs=1e-12)
 
     def test_empty_document_reduces_to_prior(self, toy_model):
-        doc = make_doc("d", [])
-        for lab in toy_model.labels:
-            assert log_score(toy_model, doc, lab) == pytest.approx(
-                math.log(class_prior(toy_model, lab)), abs=1e-12
-            )
-
-    def test_unknown_label_raises(self, toy_model):
-        with pytest.raises(UnknownLabelError):
-            log_score(toy_model, make_doc("d", ["bagus"]), NEU)
+        assert log_scores(toy_model, []) == log_priors(toy_model)
 
     def test_exp_matches_product_exhaustively(self, toy_model):
         vocab = sorted(toy_model.vocabulary)
         for length in range(4):
             for tokens in itertools.product(vocab, repeat=length):
-                doc = make_doc("d", list(tokens))
+                scores = log_scores(toy_model, tokens)
                 for lab in toy_model.labels:
                     product = float(rational_class_score(toy_model, tokens, lab))
-                    assert math.exp(log_score(toy_model, doc, lab)) == pytest.approx(
-                        product, rel=1e-9
-                    )
+                    assert math.exp(scores[lab]) == pytest.approx(product, rel=1e-9)
 
 
 class TestClassify:

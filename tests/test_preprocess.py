@@ -10,7 +10,6 @@ from kicaumine.preprocess import (
     PosTag,
     case_fold,
     cleanse,
-    extract_unigrams,
     pos_tag,
     remove_stopwords,
     run_pipeline,
@@ -204,20 +203,6 @@ class TestDocument:
     def test_empty_document_allowed_and_flagged(self):
         doc = Document("1", ())
         assert doc.empty
-
-
-class TestUnigrams:
-    def test_counts(self):
-        doc = Document("1", ("bagus", "bagus", "calon"))
-        assert extract_unigrams(doc) == {"bagus": 2, "calon": 1}
-
-    def test_empty(self):
-        assert extract_unigrams(Document("1", ())) == {}
-
-    @given(st.lists(st.sampled_from(["a", "b", "c", "dd"]), max_size=30))
-    def test_multiplicity_conserved(self, tokens):
-        doc = Document("1", tuple(tokens))
-        assert sum(extract_unigrams(doc).values()) == len(tokens)
 
 
 # Letters whose case maps depend on context or change length, a combining
