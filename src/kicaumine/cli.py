@@ -15,7 +15,7 @@ import tempfile
 from contextlib import nullcontext
 from itertools import chain, islice
 
-from .config import DEFAULT_K, FORMATS, OOV_CHOICES, RunConfig, build_config, parse_setting
+from .config import DEFAULT_K, FORMATS, RunConfig, build_config, parse_setting
 from .corpus import (
     CorpusStats,
     LabeledTweet,
@@ -36,6 +36,7 @@ from .exceptions import (
     KicaumineError,
 )
 from .model import (
+    OOV_MODES,
     Prediction,
     classify,
     load_model,
@@ -150,10 +151,15 @@ def _tweet_record(tweet: Tweet) -> dict:
     return record
 
 
+def _output(path):
+    """A context giving stdout when ``path`` is None, else an atomic writer to ``path``."""
+    return nullcontext(sys.stdout) if path is None else atomic_writer(path)
+
+
 def _write_jsonl(path, records) -> int:
     """Write records as JSON Lines to ``path`` (stdout when None); return how many."""
     count = 0
-    with nullcontext(sys.stdout) if path is None else atomic_writer(path) as handle:
+    with _output(path) as handle:
         for count, record in enumerate(records, start=1):
             handle.write(_encode_record(record))
             handle.write("\n")
@@ -210,21 +216,12 @@ def _prediction(record: dict) -> Prediction:
     )
 
 
-def _read_predictions(path) -> dict[str, Prediction]:
-    """Predictions JSONL as written by the classify command, keyed by id."""
-    return _read_strict_jsonl(path, "prediction", _prediction)
-
-
 def _emit(text: str, out_path) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
+    """Write ``text`` to ``out_path`` (stdout when None), ending with a newline."""
+    with _output(out_path) as handle:
+        handle.write(text)
         if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with atomic_writer(out_path) as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+            handle.write("\n")
 
 
 def _preprocess_labeled(labeled, pipeline):
@@ -532,17 +529,12 @@ def cmd_report(config: RunConfig) -> int:
 
     config.require_files("input", "predictions")
     tags = _effective_hashtags(config)
-    predictions = _read_predictions(config.predictions)
+    predictions = _read_strict_jsonl(config.predictions, "prediction", _prediction)
     with open(config.input, "rb") as handle:
-        by_id = {t.id: t for t in iter_tweets(handle, CorpusStats()) if t.id in predictions}
-    pairs = []
-    unmatched = 0
-    for tweet_id, prediction in predictions.items():
-        tweet = by_id.get(tweet_id)
-        if tweet is None:
-            unmatched += 1
-            continue
-        pairs.append((tweet, prediction))
+        tweets = iter_tweets(handle, CorpusStats())
+        pairs = [(t, predictions[t.id]) for t in tweets if t.id in predictions]
+    # iter_tweets yields each id once, so each pair matches a distinct prediction.
+    unmatched = len(predictions) - len(pairs)
     if unmatched:
         logger.warning("%d prediction(s) reference ids missing from the corpus", unmatched)
     reports = sentiment_report(pairs, tags)
@@ -637,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(p_classify)
     p_classify.add_argument("--model", help="trained model path")
     p_classify.add_argument(
-        "--oov", choices=OOV_CHOICES, default=None, help="unseen-token handling (default smooth)"
+        "--oov", choices=OOV_MODES, default=None, help="unseen-token handling (default smooth)"
     )
 
     p_eval = sub.add_parser("eval", help="score the classifier against manual gold labels")
@@ -662,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="training share for the holdout mode (default 0.8)",
     )
     p_eval.add_argument(
-        "--oov", choices=OOV_CHOICES, default=None, help="unseen-token handling (default smooth)"
+        "--oov", choices=OOV_MODES, default=None, help="unseen-token handling (default smooth)"
     )
 
     p_report = sub.add_parser("report", help="per-hashtag sentiment percentage rollup")
@@ -703,10 +695,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KicaumineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (KicaumineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 from .corpus import DEFAULT_HASHTAGS, _Record
 from .exceptions import ConfigError
+from .model import OOV_MODES, OOV_SMOOTH
 from .preprocess import DEFAULT_POS_KEEP_TAGS, PosTag
 
 DEFAULT_SEED = 42
@@ -18,7 +19,6 @@ DEFAULT_K = 10
 DEFAULT_LANG_THRESHOLD = 0.5
 
 FORMATS = ("table", "json", "csv")
-OOV_CHOICES = ("smooth", "skip")
 
 # Every run setting, in field order, with its default. A config-file value
 # is parsed as its default's type (see ``parse_setting``); file paths are
@@ -51,7 +51,7 @@ _DEFAULTS = {
     "k": 0,
     # Output.
     "format": "table",
-    "oov": "smooth",
+    "oov": OOV_SMOOTH,
 }
 
 
@@ -85,8 +85,8 @@ class RunConfig(_Record):
             raise ConfigError(f"k must be 0 (off) or at least 2, got {self.k}")
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
-        if self.oov not in OOV_CHOICES:
-            raise ConfigError(f"oov must be one of {OOV_CHOICES}, got {self.oov!r}")
+        if self.oov not in OOV_MODES:
+            raise ConfigError(f"oov must be one of {OOV_MODES}, got {self.oov!r}")
         if not self.hashtags:
             raise ConfigError("hashtag set must not be empty")
         if not self.pos_keep_tags:

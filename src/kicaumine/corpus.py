@@ -50,6 +50,10 @@ class SentimentLabel(Enum):
     POSITIVE = "positive"
     NEUTRAL = "neutral"
 
+    # Members are singletons that compare by identity; Enum's own __hash__
+    # is Python code run on every label-keyed dict lookup.
+    __hash__ = object.__hash__
+
     def __str__(self):
         return self.value
 
@@ -161,7 +165,8 @@ class CorpusStats(_Record):
     collect run the rejection and outcome fields partition it exactly;
     ``check_partition`` verifies that. ``flagged_overlong`` counts
     accepted tweets longer than ``TWEET_CHAR_LIMIT`` and sits outside the
-    partition (overlong tweets are kept).
+    partition (overlong tweets are kept). Takes keyword arguments only, one
+    per counter; an unset one starts at 0.
     """
 
     __slots__ = _fields = (
@@ -179,27 +184,12 @@ class CorpusStats(_Record):
     __delattr__ = object.__delattr__
     __hash__ = None
 
-    def __init__(
-        self,
-        total_ingested: int = 0,
-        rejected_malformed: int = 0,
-        rejected_hashtag: int = 0,
-        rejected_language: int = 0,
-        rejected_ambiguous_emoticon: int = 0,
-        labeled_positive: int = 0,
-        labeled_negative: int = 0,
-        unlabeled: int = 0,
-        flagged_overlong: int = 0,
-    ):
-        self.total_ingested = total_ingested
-        self.rejected_malformed = rejected_malformed
-        self.rejected_hashtag = rejected_hashtag
-        self.rejected_language = rejected_language
-        self.rejected_ambiguous_emoticon = rejected_ambiguous_emoticon
-        self.labeled_positive = labeled_positive
-        self.labeled_negative = labeled_negative
-        self.unlabeled = unlabeled
-        self.flagged_overlong = flagged_overlong
+    def __init__(self, **counts):
+        unknown = counts.keys() - self._fields
+        if unknown:
+            raise TypeError(f"CorpusStats got unknown counters: {', '.join(sorted(unknown))}")
+        for name in self._fields:
+            setattr(self, name, counts.get(name, 0))
 
     def add(self, other: "CorpusStats") -> None:
         """Accumulate another stage's delta into this bag, field by field."""
@@ -220,9 +210,6 @@ class CorpusStats(_Record):
 
     def as_dict(self) -> dict:
         return dict(zip(self._fields, self._values()))
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def decode_json(text: str):
@@ -350,13 +337,20 @@ def _hashtag_needles(tags, reserved: str | None = None) -> tuple[list[str], list
     Tags are lowercased and lose a leading '#'; the result is sorted and
     holds each tag once. A tag equal to ``reserved`` raises ConfigError, and
     after that check so does an empty tag, whose needle '#' would match
-    every tweet holding a '#'.
+    every tweet holding a '#', and one that UTF-8 cannot encode (a
+    command-line byte that is not UTF-8 arrives as a lone surrogate),
+    which no tweet can hold and no output file can take.
     """
     normalized = sorted({tag.lstrip("#").lower() for tag in tags})
     if reserved in normalized:
         raise ConfigError(f"hashtag {reserved!r} collides with the total group")
     if "" in normalized:
         raise ConfigError("hashtag entries must be non-empty")
+    for tag in normalized:
+        try:
+            tag.encode()
+        except UnicodeEncodeError:
+            raise ConfigError(f"hashtag {tag!r} is not valid UTF-8") from None
     return normalized, [f"#{tag}" for tag in normalized]
 
 

@@ -6,7 +6,6 @@ documents first sorted by id, so identical (documents, seed) pairs give
 identical splits regardless of input order or platform.
 """
 
-import json
 import logging
 import random
 from collections import Counter
@@ -73,9 +72,6 @@ class EvalMetrics(_Record):
                 for lab, m in self.per_class.items()
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 class SentimentReport(_Record):

@@ -26,7 +26,7 @@ MODEL_SCHEMA_VERSION = 1
 
 OOV_SMOOTH = "smooth"  # unseen tokens scored with count 0 under smoothing
 OOV_SKIP = "skip"  # unseen tokens contribute nothing
-_OOV_MODES = (OOV_SMOOTH, OOV_SKIP)
+OOV_MODES = (OOV_SMOOTH, OOV_SKIP)
 
 
 class Prediction(_Record):
@@ -71,13 +71,12 @@ class NbModel(_Record):
 
     ``labels`` is ordered (negative, positive, neutral restricted to the
     trained subset) and that order breaks exact score ties. The smoothing
-    constant is fixed at one and kept as a field only so that model files
-    are self-describing. Derived views (``total_docs``,
+    constant is fixed at one. Derived views (``total_docs``,
     ``tokens_per_class``, ``vocabulary``) are computed at construction;
     instances are immutable and safe to share across threads.
     """
 
-    _fields = ("labels", "docs_per_class", "token_counts", "alpha")
+    _fields = ("labels", "docs_per_class", "token_counts")
     __slots__ = (*_fields, "total_docs", "tokens_per_class", "vocabulary", "_table")
 
     def __init__(
@@ -85,10 +84,7 @@ class NbModel(_Record):
         labels: tuple[SentimentLabel, ...],
         docs_per_class: Mapping[SentimentLabel, int],
         token_counts: Mapping[SentimentLabel, Mapping[str, int]],
-        alpha: int = 1,
     ):
-        if alpha != 1:
-            raise ValueError("smoothing constant is fixed at 1")
         if len(labels) < 2:
             raise ValueError("a model needs at least two labels")
         if len(set(labels)) != len(labels):
@@ -109,7 +105,6 @@ class NbModel(_Record):
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "docs_per_class", docs_per_class)
         object.__setattr__(self, "token_counts", token_counts)
-        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "total_docs", sum(docs_per_class.values()))
         object.__setattr__(
             self,
@@ -186,8 +181,8 @@ def train(docs: list[Document]) -> NbModel:
 
 def _doc_scores(table: _ScoreTable, tokens: Iterable[str], oov_mode: str) -> tuple[list[float], int]:
     """Per-label log scores of ``tokens`` under ``table``, and their OOV count."""
-    if oov_mode not in _OOV_MODES:
-        raise ValueError(f"oov_mode must be one of {_OOV_MODES}, got {oov_mode!r}")
+    if oov_mode not in OOV_MODES:
+        raise ValueError(f"oov_mode must be one of {OOV_MODES}, got {oov_mode!r}")
     rows = table.rows
     counts: dict[str, int] = {}
     for token in tokens:
@@ -241,7 +236,7 @@ def save_model(model: NbModel, sink) -> None:
     """
     payload = {
         "schema_version": MODEL_SCHEMA_VERSION,
-        "alpha": model.alpha,
+        "alpha": 1,
         "labels": [lab.value for lab in model.labels],
         "docs_per_class": {lab.value: model.docs_per_class[lab] for lab in model.labels},
         "tokens_per_class": {lab.value: model.tokens_per_class[lab] for lab in model.labels},
@@ -273,9 +268,9 @@ def load_model(source) -> NbModel:
     """Rebuild a model saved by :func:`save_model`, verifying its counts.
 
     Raises ModelFormatError on malformed JSON, an unsupported schema
-    version, a count or ``alpha`` that is not a JSON integer, or internally
-    inconsistent counts (e.g. a stored class total that does not match
-    its token map).
+    version, a count that is not a JSON integer, an ``alpha`` other than
+    the integer 1, or internally inconsistent counts (e.g. a stored class
+    total that does not match its token map).
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
@@ -312,13 +307,10 @@ def load_model(source) -> NbModel:
             raise ModelFormatError(f"alpha must be an integer, got {alpha!r}")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ModelFormatError(f"model file is malformed: {exc}") from exc
+    if alpha != 1:
+        raise ModelFormatError("model file is inconsistent: smoothing constant is fixed at 1")
     try:
-        model = NbModel(
-            labels=labels,
-            docs_per_class=docs_per_class,
-            token_counts=token_counts,
-            alpha=alpha,
-        )
+        model = NbModel(labels=labels, docs_per_class=docs_per_class, token_counts=token_counts)
     except ValueError as exc:
         raise ModelFormatError(f"model file is inconsistent: {exc}") from exc
     if stored_totals != dict(model.tokens_per_class):

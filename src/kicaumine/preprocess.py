@@ -19,7 +19,7 @@ from typing import Mapping, NamedTuple
 
 from .corpus import LabeledTweet, SentimentLabel, Tweet, _Record
 from .exceptions import ContractError
-from .stemming import stemmer_for
+from .stemming import ConfixStemmer
 
 logger = logging.getLogger(__name__)
 
@@ -118,10 +118,9 @@ class PipelineConfig(_Record):
         "root_words",
     )
     # Raw word -> its output tokens, filled by run_pipeline. The memo, its
-    # lock and the stemmer's ``stem`` (None when stemming is off), resolved
-    # here once rather than looked up by root set on every memo miss, are
-    # not fields, so ``replace`` gives the new config an empty memo, and
-    # none of them is compared or shown.
+    # lock and the stemmer's ``stem`` (None when stemming is off) are not
+    # fields, so ``replace`` gives the new config an empty memo and a new
+    # stemmer, and none of them is compared or shown.
     __slots__ = (*_fields, "_word_memo", "_word_memo_lock", "_stem")
 
     def __init__(
@@ -144,7 +143,7 @@ class PipelineConfig(_Record):
         object.__setattr__(self, "_word_memo", {})
         object.__setattr__(self, "_word_memo_lock", threading.Lock())
         object.__setattr__(
-            self, "_stem", stemmer_for(root_words).stem if enable_stemming else None
+            self, "_stem", ConfixStemmer(root_words).stem if enable_stemming else None
         )
 
 

@@ -34,8 +34,6 @@ memoizes the output of whole words, so it stems only the words that miss
 there.
 """
 
-from functools import lru_cache
-
 _PARTICLES = ("lah", "kah", "pun")
 _POSSESSIVES = ("nya", "ku", "mu")
 _DERIV_SUFFIXES = ("kan", "an", "i")
@@ -173,9 +171,3 @@ def _strip_ending(word, endings):
             if word.endswith(ending) and len(word) - len(ending) >= _MIN_STEM_LEN:
                 return word[: -len(ending)]
     return None
-
-
-@lru_cache(maxsize=8)
-def stemmer_for(root_words: frozenset) -> ConfixStemmer:
-    """Shared stemmer instances keyed by their root dictionary."""
-    return ConfixStemmer(root_words)

@@ -17,7 +17,7 @@ from kicaumine.preprocess import (
     pos_tag,
     remove_stopwords,
 )
-from kicaumine.stemming import stemmer_for
+from kicaumine.stemming import ConfixStemmer as stemmer_for
 
 
 def run_pipeline(item: Tweet | LabeledTweet, config: PipelineConfig) -> Document:

@@ -11,6 +11,7 @@ import pytest
 from conftest import NEG, POS
 from kicaumine import cli
 from kicaumine.cli import main
+from kicaumine.config import FORMATS
 from kicaumine.corpus import CorpusStats
 from kicaumine.model import save_model, train
 from kicaumine.preprocess import Document
@@ -899,6 +900,88 @@ class TestReport:
         assert code == 2
         assert out == ""
         assert "hashtag entries must be non-empty" in err
+
+    def test_predictions_joined_in_any_order(self, tmp_path, capsys, caplog):
+        # The join keys each prediction by id: shuffling the predictions or
+        # adding ids the export lacks changes no report, and each id the
+        # export lacks is one warning count.
+        tweets = tmp_path / "in.jsonl"
+        texts = ["bagus #a", "buruk #b", "biasa #A #b", "mantap", "kurang #a"]
+        rows = [{"id": f"t{i}", "text": text} for i, text in enumerate(texts)]
+        rows.append({"id": "t1", "text": "duplicate id, dropped #a"})
+        tweets.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        labels = ["positive", "negative", "neutral", "positive", "negative"]
+        matched = [{"id": f"t{i}", "label": label} for i, label in enumerate(labels)]
+        ghosts = [{"id": f"ghost{i}", "label": "positive"} for i in range(3)]
+        shuffled = [matched[3], ghosts[0], matched[0], matched[4], ghosts[1], matched[2]]
+        shuffled += [ghosts[2], matched[1]]
+        for fmt in FORMATS:
+            outputs = []
+            for name, records in (("in_order", matched), ("shuffled", shuffled)):
+                predictions = tmp_path / f"{name}.jsonl"
+                predictions.write_text(
+                    "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+                )
+                caplog.clear()
+                code, out, _ = run(
+                    [
+                        "report",
+                        "--input", str(tweets),
+                        "--predictions", str(predictions),
+                        "--hashtags", "a,b",
+                        "--format", fmt,
+                    ],
+                    capsys,
+                )
+                assert code == 0
+                warnings = [r.message for r in caplog.records if r.levelname == "WARNING"]
+                outputs.append((out, warnings))
+            assert outputs[0][1] == []
+            assert outputs[1] == (
+                outputs[0][0],
+                ["3 prediction(s) reference ids missing from the corpus"],
+            )
+            if fmt == "json":
+                assert [group["total"] for group in json.loads(outputs[0][0])] == [5, 3, 2]
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("report", []),
+            ("report", ["--format", "csv"]),
+            ("report", ["--out", "{tmp}/r.txt"]),
+            ("collect", ["--out-labeled", "{tmp}/l", "--out-unlabeled", "{tmp}/u"]),
+        ],
+        ids=["report-table", "report-csv", "report-out", "collect"],
+    )
+    def test_hashtag_not_utf8_exits_2(self, command, extra, tmp_path, capsys):
+        # A command-line byte that is not UTF-8 arrives as a lone surrogate.
+        predictions = tmp_path / "pred.jsonl"
+        predictions.write_text(json.dumps({"id": "t1", "label": "positive"}) + "\n")
+        argv = [command, "--input", demo_corpus_path(), "--hashtags", "ab\udcff"]
+        if command == "report":
+            argv += ["--predictions", str(predictions)]
+        code, out, err = run(argv + [arg.format(tmp=tmp_path) for arg in extra], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: hashtag 'ab\\udcff' is not valid UTF-8"]
+        assert sorted(os.listdir(tmp_path)) == ["pred.jsonl"]
+
+    def test_hashtag_argv_bytes_not_utf8(self, tmp_path):
+        predictions = tmp_path / "pred.jsonl"
+        predictions.write_text(json.dumps({"id": "t1", "label": "positive"}) + "\n")
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "kicaumine.cli", "report",
+                "--input", demo_corpus_path(),
+                "--predictions", str(predictions),
+                "--hashtags", b"ab\xff",
+                "--out", str(tmp_path / "r.txt"),
+            ],
+            capture_output=True,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith(b"error: ") and b"Traceback" not in result.stderr
+        assert not (tmp_path / "r.txt").exists()
 
 
 # JSON that json.loads fails on with other errors than a JSONDecodeError:

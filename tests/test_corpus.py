@@ -1,4 +1,7 @@
+import copy
 import json
+import pickle
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -292,8 +295,31 @@ class TestTypes:
         stats = CorpusStats(total_ingested=3, rejected_malformed=1)
         stats.add(CorpusStats(labeled_positive=1, unlabeled=1))
         assert stats.check_partition()
-        payload = json.loads(stats.to_json())
+        payload = stats.as_dict()
         assert payload["total_ingested"] == 3
+        assert list(payload) == list(CorpusStats._fields)
 
     def test_stats_partition_detects_mismatch(self):
         assert not CorpusStats(total_ingested=2, labeled_positive=1).check_partition()
+
+    def test_label_keys_by_identity_without_enum_code(self):
+        counts = {lab: i for i, lab in enumerate(SentimentLabel)}
+        for lab in SentimentLabel:
+            for twin in (pickle.loads(pickle.dumps(lab)), copy.copy(lab), copy.deepcopy(lab)):
+                assert twin is lab
+                assert counts[twin] == counts[lab]
+        called = []
+        sys.setprofile(lambda frame, event, arg: called.append(frame.f_code.co_filename))
+        try:
+            counts[SentimentLabel.POSITIVE] += 1
+            SentimentLabel.NEUTRAL in counts
+        finally:
+            sys.setprofile(None)
+        assert not [name for name in called if name.endswith("enum.py")]
+
+    def test_stats_take_known_keywords_only(self):
+        with pytest.raises(TypeError, match="unknown counters: bogus"):
+            CorpusStats(bogus=1)
+        with pytest.raises(TypeError):
+            CorpusStats(3)
+        assert CorpusStats().as_dict() == dict.fromkeys(CorpusStats._fields, 0)

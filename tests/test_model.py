@@ -270,14 +270,17 @@ class TestClassify:
 
 
 class TestModelValidation:
-    def test_alpha_fixed_at_one(self):
-        with pytest.raises(ValueError):
-            NbModel(
-                labels=(NEG, POS),
-                docs_per_class={NEG: 1, POS: 1},
-                token_counts={NEG: {"a": 1}, POS: {"b": 1}},
-                alpha=2,
-            )
+    def test_alpha_fixed_at_one(self, toy_model):
+        # The constant is not a model parameter; a model file stating
+        # another integer is refused.
+        assert "alpha" not in NbModel.__slots__
+        sink = io.StringIO()
+        save_model(toy_model, sink)
+        payload = json.loads(sink.getvalue())
+        payload["alpha"] = 2
+        message = "^model file is inconsistent: smoothing constant is fixed at 1$"
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(io.StringIO(json.dumps(payload)))
 
     def test_zero_count_entries_rejected(self):
         with pytest.raises(ValueError):

@@ -193,8 +193,8 @@ class _CountingRoots(frozenset):
 
 
 def test_stemmer_resolved_once_per_config():
-    # The stemmer cache is keyed by root set; a second, equal set that is a
-    # different object is found there only by comparing all its roots.
+    # A stemmer looked up by root set on each memo miss would find a second,
+    # equal set that is a different object only by comparing all its roots.
     roots = default_pipeline_config().root_words
     run_pipeline(Tweet("t", "pemilihan"), PipelineConfig(root_words=_CountingRoots(roots)))
     second = PipelineConfig(root_words=_CountingRoots(roots))
