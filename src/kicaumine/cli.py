@@ -14,6 +14,8 @@ import sys
 import tempfile
 from contextlib import nullcontext
 from itertools import chain, islice
+from json.encoder import encode_basestring
+from operator import itemgetter
 
 from .config import DEFAULT_K, FORMATS, RunConfig, build_config, parse_setting
 from .corpus import (
@@ -38,7 +40,7 @@ from .exceptions import (
 from .model import (
     OOV_MODES,
     Prediction,
-    classify,
+    _posteriors,
     load_model,
     save_model,
     train,
@@ -57,10 +59,6 @@ logger = logging.getLogger("kicaumine")
 
 # Ids named in one warning line; the rest are only counted.
 _MAX_LOGGED_IDS = 10
-
-# Encodes every JSON Lines record written; json.dumps with these options
-# would build a new encoder for each record.
-_encode_record = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 # Tweets that classify reads, then scores, then writes, per round. One
 # tweet per round ran about 10% slower: between two tweets, each stage's
@@ -142,28 +140,39 @@ def _read_labeled_corpus(path) -> list[LabeledTweet]:
     return labeled
 
 
-def _tweet_record(tweet: Tweet) -> dict:
-    record = {"id": tweet.id, "text": tweet.text}
-    if tweet.created_at is not None:
-        record["created_at"] = tweet.created_at
-    if tweet.declared_lang is not None:
-        record["lang"] = tweet.declared_lang
-    return record
+# The label members of a distantly labeled tweet's line, by outcome.
+_LABEL_MEMBERS = {
+    outcome: (
+        f', "label": {encode_basestring(label.value)}'
+        f', "label_source": {encode_basestring(LabelSource.DISTANT.value)}'
+    )
+    for outcome, label in _DISTANT_LABELS.items()
+}
+
+
+def _tweet_line(tweet: Tweet, label_members: str = "") -> str:
+    """``tweet``'s JSON line, with ``label_members`` after its id.
+
+    The line is the one ``json.dumps(record, sort_keys=True,
+    ensure_ascii=False)`` writes for the record of the tweet's fields
+    (``lang`` for its declared language), with ``created_at`` and ``lang``
+    left out when they are None.
+    """
+    created = "" if tweet.created_at is None else (
+        f'"created_at": {encode_basestring(tweet.created_at)}, '
+    )
+    lang = "" if tweet.declared_lang is None else (
+        f', "lang": {encode_basestring(tweet.declared_lang)}'
+    )
+    return (
+        f'{{{created}"id": {encode_basestring(tweet.id)}{label_members}{lang}'
+        f', "text": {encode_basestring(tweet.text)}}}\n'
+    )
 
 
 def _output(path):
     """A context giving stdout when ``path`` is None, else an atomic writer to ``path``."""
     return nullcontext(sys.stdout) if path is None else atomic_writer(path)
-
-
-def _write_jsonl(path, records) -> int:
-    """Write records as JSON Lines to ``path`` (stdout when None); return how many."""
-    count = 0
-    with _output(path) as handle:
-        for count, record in enumerate(records, start=1):
-            handle.write(_encode_record(record))
-            handle.write("\n")
-    return count
 
 
 def _read_gold_csv(path) -> dict[str, SentimentLabel]:
@@ -174,6 +183,10 @@ def _read_gold_csv(path) -> dict[str, SentimentLabel]:
     dropped.
     """
     import csv
+
+    def refusal(problem: str) -> ConfigError:
+        # The location is formatted only for a bad row, not for every row.
+        return ConfigError(f"{path}:{reader.line_num}: {problem}")
 
     gold = {}
     try:
@@ -187,16 +200,15 @@ def _read_gold_csv(path) -> dict[str, SentimentLabel]:
                     continue
                 tweet_id, label_name = (cell.strip() for cell in (row + ["", ""])[:2])
                 label_name = label_name.lower()
-                where = f"{path}:{reader.line_num}"
                 if not tweet_id:
-                    raise ConfigError(f"{where}: empty gold id")
+                    raise refusal("empty gold id")
                 if tweet_id in gold:
-                    raise ConfigError(f"{where}: duplicate gold id {tweet_id!r}")
+                    raise refusal(f"duplicate gold id {tweet_id!r}")
                 try:
                     gold[tweet_id] = SentimentLabel(label_name)
                 except ValueError:
-                    raise ConfigError(
-                        f"{where}: unknown gold label {label_name!r} for id {tweet_id!r}"
+                    raise refusal(
+                        f"unknown gold label {label_name!r} for id {tweet_id!r}"
                     ) from None
     except UnicodeDecodeError:
         raise ConfigError(f"gold file {path} is not UTF-8") from None
@@ -390,12 +402,9 @@ def cmd_collect(config: RunConfig) -> int:
                 outcome = _emoticon_outcome(tweet.text)
                 setattr(stats, outcome, getattr(stats, outcome) + 1)
                 if outcome in _DISTANT_LABELS:
-                    record = _tweet_record(tweet)
-                    record["label"] = _DISTANT_LABELS[outcome].value
-                    record["label_source"] = LabelSource.DISTANT.value
-                    labeled.write(_encode_record(record) + "\n")
+                    labeled.write(_tweet_line(tweet, _LABEL_MEMBERS[outcome]))
                 elif outcome == "unlabeled":
-                    spool.write(_encode_record(_tweet_record(tweet)) + "\n")
+                    spool.write(_tweet_line(tweet))
             if not stats.check_partition():
                 raise RuntimeError("internal error: corpus stats do not partition the input")
         spool.seek(0)
@@ -432,24 +441,34 @@ def cmd_classify(config: RunConfig) -> int:
     config.require_files("input", "model")
     pipeline = _pipeline_config(config)
     model = load_model(config.model)
-
-    def records(handle):
+    table, oov_mode = model._score_table(), config.oov
+    # Each line is the record {id, label, oov_tokens, posteriors} as
+    # json.dumps(record, sort_keys=True, ensure_ascii=False) writes it: keys
+    # sorted, and each posterior, always finite, in float.__repr__.
+    names = [lab.value for lab in model.labels]
+    heads = [f', "label": {encode_basestring(name)}, "oov_tokens": ' for name in names]
+    key_order = sorted(range(len(names)), key=names.__getitem__)
+    in_key_order = itemgetter(*key_order)
+    tail = (
+        ', "posteriors": {'
+        + ", ".join(f"{encode_basestring(names[j])}: %r" for j in key_order)
+        + "}}\n"
+    )
+    count = 0
+    with open(config.input, "rb") as handle, _output(config.out) as out:
         tweets = iter_tweets(handle, CorpusStats())
         while chunk := list(islice(tweets, _CLASSIFY_CHUNK)):
-            predictions = [
-                classify(model, run_pipeline(tweet, pipeline), oov_mode=config.oov)
-                for tweet in chunk
-            ]
-            for tweet, prediction in zip(chunk, predictions):
-                yield {
-                    "id": tweet.id,
-                    "label": prediction.label.value,
-                    "posteriors": {lab.value: p for lab, p in prediction.posteriors.items()},
-                    "oov_tokens": prediction.oov_tokens,
-                }
-
-    with open(config.input, "rb") as handle:
-        count = _write_jsonl(config.out, records(handle))
+            token_lists = [run_pipeline(tweet, pipeline).tokens for tweet in chunk]
+            table.rows.build(chain.from_iterable(token_lists))
+            scored = [_posteriors(table, tokens, oov_mode) for tokens in token_lists]
+            out.write(
+                "".join(
+                    f'{{"id": {encode_basestring(tweet.id)}{heads[best]}{oov}'
+                    f"{tail % in_key_order(posteriors)}"
+                    for tweet, (best, posteriors, oov) in zip(chunk, scored)
+                )
+            )
+            count += len(chunk)
     logger.info("classified %d tweet(s)", count)
     return 0
 

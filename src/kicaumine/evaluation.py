@@ -175,7 +175,9 @@ def evaluate(model: NbModel, gold: list[Document], oov_mode: str = OOV_SMOOTH) -
             raise UnknownLabelError(
                 f"gold document {doc.source_id!r} labeled {doc.label} outside model labels"
             )
-    confusion = _confusion(model._score_table(), model.labels, gold, oov_mode)
+    table = model._score_table()
+    table.rows.build(chain.from_iterable(doc.tokens for doc in gold))
+    confusion = _confusion(table, model.labels, gold, oov_mode)
     n_test = len(gold)
     correct = sum(confusion[lab][lab] for lab in model.labels)
     per_class = {}
@@ -229,7 +231,7 @@ def cross_validate(
             raise TrainingError("no documents to train on")
         labels = _trained_labels(train_docs)
         held_totals = Counter(chain.from_iterable(d.tokens for d in test_docs))
-        kept = [token for token, n in held_totals.items() if n < token_totals[token]]
+        kept = frozenset(token for token, n in held_totals.items() if n < token_totals[token])
         train_counts = []
         for lab in labels:
             counts, held = token_counts[lab], held_counts.get(lab, {})
@@ -241,6 +243,7 @@ def cross_validate(
             train_counts,
             kept,
         )
+        table.rows.build(kept)
         usable_test = [d for d in test_docs if d.label in labels]
         skipped = len(test_docs) - len(usable_test)
         if skipped:

@@ -5,9 +5,12 @@ picks the class maximizing prior times the product of per-token
 likelihoods ``(count + 1) / (class_tokens + vocabulary_size)``. Scoring
 runs in log space, which preserves the argmax while avoiding underflow on
 long documents, and the normalizing document probability is dropped
-because it is constant across classes. Each model caches a table of
-per-token log-likelihood rows, so scoring a document is one dictionary
-lookup per distinct token.
+because it is constant across classes. Each model caches a score table
+of per-token log-likelihood rows. A row is computed only for a token that
+is scored: on its first lookup, or in one batch for the documents a
+command is about to score. So the words no document uses cost nothing,
+and scoring a document is one dictionary lookup per distinct vocabulary
+token.
 """
 
 import json
@@ -42,27 +45,59 @@ class Prediction(_Record):
         object.__setattr__(self, "oov_tokens", oov_tokens)
 
 
+class _Rows(dict):
+    """Token to log-likelihood row, for the tokens of a vocabulary only.
+
+    A token's row is computed on its first lookup, or before it by
+    ``build``, which computes the rows of many tokens in one pass per class
+    at a fraction of the cost per row. Looking up a token outside the
+    vocabulary raises KeyError. Concurrent builds of one row compute equal
+    rows, so the race between their stores is benign.
+    """
+
+    __slots__ = ("_vocab", "_columns")
+
+    def __init__(self, vocab, token_counts, denoms):
+        self._vocab = vocab
+        self._columns = list(zip(token_counts, denoms))
+
+    def build(self, tokens: Iterable[str]) -> None:
+        """Compute the rows of those ``tokens`` in the vocabulary that have none yet."""
+        new = [token for token in self._vocab.intersection(tokens) if token not in self]
+        columns = [
+            [math.log((counts.get(token, 0) + 1) / denom) for token in new]
+            for counts, denom in self._columns
+        ]
+        self.update(zip(new, zip(*columns)))
+
+    def __missing__(self, token):
+        self.build((token,))
+        row = self.get(token)
+        if row is None:
+            raise KeyError(token)
+        return row
+
+
 class _ScoreTable:
-    """Log-space scores of a model's counts, one row per given token.
+    """Log-space scores of a model's counts over the tokens in ``vocab``.
 
     The per-label arguments are in label order: ``docs_per_class[j]``,
     ``tokens_per_class[j]`` and ``token_counts[j]`` (token to count, absent
-    meaning 0) describe the j-th label's class. ``rows[token][j]`` is the
-    log likelihood of ``token`` under the j-th label; ``oov_log_lik[j]`` is
-    that of a token without a row.
+    meaning 0) describe the j-th label's class. ``vocab`` is a set. For a
+    token in it, ``rows[token][j]`` is its log likelihood under the j-th
+    label, computed when first needed (see :class:`_Rows`);
+    ``oov_log_lik[j]`` is that of a token outside ``vocab``, which has no
+    row.
     """
 
-    __slots__ = ("rows", "log_priors", "oov_log_lik")
+    __slots__ = ("vocab", "rows", "log_priors", "oov_log_lik")
 
-    def __init__(self, docs_per_class, tokens_per_class, vocabulary_size, token_counts, tokens):
+    def __init__(self, docs_per_class, tokens_per_class, vocabulary_size, token_counts, vocab):
         total_docs = sum(docs_per_class)
         self.log_priors = tuple(math.log(n / total_docs) for n in docs_per_class)
         denoms = [n + vocabulary_size for n in tokens_per_class]
-        columns = [
-            [math.log((counts.get(token, 0) + 1) / denom) for token in tokens]
-            for counts, denom in zip(token_counts, denoms)
-        ]
-        self.rows = dict(zip(tokens, zip(*columns)))
+        self.vocab = vocab
+        self.rows = _Rows(vocab, token_counts, denoms)
         self.oov_log_lik = tuple(math.log(1 / denom) for denom in denoms)
 
 
@@ -128,7 +163,7 @@ class NbModel(_Record):
                 [self.tokens_per_class[lab] for lab in labels],
                 len(self.vocabulary),
                 [self.token_counts[lab] for lab in labels],
-                list(self.vocabulary),
+                self.vocabulary,
             )
             object.__setattr__(self, "_table", table)
         return table
@@ -183,18 +218,18 @@ def _doc_scores(table: _ScoreTable, tokens: Iterable[str], oov_mode: str) -> tup
     """Per-label log scores of ``tokens`` under ``table``, and their OOV count."""
     if oov_mode not in OOV_MODES:
         raise ValueError(f"oov_mode must be one of {OOV_MODES}, got {oov_mode!r}")
-    rows = table.rows
+    vocab, rows = table.vocab, table.rows
     counts: dict[str, int] = {}
     for token in tokens:
         counts[token] = counts.get(token, 0) + 1
     known = []
     oov = 0
     for token, count in counts.items():
-        row = rows.get(token)
-        if row is None:
-            oov += count
+        # Membership first keeps an OOV token out of the rows' __missing__.
+        if token in vocab:
+            known.append((count, rows[token]))
         else:
-            known.append((count, row))
+            oov += count
     add_oov = oov_mode != OOV_SKIP and oov != 0
     # Per class: prior, then the OOV term, then the known tokens in
     # first-occurrence order; this fixed order keeps scores reproducible.
@@ -213,6 +248,23 @@ def _best(scores: list[float]) -> int:
     return max(range(len(scores)), key=scores.__getitem__)
 
 
+def _posteriors(
+    table: _ScoreTable, tokens: Iterable[str], oov_mode: str
+) -> tuple[int, list[float], int]:
+    """Winning label index, posteriors in label order, and OOV count of ``tokens``.
+
+    Posteriors are ``exp(score - max score)`` renormalized to sum to one,
+    so they are finite: the top weight is 1. Exact ties resolve to the
+    earliest label.
+    """
+    scores, oov = _doc_scores(table, tokens, oov_mode)
+    best = _best(scores)
+    top = scores[best]
+    weights = [math.exp(s - top) for s in scores]
+    total = sum(weights)
+    return best, [w / total for w in weights], oov
+
+
 def classify(model: NbModel, doc: Document, oov_mode: str = OOV_SMOOTH) -> Prediction:
     """Pick the maximum-score class and normalize scores into posteriors.
 
@@ -220,31 +272,48 @@ def classify(model: NbModel, doc: Document, oov_mode: str = OOV_SMOOTH) -> Predi
     Exact ties resolve to the earliest label in the model's order. An
     empty document degrades to the class priors.
     """
-    scores, oov = _doc_scores(model._score_table(), doc.tokens, oov_mode)
-    best = _best(scores)
-    top = scores[best]
-    weights = [math.exp(s - top) for s in scores]
-    total = sum(weights)
-    posteriors = {lab: w / total for lab, w in zip(model.labels, weights)}
-    return Prediction(label=model.labels[best], posteriors=posteriors, oov_tokens=oov)
+    best, posteriors, oov = _posteriors(model._score_table(), doc.tokens, oov_mode)
+    labels = model.labels
+    return Prediction(label=labels[best], posteriors=dict(zip(labels, posteriors)), oov_tokens=oov)
+
+
+def _indented(value, pad: str) -> str:
+    """A flat JSON list or object laid out as ``indent=2`` lays it out.
+
+    ``pad`` is the members' indent. ``json.dumps`` drops to its pure-Python
+    encoder whenever ``indent`` is set, so the line breaks go into the
+    separator instead, which keeps its C encoder.
+    """
+    text = json.dumps(value, sort_keys=True, ensure_ascii=False, separators=(",\n" + pad, ": "))
+    if not value:
+        return text
+    return f"{text[0]}\n{pad}{text[1:-1]}\n{pad[:-2]}{text[-1]}"
 
 
 def save_model(model: NbModel, sink) -> None:
     """Serialize the model as a single JSON document (integer counts only).
 
-    A path sink is replaced atomically; a file object is written as is.
+    The text is what ``json.dumps(..., sort_keys=True, ensure_ascii=False,
+    indent=2)`` writes, plus a newline. A path sink is replaced atomically;
+    a file object is written as is.
     """
-    payload = {
-        "schema_version": MODEL_SCHEMA_VERSION,
-        "alpha": 1,
-        "labels": [lab.value for lab in model.labels],
-        "docs_per_class": {lab.value: model.docs_per_class[lab] for lab in model.labels},
-        "tokens_per_class": {lab.value: model.tokens_per_class[lab] for lab in model.labels},
-        "token_counts": {
-            lab.value: dict(sorted(model.token_counts[lab].items())) for lab in model.labels
-        },
-    }
-    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    labels = model.labels
+    docs = _indented({lab.value: model.docs_per_class[lab] for lab in labels}, "    ")
+    totals = _indented({lab.value: model.tokens_per_class[lab] for lab in labels}, "    ")
+    token_counts = ",\n    ".join(
+        f"{json.dumps(lab.value)}: {_indented(model.token_counts[lab], ' ' * 6)}"
+        for lab in sorted(labels, key=lambda label: label.value)
+    )
+    text = (
+        "{\n"
+        '  "alpha": 1,\n'
+        f'  "docs_per_class": {docs},\n'
+        f'  "labels": {_indented([lab.value for lab in labels], "    ")},\n'
+        f'  "schema_version": {MODEL_SCHEMA_VERSION},\n'
+        f'  "token_counts": {{\n    {token_counts}\n  }},\n'
+        f'  "tokens_per_class": {totals}\n'
+        "}\n"
+    )
     if isinstance(sink, (str, Path)):
         with atomic_writer(sink) as handle:
             handle.write(text)

@@ -1,10 +1,21 @@
 """Reference implementations of the case-fold and scoring hot loops.
 
-This is the former pure-Python kernel module, ``kicaumine._kernels._pure``,
-kept unchanged apart from this docstring. It is the oracle that
-``tests/test_kernels.py`` checks ``preprocess.case_fold`` and the model's
-scores against.
+``score_document`` and ``strip_non_letters`` are the former pure-Python
+kernel module, ``kicaumine._kernels._pure``, kept unchanged. They are the
+oracle that ``tests/test_kernels.py`` checks ``preprocess.case_fold`` and
+the model's scores against.
+
+``_ScoreTable`` is the former ``kicaumine.model._ScoreTable``, which took
+one log per given token and class when built. It is kept unchanged apart
+from what lets the package score with it: a ``vocab`` slot, the rows'
+keys, in which ``model._doc_scores`` looks a token up before reading its
+row, and a ``build`` on the rows that has nothing to do. ``model_table``
+builds it as ``NbModel._score_table`` did. It is the oracle for the rows
+that the model's table now computes when first needed, and
+``tests/kfold_oracle.py`` scores its folds with it.
 """
+
+import math
 
 
 def score_document(log_priors, log_lik, oov_log_lik, token_ids, token_counts,
@@ -50,3 +61,47 @@ def strip_non_letters(text):
         else:
             pending = True
     return "".join(chars)
+
+
+class _ScoreTable:
+    """Log-space scores of a model's counts, one row per given token.
+
+    The per-label arguments are in label order: ``docs_per_class[j]``,
+    ``tokens_per_class[j]`` and ``token_counts[j]`` (token to count, absent
+    meaning 0) describe the j-th label's class. ``rows[token][j]`` is the
+    log likelihood of ``token`` under the j-th label; ``oov_log_lik[j]`` is
+    that of a token without a row.
+    """
+
+    __slots__ = ("rows", "log_priors", "oov_log_lik", "vocab")
+
+    def __init__(self, docs_per_class, tokens_per_class, vocabulary_size, token_counts, tokens):
+        total_docs = sum(docs_per_class)
+        self.log_priors = tuple(math.log(n / total_docs) for n in docs_per_class)
+        denoms = [n + vocabulary_size for n in tokens_per_class]
+        columns = [
+            [math.log((counts.get(token, 0) + 1) / denom) for token in tokens]
+            for counts, denom in zip(token_counts, denoms)
+        ]
+        self.rows = _BuiltRows(zip(tokens, zip(*columns)))
+        self.oov_log_lik = tuple(math.log(1 / denom) for denom in denoms)
+        self.vocab = self.rows.keys()
+
+
+class _BuiltRows(dict):
+    """Rows all computed up front, so a request to build some does nothing."""
+
+    def build(self, tokens):
+        pass
+
+
+def model_table(model):
+    """``model``'s eager score table, with a row for every vocabulary word."""
+    labels = model.labels
+    return _ScoreTable(
+        [model.docs_per_class[lab] for lab in labels],
+        [model.tokens_per_class[lab] for lab in labels],
+        len(model.vocabulary),
+        [model.token_counts[lab] for lab in labels],
+        list(model.vocabulary),
+    )

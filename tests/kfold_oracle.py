@@ -13,13 +13,17 @@ function wrapping the loop, and they are the oracle that
 ``tests/test_model.py`` checks ``cross_validate`` against. ``_count`` and
 ``_model_from_counts`` over the observed labels are also the counting
 loop that ``model.train`` ran before it counted through
-``model._class_counts``, and the oracle for ``train``.
+``model._class_counts``, and the oracle for ``train``. Each fold model is
+scored through ``kernel_oracle``'s eager score table, which takes one log
+per vocabulary word and class, as the model's own table did when this
+loop ran.
 """
 
 import logging
 from collections import Counter
 from typing import Collection, Iterable, NamedTuple
 
+import kernel_oracle
 from kicaumine.corpus import SentimentLabel
 from kicaumine.evaluation import evaluate, k_fold
 from kicaumine.exceptions import DegenerateTrainingError, EvaluationError, TrainingError
@@ -131,6 +135,7 @@ def fold_accuracies(docs: list[Document], k: int, seed: int, oov: str) -> list[f
     for i, (_, test_docs) in enumerate(folds, start=1):
         # Same model as train() on the fold's non-empty training docs.
         fold_model = train_without(counts, test_docs)
+        object.__setattr__(fold_model, "_table", kernel_oracle.model_table(fold_model))
         usable_test = [d for d in test_docs if d.label in fold_model.labels]
         skipped = len(test_docs) - len(usable_test)
         if skipped:

@@ -112,9 +112,9 @@ class TestCriterion2SmoothingNormalization:
                 token_counts=token_counts,
             )
             table = model._score_table()
-            assert table.rows.keys() == model.vocabulary
+            assert table.vocab == model.vocabulary
             for j in range(len(model.labels)):
-                total = sum(math.exp(row[j]) for row in table.rows.values())
+                total = sum(math.exp(table.rows[token][j]) for token in table.vocab)
                 assert abs(total - 1.0) <= 1e-9
             prior_total = sum(map(math.exp, table.log_priors))
             assert abs(prior_total - 1.0) <= 1e-9

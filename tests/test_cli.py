@@ -1,21 +1,26 @@
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import NEG, POS
+from conftest import NEG, NEU, POS
 from kicaumine import cli
 from kicaumine.cli import main
 from kicaumine.config import FORMATS
-from kicaumine.corpus import CorpusStats
-from kicaumine.model import save_model, train
-from kicaumine.preprocess import Document
-from kicaumine.resources import demo_corpus_path
+from kicaumine.corpus import CorpusStats, iter_tweets
+from kicaumine.model import OOV_MODES, classify, load_model, save_model, train
+from kicaumine.preprocess import Document, run_pipeline
+from kicaumine.resources import default_pipeline_config, demo_corpus_path
 
 
 def run(argv, capsys):
@@ -420,6 +425,120 @@ class TestClassify:
         assert code == 0
         row = json.loads(out.splitlines()[0])
         assert row["posteriors"]["positive"] == pytest.approx(2 / 3, abs=1e-9)
+
+
+# Characters that json.dumps escapes (quotes, backslashes, control
+# characters) and some that it writes as they are under ensure_ascii=False
+# (DEL, the line and paragraph separators U+2028 and U+2029, a byte-order
+# mark, a non-BMP emoji).
+ESCAPED = [
+    '"', "\\", "/", "\x00", "\x08", "\x1f", "\x7f", "\n", "\t", "\r",
+    "\u2028", "\u2029", "\ufeff", "\U0001f600", "\xe9",
+]
+json_strings = st.text(
+    st.sampled_from(ESCAPED) | st.characters(exclude_categories=("Cs",)), min_size=1, max_size=12
+)
+tweet_records = st.lists(
+    st.fixed_dictionaries(
+        {
+            "id": json_strings,
+            "text": st.builds(
+                "bagus calon {} #pilgubjabar {}".format,
+                json_strings,
+                st.sampled_from([":)", ":(", ""]),
+            ),
+        },
+        optional={"created_at": json_strings | st.integers(), "lang": json_strings},
+    ),
+    min_size=1,
+    max_size=8,
+    unique_by=lambda record: record["id"],
+)
+
+
+def dumped(record):
+    return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+@pytest.fixture(scope="module")
+def json_line_models(tmp_path_factory):
+    """Model files with two and with three labels."""
+    docs = [
+        Document("p", ("bagus", "calon"), POS),
+        Document("n", ("buruk",), NEG),
+        Document("u", ("calon",), NEU),
+    ]
+    paths = []
+    for n_labels in (2, 3):
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(train(docs[:n_labels]), path)
+        paths.append(path)
+    return paths
+
+
+class TestJsonLines:
+    """Hand-written JSON lines equal json.dumps(record, sort_keys=True, ensure_ascii=False)."""
+
+    def run_in(self, argv):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=tweet_records)
+    def test_collect_lines(self, records):
+        with tempfile.TemporaryDirectory() as work:
+            work = Path(work)
+            export = work / "in.jsonl"
+            export.write_text("".join(map(dumped, records)), encoding="utf-8")
+            self.run_in(
+                [
+                    "collect", "--input", str(export), "--lang-threshold", "0",
+                    "--out-labeled", str(work / "l.jsonl"),
+                    "--out-unlabeled", str(work / "u.jsonl"),
+                ]
+            )
+            by_id = {r["id"]: r for r in records}
+            for name in ("l.jsonl", "u.jsonl"):
+                text = (work / name).read_bytes().decode("utf-8")
+                for line in text.split("\n")[:-1]:
+                    got = json.loads(line)
+                    expected = {k: v for k, v in by_id[got["id"]].items() if type(v) is str}
+                    if "label" in got:
+                        expected["label"] = got["label"]
+                        expected["label_source"] = "distant"
+                    assert line + "\n" == dumped(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        records=tweet_records,
+        n_labels=st.sampled_from([2, 3]),
+        oov=st.sampled_from(OOV_MODES),
+    )
+    def test_classify_lines(self, json_line_models, records, n_labels, oov):
+        model_path = json_line_models[n_labels - 2]
+        with tempfile.TemporaryDirectory() as work:
+            export = Path(work) / "in.jsonl"
+            export.write_text("".join(map(dumped, records)), encoding="utf-8")
+            out = Path(work) / "pred.jsonl"
+            self.run_in(
+                [
+                    "classify", "--input", str(export), "--model", str(model_path),
+                    "--oov", oov, "--out", str(out),
+                ]
+            )
+            text = out.read_bytes().decode("utf-8")
+        model, pipeline = load_model(model_path), default_pipeline_config()
+        expected = []
+        for tweet in iter_tweets(map(dumped, records), CorpusStats()):
+            prediction = classify(model, run_pipeline(tweet, pipeline), oov_mode=oov)
+            record = {
+                "id": tweet.id,
+                "label": prediction.label.value,
+                "posteriors": {lab.value: p for lab, p in prediction.posteriors.items()},
+                "oov_tokens": prediction.oov_tokens,
+            }
+            expected.append(dumped(record))
+        assert text == "".join(expected)
 
 
 class TestBoundedMemory:
@@ -1135,31 +1254,56 @@ def test_strict_input_not_utf8_exits_2(kind, collected, toy_model_file, tmp_path
 
 PREVIOUS = "previous content\n"
 
+def classify_to(path, model):
+    """Run classify on the demo corpus into ``path``; return the exit status."""
+    return main(
+        ["classify", "--input", demo_corpus_path(), "--model", str(model), "--out", str(path)]
+    )
+
+
 WRITERS = {
-    "save_model": lambda path: save_model(
+    "save_model": lambda path, model: save_model(
         train([Document("p", ("bagus",), POS), Document("n", ("buruk",), NEG)]), path
     ),
-    "write_jsonl": lambda path: cli._write_jsonl(path, [{"id": "1"}, {"id": "2"}]),
-    "emit": lambda path: cli._emit("new text", path),
+    "classify": classify_to,
+    "emit": lambda path, model: cli._emit("new text", path),
 }
 
 
+@pytest.fixture(scope="module")
+def outside_model(tmp_path_factory):
+    """A model file outside the directory a test writes into."""
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    docs = [Document("p", ("bagus", "calon"), POS), Document("n", ("buruk",), NEG)]
+    save_model(train(docs), path)
+    return path
+
+
 class TestAtomicWrites:
-    def test_failure_mid_write_keeps_previous_file(self, tmp_path):
+    def test_failure_mid_write_keeps_previous_file(self, tmp_path, monkeypatch, outside_model):
         out = tmp_path / "out.jsonl"
         out.write_text(PREVIOUS, encoding="utf-8")
+        scored = []
+        posteriors = cli._posteriors
 
-        def records():
-            yield {"id": "1"}
-            raise RuntimeError("input failed mid-write")
+        def fail_on_second(*args):
+            scored.append(args)
+            if len(scored) == 2:
+                raise RuntimeError("scoring failed mid-write")
+            return posteriors(*args)
 
+        # One tweet per round: the first line is written before the failure.
+        monkeypatch.setattr(cli, "_CLASSIFY_CHUNK", 1)
+        monkeypatch.setattr(cli, "_posteriors", fail_on_second)
         with pytest.raises(RuntimeError, match="mid-write"):
-            cli._write_jsonl(out, records())
+            classify_to(out, outside_model)
         assert out.read_text(encoding="utf-8") == PREVIOUS
         assert os.listdir(tmp_path) == ["out.jsonl"]
 
     @pytest.mark.parametrize("writer", sorted(WRITERS))
-    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch, writer):
+    def test_failed_replace_keeps_previous_file(
+        self, tmp_path, monkeypatch, capsys, outside_model, writer
+    ):
         out = tmp_path / "out"
         out.write_text(PREVIOUS, encoding="utf-8")
 
@@ -1167,18 +1311,25 @@ class TestAtomicWrites:
             raise OSError("replace refused")
 
         monkeypatch.setattr(os, "replace", refuse)
-        with pytest.raises(OSError, match="replace refused"):
-            WRITERS[writer](out)
+        # A library writer raises; a command reports the error and exits 1.
+        try:
+            status = WRITERS[writer](out, outside_model)
+        except OSError as exc:
+            error = str(exc)
+        else:
+            assert status == 1
+            error = capsys.readouterr().err
+        assert "replace refused" in error
         assert out.read_text(encoding="utf-8") == PREVIOUS
         assert os.listdir(tmp_path) == ["out"]
 
     @pytest.mark.parametrize("writer", sorted(WRITERS))
-    def test_success_replaces_and_leaves_no_temp_file(self, tmp_path, writer):
+    def test_success_replaces_and_leaves_no_temp_file(self, tmp_path, outside_model, writer):
         out = tmp_path / "out"
         out.write_text(PREVIOUS, encoding="utf-8")
-        WRITERS[writer](out)
+        assert not WRITERS[writer](out, outside_model)
         fresh = tmp_path / "fresh"
-        WRITERS[writer](fresh)
+        assert not WRITERS[writer](fresh, outside_model)
         assert out.read_bytes() == fresh.read_bytes() != PREVIOUS.encode()
         assert sorted(os.listdir(tmp_path)) == ["fresh", "out"]
 
@@ -1192,11 +1343,11 @@ class TestAtomicWrites:
         assert real.read_text(encoding="utf-8") == "new text\n"
 
     @pytest.mark.parametrize("writer", sorted(WRITERS))
-    def test_existing_permission_bits_kept(self, tmp_path, writer):
+    def test_existing_permission_bits_kept(self, tmp_path, outside_model, writer):
         out = tmp_path / "out"
         out.write_text(PREVIOUS, encoding="utf-8")
         out.chmod(0o600)
-        WRITERS[writer](out)
+        assert not WRITERS[writer](out, outside_model)
         assert out.read_text(encoding="utf-8") != PREVIOUS
         assert out.stat().st_mode & 0o777 == 0o600
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import kernel_oracle as oracle
 from conftest import NEG, NEU, POS
 from kicaumine import preprocess
-from kicaumine.model import OOV_SKIP, OOV_SMOOTH, NbModel, _doc_scores, classify
+from kicaumine.model import OOV_SKIP, OOV_SMOOTH, NbModel, _doc_scores, _ScoreTable, classify
 from kicaumine.preprocess import Document, case_fold, tokenize
 
 ALL_CHARS = [chr(c) for c in range(sys.maxunicode + 1)]
@@ -181,3 +181,60 @@ class TestScores:
         expected = [math.log(model.docs_per_class[lab] / model.total_docs) for lab in model.labels]
         assert scores == expected
         assert _doc_scores(model._score_table(), empty.tokens, OOV_SMOOTH) == (expected, 0)
+
+
+def bits(floats):
+    return array("d", floats).tobytes()
+
+
+class TestLazyRows:
+    """Rows computed on first lookup are the eager table's, bit for bit."""
+
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 10**9))
+    def test_rows_match_eager_oracle(self, seed):
+        rng = random.Random(seed)
+        n_labels = rng.randint(2, 3)
+        pool = [f"t{i}" for i in range(30)]
+        vocab = rng.sample(pool, rng.randint(1, 20))
+        # Counts may be 0 or missing, as for a fold's tokens in cross_validate.
+        counts = [
+            {t: rng.randint(0, 40) for t in rng.sample(vocab, rng.randint(0, len(vocab)))}
+            for _ in range(n_labels)
+        ]
+        args = (
+            [rng.randint(1, 50) for _ in range(n_labels)],
+            [sum(c.values()) + rng.randint(0, 20) for c in counts],
+            len(vocab) + rng.randint(0, 10),
+            counts,
+        )
+        lazy = _ScoreTable(*args, frozenset(vocab))
+        eager = oracle._ScoreTable(*args, vocab)
+        built = rng.choices(pool, k=rng.randint(0, 20))
+        lazy.rows.build(built)
+        assert lazy.rows.keys() == set(built) & set(vocab)
+        tokens = rng.choices(pool, k=rng.randint(0, 40))
+        mode = rng.choice([OOV_SMOOTH, OOV_SKIP])
+        assert _doc_scores(lazy, tokens, mode) == _doc_scores(eager, tokens, mode)
+        assert lazy.rows.keys() == (set(built) | set(tokens)) & set(vocab)
+        assert bits(lazy.log_priors) == bits(eager.log_priors)
+        assert bits(lazy.oov_log_lik) == bits(eager.oov_log_lik)
+        for token in pool:
+            if token in vocab:
+                assert bits(lazy.rows[token]) == bits(eager.rows[token])
+            else:
+                with pytest.raises(KeyError):
+                    lazy.rows[token]
+        assert lazy.rows.keys() == eager.rows.keys()
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 10**9))
+    def test_model_table_matches_eager_oracle(self, seed):
+        model, doc = random_case(random.Random(seed))
+        table, eager = model._score_table(), oracle.model_table(model)
+        assert table.vocab == model.vocabulary
+        for mode in (OOV_SMOOTH, OOV_SKIP):
+            assert _doc_scores(table, doc.tokens, mode) == _doc_scores(eager, doc.tokens, mode)
+        assert table.rows.keys() == set(doc.tokens) & model.vocabulary
+        for token in model.vocabulary:
+            assert bits(table.rows[token]) == bits(eager.rows[token])

@@ -61,7 +61,7 @@ def log_priors(model):
 def log_likelihood(model, token, label):
     """The score table's log likelihood of ``token`` under ``label``."""
     table = model._score_table()
-    row = table.rows.get(token, table.oov_log_lik)
+    row = table.rows[token] if token in table.vocab else table.oov_log_lik
     return row[model.labels.index(label)]
 
 
@@ -166,14 +166,15 @@ class TestPriorsAndLikelihoods:
         assert log_likelihood(toy_model, "bagus", NEG) == math.log(1 / 6)
 
     def test_unseen_token_likelihood(self, toy_model):
-        assert "jelek" not in toy_model._score_table().rows
+        assert "jelek" not in toy_model._score_table().vocab
         assert log_likelihood(toy_model, "jelek", POS) == math.log(1 / 8)
+        assert "jelek" not in toy_model._score_table().rows
 
     @settings(max_examples=40)
     @given(st.integers(0, 10**6))
     def test_likelihoods_normalize_over_vocabulary(self, seed):
         model = random_count_model(random.Random(seed))
-        assert model._score_table().rows.keys() == model.vocabulary
+        assert model._score_table().vocab == model.vocabulary
         for lab in model.labels:
             total = sum(math.exp(log_likelihood(model, tok, lab)) for tok in model.vocabulary)
             assert total == pytest.approx(1.0, abs=1e-9)
@@ -315,6 +316,44 @@ class TestSaveLoad:
         loaded = load_model(path)
         doc = make_doc("d", ["bagus", "zzz"])
         assert classify(loaded, doc) == classify(toy_model, doc)
+
+    @settings(max_examples=200)
+    @given(
+        n_labels=st.sampled_from([2, 3]),
+        counts=st.lists(
+            st.dictionaries(
+                st.text(st.sampled_from('ab"\\\n\x00,: }é\u2028\U0001f600'), min_size=1),
+                st.integers(1, 10**15),
+                max_size=6,
+            ),
+            min_size=3,
+            max_size=3,
+        ),
+        docs=st.lists(st.integers(1, 10**6), min_size=3, max_size=3),
+    )
+    def test_text_is_json_dumps_indent_2(self, n_labels, counts, docs):
+        # save_model writes the indented layout itself; json.dumps(indent=2)
+        # is the layout it keeps. A class may have an empty token map.
+        labels = tuple(SentimentLabel)[:n_labels]
+        if not any(counts[:n_labels]):
+            counts[0] = {"a": 1}
+        model = NbModel(
+            labels=labels,
+            docs_per_class=dict(zip(labels, docs)),
+            token_counts=dict(zip(labels, counts)),
+        )
+        payload = {
+            "schema_version": 1,
+            "alpha": 1,
+            "labels": [lab.value for lab in labels],
+            "docs_per_class": {lab.value: model.docs_per_class[lab] for lab in labels},
+            "tokens_per_class": {lab.value: model.tokens_per_class[lab] for lab in labels},
+            "token_counts": {lab.value: model.token_counts[lab] for lab in labels},
+        }
+        sink = io.StringIO()
+        save_model(model, sink)
+        expected = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+        assert sink.getvalue() == expected
 
     def test_file_objects_accepted(self, toy_model):
         sink = io.StringIO()

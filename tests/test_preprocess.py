@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kicaumine import preprocess
 from kicaumine.corpus import LabeledTweet, LabelSource, SentimentLabel, Tweet
 from kicaumine.exceptions import ContractError
 from kicaumine.preprocess import (
@@ -53,6 +54,18 @@ class TestCleanse:
     def test_idempotent(self, text):
         once = cleanse(text)
         assert cleanse(once) == once
+
+    @settings(max_examples=500)
+    @given(
+        tweetish
+        | st.lists(st.sampled_from(["w", "ww", "www", ".", "www.", "#", "@", ":", "a", "/"]))
+        .map("".join)
+        | st.text(max_size=12)
+    )
+    def test_noisy_word_test_agrees_with_regex(self, text):
+        # _noisy replaces _NOISY_WORD_RE.match for one whitespace-free word.
+        for word in text.split():
+            assert preprocess._noisy(word) == bool(preprocess._NOISY_WORD_RE.match(word))
 
     @given(tweetish)
     def test_no_emoticons_or_hashes_survive(self, text):
