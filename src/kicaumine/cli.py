@@ -113,7 +113,7 @@ def _read_strict_jsonl(path, kind: str, parse) -> dict:
                 if record["id"] in parsed:
                     raise ConfigError(f"{path}:{lineno}: duplicate {kind} id {record['id']!r}")
                 parsed[record["id"]] = parse(record)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
     return parsed
 
@@ -212,6 +212,8 @@ def _read_gold_csv(path) -> dict[str, SentimentLabel]:
                     ) from None
     except UnicodeDecodeError:
         raise ConfigError(f"gold file {path} is not UTF-8") from None
+    except csv.Error as exc:
+        raise refusal(f"bad gold CSV: {exc}") from None
     if not gold:
         raise EvaluationError(f"gold file {path} has no rows")
     return gold
@@ -459,7 +461,7 @@ def cmd_classify(config: RunConfig) -> int:
         tweets = iter_tweets(handle, CorpusStats())
         while chunk := list(islice(tweets, _CLASSIFY_CHUNK)):
             token_lists = [run_pipeline(tweet, pipeline).tokens for tweet in chunk]
-            table.rows.build(chain.from_iterable(token_lists))
+            table.build(chain.from_iterable(token_lists))
             scored = [_posteriors(table, tokens, oov_mode) for tokens in token_lists]
             out.write(
                 "".join(
@@ -688,9 +690,8 @@ def _config_from_args(args) -> RunConfig:
     overrides = {}
     for key in RunConfig._fields:
         value = getattr(args, key, None)
-        # An empty list flag is ignored, as an unset one is.
-        if key in ("hashtags", "pos_keep_tags"):
-            value = parse_setting(key, value) if value else None
+        if key in ("hashtags", "pos_keep_tags") and value is not None:
+            value = parse_setting(key, value)
         overrides[key] = value
     return build_config(config_path=args.config, **overrides)
 

@@ -176,7 +176,7 @@ def evaluate(model: NbModel, gold: list[Document], oov_mode: str = OOV_SMOOTH) -
                 f"gold document {doc.source_id!r} labeled {doc.label} outside model labels"
             )
     table = model._score_table()
-    table.rows.build(chain.from_iterable(doc.tokens for doc in gold))
+    table.build(chain.from_iterable(doc.tokens for doc in gold))
     confusion = _confusion(table, model.labels, gold, oov_mode)
     n_test = len(gold)
     correct = sum(confusion[lab][lab] for lab in model.labels)
@@ -243,7 +243,7 @@ def cross_validate(
             train_counts,
             kept,
         )
-        table.rows.build(kept)
+        table.build(kept)
         usable_test = [d for d in test_docs if d.label in labels]
         skipped = len(test_docs) - len(usable_test)
         if skipped:

@@ -6,18 +6,16 @@ likelihoods ``(count + 1) / (class_tokens + vocabulary_size)``. Scoring
 runs in log space, which preserves the argmax while avoiding underflow on
 long documents, and the normalizing document probability is dropped
 because it is constant across classes. Each model caches a score table
-of per-token log-likelihood rows. A row is computed only for a token that
-is scored: on its first lookup, or in one batch for the documents a
-command is about to score. So the words no document uses cost nothing,
-and scoring a document is one dictionary lookup per distinct vocabulary
-token.
+of per-token log-likelihood rows. Rows are computed in one batch for the
+tokens of the documents about to be scored, never on lookup. So the words
+no document uses cost nothing, and scoring a document is one dictionary
+lookup per distinct vocabulary token.
 """
 
 import json
 import math
 from collections import Counter
 from itertools import chain
-from pathlib import Path
 from typing import Iterable, Mapping
 
 from .corpus import SentimentLabel, _Record, decode_json
@@ -45,60 +43,41 @@ class Prediction(_Record):
         object.__setattr__(self, "oov_tokens", oov_tokens)
 
 
-class _Rows(dict):
-    """Token to log-likelihood row, for the tokens of a vocabulary only.
-
-    A token's row is computed on its first lookup, or before it by
-    ``build``, which computes the rows of many tokens in one pass per class
-    at a fraction of the cost per row. Looking up a token outside the
-    vocabulary raises KeyError. Concurrent builds of one row compute equal
-    rows, so the race between their stores is benign.
-    """
-
-    __slots__ = ("_vocab", "_columns")
-
-    def __init__(self, vocab, token_counts, denoms):
-        self._vocab = vocab
-        self._columns = list(zip(token_counts, denoms))
-
-    def build(self, tokens: Iterable[str]) -> None:
-        """Compute the rows of those ``tokens`` in the vocabulary that have none yet."""
-        new = [token for token in self._vocab.intersection(tokens) if token not in self]
-        columns = [
-            [math.log((counts.get(token, 0) + 1) / denom) for token in new]
-            for counts, denom in self._columns
-        ]
-        self.update(zip(new, zip(*columns)))
-
-    def __missing__(self, token):
-        self.build((token,))
-        row = self.get(token)
-        if row is None:
-            raise KeyError(token)
-        return row
-
-
 class _ScoreTable:
     """Log-space scores of a model's counts over the tokens in ``vocab``.
 
     The per-label arguments are in label order: ``docs_per_class[j]``,
     ``tokens_per_class[j]`` and ``token_counts[j]`` (token to count, absent
-    meaning 0) describe the j-th label's class. ``vocab`` is a set. For a
-    token in it, ``rows[token][j]`` is its log likelihood under the j-th
-    label, computed when first needed (see :class:`_Rows`);
-    ``oov_log_lik[j]`` is that of a token outside ``vocab``, which has no
-    row.
+    meaning 0) describe the j-th label's class. ``vocab`` is a set. Once
+    :meth:`build` has seen a token in it, ``rows[token][j]`` is its log
+    likelihood under the j-th label; ``oov_log_lik[j]`` is that of a token
+    outside ``vocab``, which has no row.
     """
 
-    __slots__ = ("vocab", "rows", "log_priors", "oov_log_lik")
+    __slots__ = ("vocab", "rows", "log_priors", "oov_log_lik", "_columns")
 
     def __init__(self, docs_per_class, tokens_per_class, vocabulary_size, token_counts, vocab):
         total_docs = sum(docs_per_class)
         self.log_priors = tuple(math.log(n / total_docs) for n in docs_per_class)
         denoms = [n + vocabulary_size for n in tokens_per_class]
         self.vocab = vocab
-        self.rows = _Rows(vocab, token_counts, denoms)
+        self.rows = {}
         self.oov_log_lik = tuple(math.log(1 / denom) for denom in denoms)
+        self._columns = list(zip(token_counts, denoms))
+
+    def build(self, tokens: Iterable[str]) -> None:
+        """Compute the rows of those ``tokens`` in the vocabulary that have none yet.
+
+        One pass per class computes all of them. Concurrent builds of one
+        row compute equal rows, so the race between their stores is benign.
+        """
+        rows = self.rows
+        new = [token for token in self.vocab.intersection(tokens) if token not in rows]
+        columns = [
+            [math.log((counts.get(token, 0) + 1) / denom) for token in new]
+            for counts, denom in self._columns
+        ]
+        rows.update(zip(new, zip(*columns)))
 
 
 class NbModel(_Record):
@@ -225,7 +204,8 @@ def _doc_scores(table: _ScoreTable, tokens: Iterable[str], oov_mode: str) -> tup
     known = []
     oov = 0
     for token, count in counts.items():
-        # Membership first keeps an OOV token out of the rows' __missing__.
+        # Membership first: an OOV token has no row, and a vocabulary
+        # token that was never built raises KeyError.
         if token in vocab:
             known.append((count, rows[token]))
         else:
@@ -272,7 +252,9 @@ def classify(model: NbModel, doc: Document, oov_mode: str = OOV_SMOOTH) -> Predi
     Exact ties resolve to the earliest label in the model's order. An
     empty document degrades to the class priors.
     """
-    best, posteriors, oov = _posteriors(model._score_table(), doc.tokens, oov_mode)
+    table = model._score_table()
+    table.build(doc.tokens)
+    best, posteriors, oov = _posteriors(table, doc.tokens, oov_mode)
     labels = model.labels
     return Prediction(label=labels[best], posteriors=dict(zip(labels, posteriors)), oov_tokens=oov)
 
@@ -290,12 +272,12 @@ def _indented(value, pad: str) -> str:
     return f"{text[0]}\n{pad}{text[1:-1]}\n{pad[:-2]}{text[-1]}"
 
 
-def save_model(model: NbModel, sink) -> None:
+def save_model(model: NbModel, path) -> None:
     """Serialize the model as a single JSON document (integer counts only).
 
     The text is what ``json.dumps(..., sort_keys=True, ensure_ascii=False,
-    indent=2)`` writes, plus a newline. A path sink is replaced atomically;
-    a file object is written as is.
+    indent=2)`` writes, plus a newline. The file at ``path`` is replaced
+    atomically.
     """
     labels = model.labels
     docs = _indented({lab.value: model.docs_per_class[lab] for lab in labels}, "    ")
@@ -314,11 +296,8 @@ def save_model(model: NbModel, sink) -> None:
         f'  "tokens_per_class": {totals}\n'
         "}\n"
     )
-    if isinstance(sink, (str, Path)):
-        with atomic_writer(sink) as handle:
-            handle.write(text)
-    else:
-        sink.write(text)
+    with atomic_writer(path) as handle:
+        handle.write(text)
 
 
 def _int_counts(counts: dict, field: str) -> dict:
@@ -333,21 +312,19 @@ def _int_counts(counts: dict, field: str) -> dict:
     return counts
 
 
-def load_model(source) -> NbModel:
+def load_model(path) -> NbModel:
     """Rebuild a model saved by :func:`save_model`, verifying its counts.
 
-    Raises ModelFormatError on malformed JSON, an unsupported schema
-    version, a count that is not a JSON integer, an ``alpha`` other than
-    the integer 1, or internally inconsistent counts (e.g. a stored class
-    total that does not match its token map).
+    Raises ModelFormatError on a file that is not UTF-8, malformed JSON,
+    an unsupported schema version, a count that is not a JSON integer, an
+    ``alpha`` other than the integer 1, or internally inconsistent counts
+    (e.g. a stored class total that does not match its token map).
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    else:
-        text = source.read()
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        payload = decode_json(text.strip(" \t\n\r"))  # the whitespace json.loads skips
+        # The whitespace json.loads skips; a UnicodeDecodeError is a ValueError.
+        payload = decode_json(data.decode("utf-8").strip(" \t\n\r"))
     except ValueError as exc:
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):

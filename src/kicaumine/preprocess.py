@@ -23,10 +23,6 @@ from .stemming import ConfixStemmer
 
 logger = logging.getLogger(__name__)
 
-# A word that some cleansing rule can change: it holds '#', '@', ':' (every
-# emoticon and URL scheme has one) or 'www.'. The pattern is anchored at
-# word starts, so a failed attempt costs one word and the scan stays linear.
-_NOISY_WORD_RE = re.compile(r"(?<!\S)\S*?(?:[#@:]|www\.)\S*")
 _URL_MARKER_RE = re.compile(r"https?://|www\.")
 
 # Most code points the case-fold letter table stores, so that hostile
@@ -164,16 +160,15 @@ def cleanse(text: str) -> str:
     of every rule, so cleansing is idempotent, and one left-to-right pass
     makes its time linear in the length of the text.
     """
-    words = _NOISY_WORD_RE.sub(_cleanse_match, text).split()
-    return " ".join(dropwhile("RT".__eq__, words))
-
-
-def _cleanse_match(match: re.Match) -> str:
-    return _cleanse_word(match.group())
+    return " ".join(dropwhile("RT".__eq__, filter(None, map(_cleanse_word, text.split()))))
 
 
 def _cleanse_word(word: str) -> str:
-    """``word`` cleansed by rules 1-5 of :func:`cleanse`; unchanged if not noisy."""
+    """``word``, which has no whitespace, cleansed by rules 1-5 of :func:`cleanse`."""
+    # A rule changes only a word holding '#', '@', ':' (every emoticon and
+    # URL scheme has one) or 'www.'; four substring tests spare the rest.
+    if "#" not in word and "@" not in word and ":" not in word and "www." not in word:
+        return word
     word = _cut_at_url(word)
     at = word.find("@")
     if -1 < at < len(word) - 1:
@@ -318,19 +313,9 @@ def run_pipeline(item: Tweet | LabeledTweet, config: PipelineConfig) -> Document
     return Document(source_id=tweet.id, tokens=tuple(tokens), label=label)
 
 
-def _noisy(word: str) -> bool:
-    """Whether ``_NOISY_WORD_RE`` matches ``word``, a word without whitespace.
-
-    _cleanse_word leaves a word with no noisy character as it is, so this
-    test spares most words its work. Four substring tests cost a quarter
-    of the regex match.
-    """
-    return "#" in word or "@" in word or ":" in word or "www." in word
-
-
 def _word_tokens(word: str, config: PipelineConfig) -> tuple[str, ...]:
     """Run the chain on one raw word and memoize its output tokens."""
-    cleansed = _cleanse_word(word) if _noisy(word) else word
+    cleansed = _cleanse_word(word)
     if not cleansed:
         out = _CLEANSED_AWAY
     else:

@@ -98,9 +98,6 @@ class ConfixStemmer:
         found = self._after_particle(word)
         return found if found is not None else word
 
-    # The search under the name ``stem_oracle.OracleSearch`` gives it.
-    _search = stem
-
     # Each ending stage tries the word with its ending stripped (a root,
     # then the next stage's search) and then, if that finds nothing, the
     # next stage on the word intact.

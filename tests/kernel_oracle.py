@@ -9,10 +9,10 @@ the model's scores against.
 one log per given token and class when built. It is kept unchanged apart
 from what lets the package score with it: a ``vocab`` slot, the rows'
 keys, in which ``model._doc_scores`` looks a token up before reading its
-row, and a ``build`` on the rows that has nothing to do. ``model_table``
-builds it as ``NbModel._score_table`` did. It is the oracle for the rows
-that the model's table now computes when first needed, and
-``tests/kfold_oracle.py`` scores its folds with it.
+row, and a ``build`` that has nothing to do. ``model_table`` builds it as
+``NbModel._score_table`` did. It is the oracle for the rows that the
+model's table now computes in batch for the tokens about to be scored,
+and ``tests/kfold_oracle.py`` scores its folds with it.
 """
 
 import math
@@ -83,16 +83,12 @@ class _ScoreTable:
             [math.log((counts.get(token, 0) + 1) / denom) for token in tokens]
             for counts, denom in zip(token_counts, denoms)
         ]
-        self.rows = _BuiltRows(zip(tokens, zip(*columns)))
+        self.rows = dict(zip(tokens, zip(*columns)))
         self.oov_log_lik = tuple(math.log(1 / denom) for denom in denoms)
         self.vocab = self.rows.keys()
 
-
-class _BuiltRows(dict):
-    """Rows all computed up front, so a request to build some does nothing."""
-
     def build(self, tokens):
-        pass
+        """Nothing to do: every row was computed up front."""
 
 
 def model_table(model):

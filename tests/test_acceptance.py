@@ -113,6 +113,7 @@ class TestCriterion2SmoothingNormalization:
             )
             table = model._score_table()
             assert table.vocab == model.vocabulary
+            table.build(table.vocab)
             for j in range(len(model.labels)):
                 total = sum(math.exp(table.rows[token][j]) for token in table.vocab)
                 assert abs(total - 1.0) <= 1e-9
@@ -124,6 +125,7 @@ class TestCriterion2SmoothingNormalization:
 class TestCriterion3HandOracleFixture:
     def test_hand_computed_values(self, toy_model):
         table = toy_model._score_table()
+        table.build(["bagus"])
         pos, neg = toy_model.labels.index(POS), toy_model.labels.index(NEG)
         assert table.log_priors[pos] == math.log(2 / 3)
         assert table.rows["bagus"][pos] == math.log(3 / 8)

@@ -16,8 +16,9 @@ WHITESPACE = [c for c in ALL_CHARS if c.isspace()]
 
 # Pieces that trigger, join or split the rules: emoticon halves, '#', '@',
 # RT, the three URL markers and their fragments, and every whitespace.
-PIECES = [":", ")", "(", "#", "@", "RT", "R", "T", "http://", "https://", "www.",
-          "h", "t", "p", "s", "w", "/", ".", "a", "x"] + WHITESPACE
+WORD_PIECES = [":", ")", "(", "#", "@", "RT", "R", "T", "http://", "https://", "www.",
+               "h", "t", "p", "s", "w", "/", ".", "a", "x"]
+PIECES = WORD_PIECES + WHITESPACE
 noisy_text = st.lists(
     st.one_of(st.sampled_from(PIECES), st.characters()), max_size=40
 ).map("".join)
@@ -69,6 +70,20 @@ def test_every_short_string():
 @given(noisy_text)
 def test_agrees_with_fixed_point(text):
     assert cleanse(text) == oracle.cleanse(text)
+
+
+# The whitespace that ASCII-minded code misses, between noisy words.
+ODD_SPACES = ["\x85", "\xa0", "\u1680", "\u2028", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f"]
+odd_spaced_text = st.lists(
+    st.one_of(st.sampled_from(WORD_PIECES + ODD_SPACES + [" "]), st.characters()), max_size=40
+).map("".join)
+
+
+@settings(max_examples=500)
+@given(odd_spaced_text)
+def test_agrees_with_regex_cleanse(text):
+    # The regex finds words by \S, the per-word pass by str.split().
+    assert cleanse(text) == oracle.regex_cleanse(text)
 
 
 def _time(text):

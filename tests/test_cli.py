@@ -1207,6 +1207,53 @@ class TestHostileJson:
         [message] = err.splitlines()
         assert message.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["classify", "eval"])
+    def test_non_utf8_model_file_exits_1(self, command, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes(b"\xff\xfe{}")
+        gold = tmp_path / "gold.csv"
+        gold.write_text("id,label\nt1,positive\n", encoding="utf-8")
+        argv = [command, "--input", demo_corpus_path(), "--model", str(model)]
+        if command == "eval":
+            argv += ["--gold", str(gold)]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        [message] = err.splitlines()
+        assert message.startswith("error: model file is not valid JSON: ")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            '"oov_tokens": Infinity',
+            '"oov_tokens": 1e400',
+            '"posteriors": {"positive": 1' + "0" * 400 + "}",
+        ],
+        ids=["infinity", "float-overflow", "huge-posterior"],
+    )
+    def test_prediction_number_overflow_names_the_line(self, fields, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            json.dumps({"id": "t1", "label": "positive"})
+            + '\n{"id": "t2", "label": "negative", '
+            + fields
+            + "}\n",
+            encoding="utf-8",
+        )
+        argv = ["report", "--input", demo_corpus_path(), "--predictions", str(bad)]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        [message] = err.splitlines()
+        assert message.startswith(f"error: {bad}:2: bad prediction record: ")
+
+    def test_oversized_gold_field_names_the_line(self, toy_model_file, tmp_path, capsys):
+        gold = tmp_path / "gold.csv"
+        gold.write_text("id,label\nt1,positive\nt2," + "x" * 200_000 + "\n", encoding="utf-8")
+        argv = ["eval", "--input", demo_corpus_path(), "--gold", str(gold)]
+        code, out, err = run(argv + ["--model", str(toy_model_file)], capsys)
+        assert (code, out) == (2, "")
+        [message] = err.splitlines()
+        assert message.startswith(f"error: {gold}:3: bad gold CSV: ")
+
 
 NOT_UTF8 = b"\xff\xfe"
 TRAIN_WITH = "train --input {labeled} --model {out}/m.json"

@@ -7,8 +7,6 @@ import pytest
 
 from kicaumine import cli
 from kicaumine.config import RunConfig
-from kicaumine.corpus import DEFAULT_HASHTAGS
-from kicaumine.preprocess import DEFAULT_POS_KEEP_TAGS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -110,10 +108,12 @@ def test_empty_pos_keep_tags_flag_error_verbatim(value, capsys):
     assert result == (2, "", "error: POS keep-tag set must not be empty\n")
 
 
-def test_empty_list_flags_are_ignored():
-    assert from_argv(["collect", "--hashtags", ""]).hashtags == DEFAULT_HASHTAGS
-    assert from_argv(["train", "--pos-keep-tags", ""]).pos_keep_tags == DEFAULT_POS_KEEP_TAGS
-    assert from_argv(["collect", "--hashtags", ""]) == from_argv(["collect"])
+def test_empty_list_flags_exit_2(capsys):
+    # As an empty set in a config file does (test_config_file_errors_verbatim).
+    result = run(["collect", "--hashtags", ""], capsys)
+    assert result == (2, "", "error: hashtag set must not be empty\n")
+    result = run(["train", "--pos-keep-tags", ""], capsys)
+    assert result == (2, "", "error: POS keep-tag set must not be empty\n")
 
 
 def test_every_flag_sets_a_field():

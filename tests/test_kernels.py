@@ -165,7 +165,9 @@ class TestScores:
     def test_bit_identical_to_oracle(self, oov_mode, seed):
         model, doc = random_case(random.Random(seed))
         expected, oov = oracle_scores(model, doc.tokens, oov_mode)
-        got, got_oov = _doc_scores(model._score_table(), doc.tokens, oov_mode)
+        table = model._score_table()
+        table.build(doc.tokens)
+        got, got_oov = _doc_scores(table, doc.tokens, oov_mode)
         assert (got, got_oov) == (expected, oov)
         best, posteriors = oracle_posteriors(expected)
         prediction = classify(model, doc, oov_mode=oov_mode)
@@ -187,8 +189,8 @@ def bits(floats):
     return array("d", floats).tobytes()
 
 
-class TestLazyRows:
-    """Rows computed on first lookup are the eager table's, bit for bit."""
+class TestRows:
+    """Rows exist for the built vocabulary tokens only, bit for bit the eager table's."""
 
     @settings(max_examples=150)
     @given(seed=st.integers(0, 10**9))
@@ -208,24 +210,25 @@ class TestLazyRows:
             len(vocab) + rng.randint(0, 10),
             counts,
         )
-        lazy = _ScoreTable(*args, frozenset(vocab))
+        table = _ScoreTable(*args, frozenset(vocab))
         eager = oracle._ScoreTable(*args, vocab)
-        built = rng.choices(pool, k=rng.randint(0, 20))
-        lazy.rows.build(built)
-        assert lazy.rows.keys() == set(built) & set(vocab)
-        tokens = rng.choices(pool, k=rng.randint(0, 40))
         mode = rng.choice([OOV_SMOOTH, OOV_SKIP])
-        assert _doc_scores(lazy, tokens, mode) == _doc_scores(eager, tokens, mode)
-        assert lazy.rows.keys() == (set(built) | set(tokens)) & set(vocab)
-        assert bits(lazy.log_priors) == bits(eager.log_priors)
-        assert bits(lazy.oov_log_lik) == bits(eager.oov_log_lik)
-        for token in pool:
-            if token in vocab:
-                assert bits(lazy.rows[token]) == bits(eager.rows[token])
-            else:
-                with pytest.raises(KeyError):
-                    lazy.rows[token]
-        assert lazy.rows.keys() == eager.rows.keys()
+        built = rng.choices(pool, k=rng.randint(0, 20))
+        table.build(built)
+        assert table.rows.keys() == set(built) & set(vocab)
+        for token in set(vocab) - set(built):
+            with pytest.raises(KeyError):
+                _doc_scores(table, [token], mode)
+        tokens = rng.choices(pool, k=rng.randint(0, 40))
+        table.build(tokens)
+        assert table.rows.keys() == (set(built) | set(tokens)) & set(vocab)
+        assert _doc_scores(table, tokens, mode) == _doc_scores(eager, tokens, mode)
+        assert bits(table.log_priors) == bits(eager.log_priors)
+        assert bits(table.oov_log_lik) == bits(eager.oov_log_lik)
+        table.build(pool)
+        assert table.rows.keys() == eager.rows.keys()
+        for token in vocab:
+            assert bits(table.rows[token]) == bits(eager.rows[token])
 
     @settings(max_examples=100)
     @given(seed=st.integers(0, 10**9))
@@ -233,8 +236,10 @@ class TestLazyRows:
         model, doc = random_case(random.Random(seed))
         table, eager = model._score_table(), oracle.model_table(model)
         assert table.vocab == model.vocabulary
+        table.build(doc.tokens)
         for mode in (OOV_SMOOTH, OOV_SKIP):
             assert _doc_scores(table, doc.tokens, mode) == _doc_scores(eager, doc.tokens, mode)
         assert table.rows.keys() == set(doc.tokens) & model.vocabulary
+        table.build(model.vocabulary)
         for token in model.vocabulary:
             assert bits(table.rows[token]) == bits(eager.rows[token])

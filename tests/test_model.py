@@ -1,4 +1,3 @@
-import io
 import itertools
 import json
 import logging
@@ -61,13 +60,16 @@ def log_priors(model):
 def log_likelihood(model, token, label):
     """The score table's log likelihood of ``token`` under ``label``."""
     table = model._score_table()
+    table.build((token,))
     row = table.rows[token] if token in table.vocab else table.oov_log_lik
     return row[model.labels.index(label)]
 
 
 def log_scores(model, tokens, oov_mode=OOV_SMOOTH):
     """Each label's log score of ``tokens``."""
-    scores, _ = _doc_scores(model._score_table(), tokens, oov_mode)
+    table = model._score_table()
+    table.build(tokens)
+    scores, _ = _doc_scores(table, tokens, oov_mode)
     return dict(zip(model.labels, scores))
 
 
@@ -270,18 +272,30 @@ class TestClassify:
             assert max(scaled, key=scaled.get) == max(scores, key=scores.get)
 
 
+def saved_payload(model, tmp_path):
+    """The JSON object that ``save_model`` writes for ``model``."""
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def load_payload(payload, tmp_path):
+    """``load_model`` of a file holding ``payload`` as JSON."""
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return load_model(path)
+
+
 class TestModelValidation:
-    def test_alpha_fixed_at_one(self, toy_model):
+    def test_alpha_fixed_at_one(self, toy_model, tmp_path):
         # The constant is not a model parameter; a model file stating
         # another integer is refused.
         assert "alpha" not in NbModel.__slots__
-        sink = io.StringIO()
-        save_model(toy_model, sink)
-        payload = json.loads(sink.getvalue())
+        payload = saved_payload(toy_model, tmp_path)
         payload["alpha"] = 2
         message = "^model file is inconsistent: smoothing constant is fixed at 1$"
         with pytest.raises(ModelFormatError, match=message):
-            load_model(io.StringIO(json.dumps(payload)))
+            load_payload(payload, tmp_path)
 
     def test_zero_count_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -331,7 +345,7 @@ class TestSaveLoad:
         ),
         docs=st.lists(st.integers(1, 10**6), min_size=3, max_size=3),
     )
-    def test_text_is_json_dumps_indent_2(self, n_labels, counts, docs):
+    def test_text_is_json_dumps_indent_2(self, tmp_path_factory, n_labels, counts, docs):
         # save_model writes the indented layout itself; json.dumps(indent=2)
         # is the layout it keeps. A class may have an empty token map.
         labels = tuple(SentimentLabel)[:n_labels]
@@ -350,16 +364,10 @@ class TestSaveLoad:
             "tokens_per_class": {lab.value: model.tokens_per_class[lab] for lab in labels},
             "token_counts": {lab.value: model.token_counts[lab] for lab in labels},
         }
-        sink = io.StringIO()
-        save_model(model, sink)
+        path = tmp_path_factory.mktemp("indent") / "model.json"
+        save_model(model, path)
         expected = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
-        assert sink.getvalue() == expected
-
-    def test_file_objects_accepted(self, toy_model):
-        sink = io.StringIO()
-        save_model(toy_model, sink)
-        loaded = load_model(io.StringIO(sink.getvalue()))
-        assert loaded.vocabulary == toy_model.vocabulary
+        assert path.read_text(encoding="utf-8") == expected
 
     def test_truncated_file_rejected(self, toy_model, tmp_path):
         path = tmp_path / "model.json"
@@ -389,10 +397,8 @@ class TestSaveLoad:
         "bad", [1.9, 1.0, True, "1"], ids=["float", "whole-float", "bool", "str"]
     )
     @pytest.mark.parametrize("field", ["docs_per_class", "token_counts", "tokens_per_class"])
-    def test_non_integer_count_rejected(self, toy_model, field, bad):
-        sink = io.StringIO()
-        save_model(toy_model, sink)
-        payload = json.loads(sink.getvalue())
+    def test_non_integer_count_rejected(self, toy_model, tmp_path, field, bad):
+        payload = saved_payload(toy_model, tmp_path)
         counts = payload[field]["positive"]
         if field == "token_counts":
             counts = counts["bagus"]
@@ -401,19 +407,17 @@ class TestSaveLoad:
             payload[field]["positive"] = bad
         assert type(counts) is int
         with pytest.raises(ModelFormatError, match=f"{field} holds a non-integer count"):
-            load_model(io.StringIO(json.dumps(payload)))
+            load_payload(payload, tmp_path)
 
     @pytest.mark.parametrize(
         "bad", [1.9, 1.0, True, "1"], ids=["float", "whole-float", "bool", "str"]
     )
-    def test_non_integer_alpha_rejected(self, toy_model, bad):
-        sink = io.StringIO()
-        save_model(toy_model, sink)
-        payload = json.loads(sink.getvalue())
+    def test_non_integer_alpha_rejected(self, toy_model, tmp_path, bad):
+        payload = saved_payload(toy_model, tmp_path)
         assert payload["alpha"] == 1
         payload["alpha"] = bad
         with pytest.raises(ModelFormatError, match="alpha must be an integer"):
-            load_model(io.StringIO(json.dumps(payload)))
+            load_payload(payload, tmp_path)
 
 
 def kfold_outcome(run, monkeypatch, caplog):
