@@ -21,7 +21,7 @@ _EXPORTS = {
     "LabeledTweet": "corpus",
     "NbModel": "model",
     "PipelineConfig": "preprocess",
-    "PosTag": "preprocess",
+    "PosTag": "config",
     "Prediction": "model",
     "SentimentReport": "evaluation",
     "SentimentLabel": "corpus",

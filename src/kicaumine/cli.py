@@ -8,7 +8,6 @@ and identical inputs plus an identical seed reproduce identical bytes.
 
 import argparse
 import json
-import logging
 import shutil
 import sys
 import tempfile
@@ -17,7 +16,14 @@ from itertools import chain, islice
 from json.encoder import encode_basestring
 from operator import itemgetter
 
-from .config import DEFAULT_K, FORMATS, RunConfig, build_config, parse_setting
+from .config import (
+    DEFAULT_K,
+    FORMATS,
+    OOV_MODES,
+    RunConfig,
+    build_config,
+    parse_setting,
+)
 from .corpus import (
     CorpusStats,
     LabeledTweet,
@@ -26,6 +32,7 @@ from .corpus import (
     Tweet,
     _DISTANT_LABELS,
     _emoticon_outcome,
+    _hashtag_rollup,
     _hashtag_test,
     _language_test,
     decode_json,
@@ -37,15 +44,6 @@ from .exceptions import (
     EvaluationError,
     KicaumineError,
 )
-from .model import (
-    OOV_MODES,
-    Prediction,
-    _posteriors,
-    load_model,
-    save_model,
-    train,
-)
-from .preprocess import PipelineConfig, run_pipeline
 from .resources import (
     atomic_writer,
     load_hashtags,
@@ -55,7 +53,8 @@ from .resources import (
     load_wordlist,
 )
 
-logger = logging.getLogger("kicaumine")
+# The model, preprocessing and evaluation modules are imported by the
+# commands that run them, so that collect and report never load them.
 
 # Ids named in one warning line; the rest are only counted.
 _MAX_LOGGED_IDS = 10
@@ -70,7 +69,22 @@ _CLASSIFY_CHUNK = 256
 # shared plumbing
 
 
-def _pipeline_config(config: RunConfig) -> PipelineConfig:
+def _say(line: str) -> None:
+    """Write one diagnostic line to stderr.
+
+    A line that stderr cannot take, because it is closed or fails, is
+    dropped: a diagnostic never changes a command's data or exit status.
+    """
+    try:
+        sys.stderr.write(line + "\n")
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        pass
+
+
+def _pipeline_config(config: RunConfig):
+    from .preprocess import PipelineConfig
+
     return PipelineConfig(
         stopword_list=load_stopwords(config.stopwords),
         enable_stopwords=config.enable_stopwords,
@@ -219,15 +233,22 @@ def _read_gold_csv(path) -> dict[str, SentimentLabel]:
     return gold
 
 
-def _prediction(record: dict) -> Prediction:
+def _prediction_label(record: dict) -> SentimentLabel:
+    """The label of a predictions record, once every field of it is valid.
+
+    The fields are checked in the order a ``Prediction`` is built from
+    them: posteriors type, label, each posterior's label and float, then
+    ``oov_tokens``.
+    """
     posteriors = record.get("posteriors", {})
     if not isinstance(posteriors, dict):
         raise TypeError("posteriors must be a JSON object")
-    return Prediction(
-        label=SentimentLabel(record["label"]),
-        posteriors={SentimentLabel(name): float(p) for name, p in posteriors.items()},
-        oov_tokens=int(record.get("oov_tokens", 0)),
-    )
+    label = SentimentLabel(record["label"])
+    for name, p in posteriors.items():
+        SentimentLabel(name)
+        float(p)
+    int(record.get("oov_tokens", 0))
+    return label
 
 
 def _emit(text: str, out_path) -> None:
@@ -240,6 +261,8 @@ def _emit(text: str, out_path) -> None:
 
 def _preprocess_labeled(labeled, pipeline):
     """Preprocess labeled tweets, dropping empty documents with a count."""
+    from .preprocess import run_pipeline
+
     docs = []
     dropped = 0
     for item in labeled:
@@ -249,7 +272,7 @@ def _preprocess_labeled(labeled, pipeline):
         else:
             docs.append(doc)
     if dropped:
-        logger.warning("dropped %d document(s) that preprocessed to empty", dropped)
+        _say(f"dropped {dropped} document(s) that preprocessed to empty")
     return docs
 
 
@@ -333,37 +356,38 @@ def _format_kfold(result: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _format_reports(reports, fmt: str) -> str:
+def _format_reports(groups, fmt: str) -> str:
+    """``corpus._hashtag_rollup``'s (key, counts, shares) groups in format ``fmt``."""
     labels = list(SentimentLabel)
     if fmt == "json":
         payload = [
             {
-                "group": r.group_key,
-                "total": r.total,
-                "counts": {lab.value: r.counts[lab] for lab in labels},
-                "percentages": {lab.value: r.percentages[lab] for lab in r.percentages},
+                "group": key,
+                "total": sum(counts.values()),
+                "counts": {lab.value: counts[lab] for lab in labels},
+                "percentages": {lab.value: shares[lab] for lab in shares},
             }
-            for r in reports
+            for key, counts, shares in groups
         ]
         return json.dumps(payload, sort_keys=True, indent=2)
     if fmt == "csv":
         buffer, writer = _csv_writer()
         writer.writerow(["group", "label", "count", "percentage"])
-        for r in reports:
+        for key, counts, shares in groups:
             for lab in labels:
-                pct = f"{r.percentages[lab]:.6f}" if r.percentages else ""
-                writer.writerow([r.group_key, lab.value, r.counts[lab], pct])
+                pct = f"{shares[lab]:.6f}" if shares else ""
+                writer.writerow([key, lab.value, counts[lab], pct])
         return buffer.getvalue()
-    width = max(len(r.group_key) for r in reports) + 2
+    width = max(len(key) for key, _, _ in groups) + 2
     lines = [f"{'group'.ljust(width)}{'total':>7}" + "".join(f"{lab.value:>18}" for lab in labels)]
-    for r in reports:
+    for key, counts, shares in groups:
         cells = ""
         for lab in labels:
-            if r.percentages:
-                cells += f"{r.counts[lab]:>8} ({r.percentages[lab] * 100:5.1f}%)"
+            if shares:
+                cells += f"{counts[lab]:>8} ({shares[lab] * 100:5.1f}%)"
             else:
-                cells += f"{r.counts[lab]:>8}         "
-        lines.append(f"{r.group_key.ljust(width)}{r.total:>7}" + cells)
+                cells += f"{counts[lab]:>8}         "
+        lines.append(f"{key.ljust(width)}{sum(counts.values()):>7}" + cells)
     return "\n".join(lines)
 
 
@@ -412,16 +436,17 @@ def cmd_collect(config: RunConfig) -> int:
         spool.seek(0)
         with atomic_writer(config.out_unlabeled) as unlabeled:
             shutil.copyfileobj(spool, unlabeled)
-    logger.info(
-        "collected %d labeled and %d unlabeled tweets",
-        stats.labeled_positive + stats.labeled_negative,
-        stats.unlabeled,
+    _say(
+        f"collected {stats.labeled_positive + stats.labeled_negative} labeled"
+        f" and {stats.unlabeled} unlabeled tweets"
     )
     _emit(_format_stats(stats, config.format), config.out)
     return 0
 
 
 def cmd_train(config: RunConfig) -> int:
+    from .model import save_model, train
+
     config.require_files("input")
     if config.model is None:
         raise ConfigError("--model is required (path to write the trained model)")
@@ -430,16 +455,17 @@ def cmd_train(config: RunConfig) -> int:
     docs = _preprocess_labeled(labeled, pipeline)
     model = train(docs)
     save_model(model, config.model)
-    logger.info(
-        "trained on %d documents over %s; model written to %s",
-        model.total_docs,
-        "/".join(lab.value for lab in model.labels),
-        config.model,
+    _say(
+        f"trained on {model.total_docs} documents over"
+        f" {'/'.join(lab.value for lab in model.labels)}; model written to {config.model}"
     )
     return 0
 
 
 def cmd_classify(config: RunConfig) -> int:
+    from .model import _posteriors, load_model
+    from .preprocess import run_pipeline
+
     config.require_files("input", "model")
     pipeline = _pipeline_config(config)
     model = load_model(config.model)
@@ -471,12 +497,14 @@ def cmd_classify(config: RunConfig) -> int:
                 )
             )
             count += len(chunk)
-    logger.info("classified %d tweet(s)", count)
+    _say(f"classified {count} tweet(s)")
     return 0
 
 
-def _gold_documents(config: RunConfig, pipeline: PipelineConfig):
+def _gold_documents(config: RunConfig, pipeline):
     """Join the gold CSV against the input tweets and preprocess them."""
+    from .preprocess import run_pipeline
+
     gold = _read_gold_csv(config.gold)
     stats = CorpusStats()
     with open(config.input, "rb") as handle:
@@ -488,9 +516,7 @@ def _gold_documents(config: RunConfig, pipeline: PipelineConfig):
         shown = ", ".join(missing[:_MAX_LOGGED_IDS])
         if len(missing) > _MAX_LOGGED_IDS:
             shown += f", ... and {len(missing) - _MAX_LOGGED_IDS} more"
-        logger.warning(
-            "%d gold id(s) missing from the corpus and excluded: %s", len(missing), shown
-        )
+        _say(f"{len(missing)} gold id(s) missing from the corpus and excluded: {shown}")
     docs = []
     for tweet_id in sorted(by_id):
         item = LabeledTweet(by_id[tweet_id], gold[tweet_id], LabelSource.MANUAL)
@@ -501,7 +527,8 @@ def _gold_documents(config: RunConfig, pipeline: PipelineConfig):
 
 
 def cmd_eval(config: RunConfig) -> int:
-    from .evaluation import cross_validate, evaluate, split
+    from .evaluation import _fold_accuracies, evaluate, split
+    from .model import load_model, train
 
     required = ["input", "gold"] if config.k or config.model is None else ["input", "gold", "model"]
     config.require_files(*required)
@@ -509,7 +536,16 @@ def cmd_eval(config: RunConfig) -> int:
     docs = _gold_documents(config, pipeline)
 
     if config.k:
-        accuracies = cross_validate(docs, config.k, config.seed, config.oov)
+        accuracies = _fold_accuracies(
+            docs,
+            config.k,
+            config.seed,
+            config.oov,
+            lambda fold, skipped: _say(
+                f"fold {fold}: skipping {skipped} test doc(s)"
+                " with labels absent from the fold model"
+            ),
+        )
         result = {
             "k": config.k,
             "seed": config.seed,
@@ -526,9 +562,7 @@ def cmd_eval(config: RunConfig) -> int:
         gold_docs = [d for d in docs if d.label in model.labels]
         skipped = len(docs) - len(gold_docs)
         if skipped:
-            logger.warning(
-                "skipping %d gold doc(s) with labels absent from the model", skipped
-            )
+            _say(f"skipping {skipped} gold doc(s) with labels absent from the model")
         if not gold_docs:
             raise EvaluationError("no gold documents with labels the model knows")
         metrics = evaluate(model, gold_docs, oov_mode=config.oov)
@@ -546,20 +580,18 @@ def cmd_eval(config: RunConfig) -> int:
 
 
 def cmd_report(config: RunConfig) -> int:
-    from .evaluation import sentiment_report
-
     config.require_files("input", "predictions")
     tags = _effective_hashtags(config)
-    predictions = _read_strict_jsonl(config.predictions, "prediction", _prediction)
+    labels = _read_strict_jsonl(config.predictions, "prediction", _prediction_label)
     with open(config.input, "rb") as handle:
         tweets = iter_tweets(handle, CorpusStats())
-        pairs = [(t, predictions[t.id]) for t in tweets if t.id in predictions]
+        pairs = [(t.text, labels[t.id]) for t in tweets if t.id in labels]
     # iter_tweets yields each id once, so each pair matches a distinct prediction.
-    unmatched = len(predictions) - len(pairs)
+    unmatched = len(labels) - len(pairs)
     if unmatched:
-        logger.warning("%d prediction(s) reference ids missing from the corpus", unmatched)
-    reports = sentiment_report(pairs, tags)
-    _emit(_format_reports(reports, config.format), config.out)
+        _say(f"{unmatched} prediction(s) reference ids missing from the corpus")
+    groups = _hashtag_rollup(pairs, tags)
+    _emit(_format_reports(groups, config.format), config.out)
     return 0
 
 
@@ -706,17 +738,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
         return _COMMANDS[args.command](config)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return 2
     except (KicaumineError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return 1
 
 

@@ -6,12 +6,34 @@ key has a matching CLI flag; flags win over file values. Paths are
 resolved relative to the working directory.
 """
 
+from enum import Enum
 from pathlib import Path
 
 from .corpus import DEFAULT_HASHTAGS, _Record
 from .exceptions import ConfigError
-from .model import OOV_MODES, OOV_SMOOTH
-from .preprocess import DEFAULT_POS_KEEP_TAGS, PosTag
+
+OOV_SMOOTH = "smooth"  # unseen tokens scored with count 0 under smoothing
+OOV_SKIP = "skip"  # unseen tokens contribute nothing
+OOV_MODES = (OOV_SMOOTH, OOV_SKIP)
+
+
+class PosTag(Enum):
+    """Coarse word classes assigned by lexicon lookup."""
+
+    NOUN = "noun"
+    VERB = "verb"
+    ADJ = "adj"
+    ADV = "adv"
+    FUNC = "func"  # closed-class function words
+    OTHER = "other"  # not in the lexicon
+
+    def __str__(self):
+        return self.value
+
+
+# Tag filter applied when the POS stage is enabled: content classes plus
+# unknown words; only lexicon-known function words and adverbs drop out.
+DEFAULT_POS_KEEP_TAGS = frozenset({PosTag.NOUN, PosTag.VERB, PosTag.ADJ, PosTag.OTHER})
 
 DEFAULT_SEED = 42
 DEFAULT_TRAIN_FRACTION = 0.8

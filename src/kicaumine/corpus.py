@@ -7,18 +7,16 @@ a time by :func:`iter_tweets`. The hashtag and language tests take a
 tweet's lowercased text, so that one lowering serves both, and each is
 built by a factory that first checks its settings (ConfigError). The list
 functions ``filter_hashtags``, ``filter_language`` and ``distant_label``
-apply the same tests to a whole list.
+apply the same tests to a whole list. ``report``'s per-hashtag rollup
+matches tweets with the same hashtag needles as the collection filter.
 """
 
 import json
-import logging
 from enum import Enum
 from itertools import chain
 from json.scanner import make_scanner
 
 from .exceptions import ConfigError, EmptyCorpusError
-
-logger = logging.getLogger(__name__)
 
 # Tweets longer than this are accepted but counted as overlong.
 TWEET_CHAR_LIMIT = 140
@@ -352,6 +350,42 @@ def _hashtag_needles(tags, reserved: str | None = None) -> tuple[list[str], list
         except UnicodeEncodeError:
             raise ConfigError(f"hashtag {tag!r} is not valid UTF-8") from None
     return normalized, [f"#{tag}" for tag in normalized]
+
+
+# The report group that counts every tweet.
+ALL_GROUP = "all"
+
+
+def _shares(counts: dict) -> dict:
+    """Each label's share of the ``counts`` total; empty when the total is 0."""
+    total = sum(counts.values())
+    return {lab: counts[lab] / total for lab in SentimentLabel} if total else {}
+
+
+def _hashtag_rollup(labeled_texts, group_by) -> list[tuple[str, dict, dict]]:
+    """Label counts and shares per tracked hashtag plus an 'all' group.
+
+    ``labeled_texts`` yields (tweet text, label) pairs. A tweet counts
+    toward every tracked hashtag its text contains (case-insensitive) and
+    always toward 'all'; ``group_by`` is checked by :func:`_hashtag_needles`
+    with 'all' reserved. Each group is (key, counts, shares): a count per
+    label, and each count's share of the group's total, or no shares for
+    an empty group. 'all' comes first, then the tags in sorted order; with
+    no pairs at all, only 'all' is returned.
+    """
+    tags, needles = _hashtag_needles(group_by, reserved=ALL_GROUP)
+    total = dict.fromkeys(SentimentLabel, 0)
+    per_tag = [dict.fromkeys(SentimentLabel, 0) for _ in tags]
+    for text, label in labeled_texts:
+        total[label] += 1
+        lowered = text.lower()
+        for needle, counts in zip(needles, per_tag):
+            if needle in lowered:
+                counts[label] += 1
+    groups = [(ALL_GROUP, total)]
+    if any(total.values()):
+        groups += zip(tags, per_tag)
+    return [(key, counts, _shares(counts)) for key, counts in groups]
 
 
 def _language_test(wordlist: frozenset[str] | set[str], threshold: float):

@@ -6,13 +6,12 @@ documents first sorted by id, so identical (documents, seed) pairs give
 identical splits regardless of input order or platform.
 """
 
-import logging
 import random
 from collections import Counter
 from itertools import chain
 from typing import Mapping, NamedTuple
 
-from .corpus import SentimentLabel, Tweet, _hashtag_needles, _Record
+from .corpus import SentimentLabel, Tweet, _hashtag_rollup, _Record
 from .exceptions import EvaluationError, SplitError, TrainingError, UnknownLabelError
 from .model import (
     OOV_SMOOTH,
@@ -25,10 +24,6 @@ from .model import (
     _trained_labels,
 )
 from .preprocess import Document
-
-logger = logging.getLogger(__name__)
-
-ALL_GROUP = "all"
 
 
 class ClassMetrics(NamedTuple):
@@ -121,10 +116,8 @@ def split(
     return ordered[:cut], ordered[cut:]
 
 
-def k_fold(
-    docs: list[Document], k: int, seed: int
-) -> list[tuple[list[Document], list[Document]]]:
-    """Partition into k folds; each document tests exactly once.
+def _fold_slices(docs: list[Document], k: int, seed: int) -> tuple[list[Document], list]:
+    """``docs`` shuffled, and the (start, stop) bounds of each fold's test slice of it.
 
     Fold sizes differ by at most one. k must be between 2 and the number
     of documents (k equal to the count gives leave-one-out).
@@ -135,15 +128,28 @@ def k_fold(
         raise SplitError(f"k={k} exceeds the {len(docs)} available documents")
     ordered = _shuffled(docs, seed)
     base, extra = divmod(len(ordered), k)
-    folds = []
+    bounds = []
     start = 0
     for i in range(k):
-        size = base + (1 if i < extra else 0)
-        test = ordered[start : start + size]
-        train_part = ordered[:start] + ordered[start + size :]
-        folds.append((train_part, test))
-        start += size
-    return folds
+        stop = start + base + (1 if i < extra else 0)
+        bounds.append((start, stop))
+        start = stop
+    return ordered, bounds
+
+
+def k_fold(
+    docs: list[Document], k: int, seed: int
+) -> list[tuple[list[Document], list[Document]]]:
+    """Partition into k folds; each document tests exactly once.
+
+    Returns one (training, test) pair of new lists per fold, so the pairs
+    hold k times as many documents as ``docs``; :func:`cross_validate`
+    reads only the test slices. Fold sizes differ by at most one. k must
+    be between 2 and the number of documents (k equal to the count gives
+    leave-one-out).
+    """
+    ordered, bounds = _fold_slices(docs, k, seed)
+    return [(ordered[:start] + ordered[stop:], ordered[start:stop]) for start, stop in bounds]
 
 
 def _confusion(
@@ -204,27 +210,38 @@ def cross_validate(
 
     A fold is scored as :func:`evaluate` scores the model that
     :func:`~kicaumine.model.train` builds from the other folds' non-empty
-    documents, with the same floats, warnings and errors, but no model is
-    built. The non-empty documents are counted once; each fold then counts
-    its own test documents, derives the fold model's labels, priors,
+    documents, with the same floats and errors, but no model is built.
+    The non-empty documents are counted once; each fold then counts its
+    own test documents, derives the fold model's labels, priors,
     vocabulary size and class denominators from the difference, and
     computes log-likelihood rows only for its test tokens. A token whose
     whole count lies in the fold gets no row and scores as OOV, as the
-    fold model never saw it. The work is linear in the tokens, not in k
-    times the vocabulary.
+    fold model never saw it. Only the folds' test slices are built, and
+    the work is linear in the tokens, not in k times the documents or
+    the vocabulary.
 
     Test documents whose label has no training documents in their fold
-    are skipped with a warning; a fold left with none raises
-    EvaluationError.
+    are skipped (``eval --k`` prints one line per fold that skips any);
+    a fold left with none raises EvaluationError.
     """
-    folds = k_fold(docs, k, seed)
+    return _fold_accuracies(docs, k, seed, oov_mode, lambda fold, skipped: None)
+
+
+def _fold_accuracies(docs, k, seed, oov_mode, on_skip) -> list[float]:
+    """:func:`cross_validate`, reporting each fold's skipped test documents.
+
+    ``on_skip(fold, skipped)`` is called, with the fold's number from 1,
+    for each fold that skips any, before that fold is scored or raises.
+    """
+    ordered, bounds = _fold_slices(docs, k, seed)
     docs_per_class, tokens_per_class, token_counts = _class_counts(docs)
     if None in docs_per_class:
         doc = next(d for d in docs if d.label is None and d.tokens)
         raise TrainingError(f"document {doc.source_id!r} is unlabeled")
     token_totals = Counter(chain.from_iterable(d.tokens for d in docs))
     accuracies = []
-    for i, (_, test_docs) in enumerate(folds, start=1):
+    for i, (start, stop) in enumerate(bounds, start=1):
+        test_docs = ordered[start:stop]
         held_docs, held_tokens, held_counts = _class_counts(test_docs)
         train_docs = {lab: n - held_docs.get(lab, 0) for lab, n in docs_per_class.items()}
         if not any(train_docs.values()):
@@ -247,11 +264,7 @@ def cross_validate(
         usable_test = [d for d in test_docs if d.label in labels]
         skipped = len(test_docs) - len(usable_test)
         if skipped:
-            logger.warning(
-                "fold %d: skipping %d test doc(s) with labels absent from the fold model",
-                i,
-                skipped,
-            )
+            on_skip(i, skipped)
         if not usable_test:
             raise EvaluationError(f"fold {i} has no evaluable test documents")
         confusion = _confusion(table, labels, usable_test, oov_mode)
@@ -272,25 +285,8 @@ def sentiment_report(
     emitted only for non-empty groups and sum to one within each. With no
     predictions at all, only the empty 'all' group is reported.
     """
-    tags, needles = _hashtag_needles(group_by, reserved=ALL_GROUP)
-    group_counts: dict[str, dict[SentimentLabel, int]] = {
-        ALL_GROUP: {lab: 0 for lab in SentimentLabel}
-    }
-    if predictions:
-        for tag in tags:
-            group_counts[tag] = {lab: 0 for lab in SentimentLabel}
-    for tweet, prediction in predictions:
-        group_counts[ALL_GROUP][prediction.label] += 1
-        lowered = tweet.text.lower()
-        for tag, needle in zip(tags, needles):
-            if needle in lowered:
-                group_counts[tag][prediction.label] += 1
-    reports = []
-    for key in [ALL_GROUP] + (tags if predictions else []):
-        counts = group_counts[key]
-        total = sum(counts.values())
-        percentages = (
-            {lab: counts[lab] / total for lab in SentimentLabel} if total else {}
-        )
-        reports.append(SentimentReport(group_key=key, counts=counts, percentages=percentages))
-    return reports
+    labeled_texts = ((tweet.text, prediction.label) for tweet, prediction in predictions)
+    return [
+        SentimentReport(group_key=key, counts=counts, percentages=shares)
+        for key, counts, shares in _hashtag_rollup(labeled_texts, group_by)
+    ]

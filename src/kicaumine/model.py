@@ -18,16 +18,13 @@ from collections import Counter
 from itertools import chain
 from typing import Iterable, Mapping
 
+from .config import OOV_MODES, OOV_SKIP, OOV_SMOOTH
 from .corpus import SentimentLabel, _Record, decode_json
 from .exceptions import DegenerateTrainingError, ModelFormatError, TrainingError
 from .preprocess import Document
 from .resources import atomic_writer
 
 MODEL_SCHEMA_VERSION = 1
-
-OOV_SMOOTH = "smooth"  # unseen tokens scored with count 0 under smoothing
-OOV_SKIP = "skip"  # unseen tokens contribute nothing
-OOV_MODES = (OOV_SMOOTH, OOV_SKIP)
 
 
 class Prediction(_Record):
@@ -110,9 +107,18 @@ class NbModel(_Record):
         for lab in labels:
             if docs_per_class[lab] < 1:
                 raise ValueError(f"label {lab} has no documents")
-            for token, count in token_counts[lab].items():
-                if not token or count < 1:
-                    raise ValueError(f"bad count for token {token!r} in class {lab}")
+            counts = token_counts[lab]
+            # Checks run in C pass the common valid table; the per-token loop
+            # runs only when they fail, to raise what it has always raised.
+            # A NaN first count makes min() NaN, so it too takes the loop.
+            try:
+                valid = all(counts) and min(counts.values(), default=1) >= 1
+            except TypeError:
+                valid = False
+            if not valid:
+                for token, count in counts.items():
+                    if not token or count < 1:
+                        raise ValueError(f"bad count for token {token!r} in class {lab}")
         vocabulary = frozenset().union(*(token_counts[lab] for lab in labels))
         if not vocabulary:
             raise ValueError("empty vocabulary")
@@ -300,13 +306,16 @@ def save_model(model: NbModel, path) -> None:
         handle.write(text)
 
 
+_INT_TYPE = frozenset({int})
+
+
 def _int_counts(counts: dict, field: str) -> dict:
     """``counts`` itself once every value is exactly an ``int``.
 
     JSON floats, booleans and strings are refused rather than converted,
     so a count of ``1.9`` cannot load as 1.
     """
-    if not all(type(count) is int for count in counts.values()):
+    if not _INT_TYPE.issuperset(map(type, counts.values())):
         bad = next(count for count in counts.values() if type(count) is not int)
         raise ModelFormatError(f"{field} holds a non-integer count {bad!r}")
     return counts

@@ -10,18 +10,15 @@ chain once per distinct raw word and memoizes the result in its config;
 only the rule that drops leading ``RT`` words looks at more than one word.
 """
 
-import logging
 import re
 import threading
-from enum import Enum
 from itertools import dropwhile
 from typing import Mapping, NamedTuple
 
+from .config import DEFAULT_POS_KEEP_TAGS, PosTag
 from .corpus import LabeledTweet, SentimentLabel, Tweet, _Record
 from .exceptions import ContractError
 from .stemming import ConfixStemmer
-
-logger = logging.getLogger(__name__)
 
 _URL_MARKER_RE = re.compile(r"https?://|www\.")
 
@@ -33,20 +30,6 @@ _LETTER_TABLE_MAX_ENTRIES = 1 << 14
 # and longest word stored.
 _WORD_MEMO_MAX_ENTRIES = 1 << 13
 _WORD_MEMO_MAX_WORD_LEN = 32
-
-
-class PosTag(Enum):
-    """Coarse word classes assigned by lexicon lookup."""
-
-    NOUN = "noun"
-    VERB = "verb"
-    ADJ = "adj"
-    ADV = "adv"
-    FUNC = "func"  # closed-class function words
-    OTHER = "other"  # not in the lexicon
-
-    def __str__(self):
-        return self.value
 
 
 class PosTaggedToken(NamedTuple):
@@ -88,11 +71,6 @@ class Document(_Record):
     @property
     def empty(self) -> bool:
         return not self.tokens
-
-
-# Tag filter applied when the POS stage is enabled: content classes plus
-# unknown words; only lexicon-known function words and adverbs drop out.
-DEFAULT_POS_KEEP_TAGS = frozenset({PosTag.NOUN, PosTag.VERB, PosTag.ADJ, PosTag.OTHER})
 
 
 class PipelineConfig(_Record):

@@ -13,8 +13,8 @@ from contextlib import contextmanager, suppress
 from functools import lru_cache
 from importlib.resources import files
 
+from .config import PosTag
 from .exceptions import ConfigError
-from .preprocess import PipelineConfig, PosTag
 
 _DATA = files("kicaumine.data")
 
@@ -141,8 +141,10 @@ def default_pipeline_config(
     enable_stopwords: bool = True,
     enable_pos: bool = False,
     enable_stemming: bool = True,
-) -> PipelineConfig:
+):
     """Pipeline configuration backed by the bundled word resources."""
+    from .preprocess import PipelineConfig
+
     stopwords, lexicon, roots = _bundled_resources()
     return PipelineConfig(
         stopword_list=stopwords,

@@ -1,11 +1,14 @@
-"""Check that importing the CLI or the package loads only what a command runs.
+"""Check that importing the CLI, the package or a command loads only what it runs.
 
 Each check starts a fresh interpreter, records ``sys.modules``, imports
-the module and lists what the import added. Neither ``kicaumine.cli`` nor
-``kicaumine`` may load a module in ``FORBIDDEN``; ``eval`` and ``report``
-import those when they run. The package's lazy re-exports must all
-resolve, bind under ``from kicaumine import *`` and show in ``dir()``.
-Nothing is timed.
+the module or runs the command, and lists what that added. Neither
+``kicaumine.cli`` nor ``kicaumine`` may load a module in ``FORBIDDEN``.
+Each command, run on the bundled demo corpus, may not load a module
+that ``COMMAND_FORBIDDEN`` names for it: no command loads ``logging``,
+``collect`` and ``report`` load no model, preprocessing, stemming or
+evaluation code, and ``train`` and ``classify`` load no evaluation code.
+The package's lazy re-exports must all resolve, bind under ``from
+kicaumine import *`` and show in ``dir()``. Nothing is timed.
 
 Runs without pytest: ``python tests/import_guard.py`` prints each problem
 and exits 1 if there is one. ``tests/test_imports.py`` runs the same checks.
@@ -15,17 +18,50 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DEMO = SRC / "kicaumine" / "data" / "demo_tweets.jsonl"
 
-FORBIDDEN = ("dataclasses", "inspect", "csv", "kicaumine.evaluation")
+_MODEL_CODE = ("kicaumine.model", "kicaumine.preprocess", "kicaumine.stemming")
+
+FORBIDDEN = ("dataclasses", "inspect", "csv", "logging", "kicaumine.evaluation", *_MODEL_CODE)
+
+COMMAND_FORBIDDEN = {
+    "collect": ("logging", "kicaumine.evaluation", *_MODEL_CODE),
+    "train": ("logging", "kicaumine.evaluation"),
+    "classify": ("logging", "kicaumine.evaluation"),
+    "report": ("logging", "kicaumine.evaluation", *_MODEL_CODE),
+    "eval": ("logging",),
+}
+
+# Each command's arguments, in an order where each reads what the earlier
+# ones wrote. Every command writes to a file, so stdout holds only the
+# child's report.
+COMMANDS = (
+    ("collect", "--input", str(DEMO), "--out-labeled", "labeled.jsonl",
+     "--out-unlabeled", "unlabeled.jsonl", "--out", "stats.txt"),
+    ("train", "--input", "labeled.jsonl", "--model", "model.json"),
+    ("classify", "--input", str(DEMO), "--model", "model.json", "--out", "predictions.jsonl"),
+    ("report", "--input", str(DEMO), "--predictions", "predictions.jsonl", "--out", "report.txt"),
+    ("eval", "--input", str(DEMO), "--gold", "gold.csv", "--model", "model.json",
+     "--out", "eval.txt"),
+)
 
 _NEWLY_LOADED = """
 import json, sys
 before = set(sys.modules)
 import {module}
 print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+_COMMAND_LOADS = """
+import json, sys
+before = set(sys.modules)
+from kicaumine.cli import main
+status = main(sys.argv[1:])
+print(json.dumps([status, sorted(set(sys.modules) - before)]))
 """
 
 _EXPORTS = """
@@ -51,12 +87,17 @@ print(json.dumps(problems))
 """
 
 
-def _run(code: str):
-    """Run ``code`` in a fresh interpreter with ``src`` on the path; its JSON output."""
+def _run(code: str, *args: str, cwd=None):
+    """Run ``code`` with ``args`` in a fresh interpreter with ``src`` on the path; its JSON output."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args],
+        env=env,
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        check=True,
     )
     return json.loads(result.stdout)
 
@@ -66,9 +107,32 @@ def newly_loaded(module: str) -> list[str]:
     return _run(_NEWLY_LOADED.format(module=module))
 
 
+def command_loads() -> dict:
+    """Each command's exit status and the modules it adds to a fresh interpreter."""
+    loads = {}
+    with tempfile.TemporaryDirectory() as work:
+        Path(work, "gold.csv").write_text(
+            "id,label\nt1,positive\nt2,positive\nt3,negative\n", encoding="utf-8"
+        )
+        for argv in COMMANDS:
+            loads[argv[0]] = _run(_COMMAND_LOADS, *argv, cwd=work)
+    return loads
+
+
 def export_problems() -> list[str]:
     """What is wrong with the package's lazy re-exports; empty when nothing is."""
     return _run(_EXPORTS)
+
+
+def command_problems(loads: dict) -> list[str]:
+    """What is wrong with the ``command_loads()`` result ``loads``."""
+    found = []
+    for command, (status, loaded) in loads.items():
+        if status != 0:
+            found.append(f"{command} exits {status} on the demo corpus")
+        forbidden = COMMAND_FORBIDDEN[command]
+        found += [f"{command} loads {name}" for name in forbidden if name in loaded]
+    return found
 
 
 def problems() -> list[str]:
@@ -76,7 +140,7 @@ def problems() -> list[str]:
     for module in ("kicaumine.cli", "kicaumine"):
         loaded = newly_loaded(module)
         found += [f"import {module} loads {name}" for name in FORBIDDEN if name in loaded]
-    return found + export_problems()
+    return found + command_problems(command_loads()) + export_problems()
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import NEG, NEU, POS
-from kicaumine import cli
+import report_oracle
+from kicaumine import cli, model
 from kicaumine.cli import main
 from kicaumine.config import FORMATS
 from kicaumine.corpus import CorpusStats, iter_tweets
@@ -627,11 +628,9 @@ class TestEval:
         assert payload["n_test"] == 3
         assert 0.0 <= payload["accuracy"] <= 1.0
 
-    def test_missing_gold_ids_warned_and_excluded(
-        self, toy_model_file, tmp_path, capsys, caplog
-    ):
+    def test_missing_gold_ids_warned_and_excluded(self, toy_model_file, tmp_path, capsys):
         gold = self.write_gold(tmp_path, [("t1", "positive"), ("ghost", "negative")])
-        code, out, _ = run(
+        code, out, err = run(
             [
                 "eval",
                 "--input", demo_corpus_path(),
@@ -642,15 +641,13 @@ class TestEval:
             capsys,
         )
         assert code == 0
-        assert any("ghost" in record.message for record in caplog.records)
+        assert err == "1 gold id(s) missing from the corpus and excluded: ghost\n"
         assert json.loads(out)["n_test"] == 1
 
-    def test_missing_gold_ids_log_line_is_bounded(
-        self, toy_model_file, tmp_path, capsys, caplog
-    ):
+    def test_missing_gold_ids_log_line_is_bounded(self, toy_model_file, tmp_path, capsys):
         ghosts = [f"ghost{i:02d}" for i in range(25)]
         gold = self.write_gold(tmp_path, [("t1", "positive")] + [(g, "negative") for g in ghosts])
-        code, _, _ = run(
+        code, _, err = run(
             [
                 "eval",
                 "--input", demo_corpus_path(),
@@ -660,13 +657,10 @@ class TestEval:
             capsys,
         )
         assert code == 0
-        [message] = [
-            r.getMessage() for r in caplog.records if "missing from the corpus" in r.getMessage()
-        ]
-        assert message == (
+        assert err == (
             "25 gold id(s) missing from the corpus and excluded: "
             + ", ".join(ghosts[:10])
-            + ", ... and 15 more"
+            + ", ... and 15 more\n"
         )
 
     def test_no_matching_gold_ids_is_an_error(self, toy_model_file, tmp_path, capsys):
@@ -733,17 +727,16 @@ class TestEval:
         gold = self.write_gold(tmp_path, [(i, labels[i[0]]) for i in ids])
         return ["eval", "--input", str(corpus), "--gold", str(gold), "--k", str(k), "--seed", "7"]
 
-    def test_kfold_fold_losing_a_class_skips_its_test_docs(self, tmp_path, capsys, caplog):
+    def test_kfold_fold_losing_a_class_skips_its_test_docs(self, tmp_path, capsys):
         # The only neutral document tests in one fold, whose model has no
         # neutral class; a class with no training documents is left out of
         # the fold model rather than dropped from it, so only the skip is
-        # logged.
+        # reported.
         argv = self.kfold_argv(tmp_path, 6, 6, 1, 3)
         code, out, err = run(argv + ["--format", "json"], capsys)
-        assert (code, err) == (0, "")
-        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
-            ("WARNING", "fold 1: skipping 1 test doc(s) with labels absent from the fold model")
-        ]
+        assert (code, err) == (
+            0, "fold 1: skipping 1 test doc(s) with labels absent from the fold model\n"
+        )
         assert json.loads(out)["fold_accuracies"] == [1.0, 1.0, 1.0]
 
     def test_kfold_fold_left_with_one_class_exits_1(self, tmp_path, capsys):
@@ -751,14 +744,16 @@ class TestEval:
         result = run(argv, capsys)
         assert result == (1, "", "error: training needs at least two classes, got ['positive']\n")
 
-    def test_kfold_fold_with_no_evaluable_test_docs_exits_1(self, tmp_path, capsys, caplog):
+    def test_kfold_fold_with_no_evaluable_test_docs_exits_1(self, tmp_path, capsys):
         # Leave-one-out: the fold testing the lone neutral document skips it.
         argv = self.kfold_argv(tmp_path, 2, 2, 1, 5)
         result = run(argv, capsys)
-        assert result == (1, "", "error: fold 1 has no evaluable test documents\n")
-        assert [r.getMessage() for r in caplog.records] == [
-            "fold 1: skipping 1 test doc(s) with labels absent from the fold model"
-        ]
+        assert result == (
+            1,
+            "",
+            "fold 1: skipping 1 test doc(s) with labels absent from the fold model\n"
+            "error: fold 1 has no evaluable test documents\n",
+        )
 
     def test_holdout_mode_without_model(self, tmp_path, capsys):
         corpus = tmp_path / "tweets.jsonl"
@@ -1020,7 +1015,7 @@ class TestReport:
         assert out == ""
         assert "hashtag entries must be non-empty" in err
 
-    def test_predictions_joined_in_any_order(self, tmp_path, capsys, caplog):
+    def test_predictions_joined_in_any_order(self, tmp_path, capsys):
         # The join keys each prediction by id: shuffling the predictions or
         # adding ids the export lacks changes no report, and each id the
         # export lacks is one warning count.
@@ -1041,8 +1036,7 @@ class TestReport:
                 predictions.write_text(
                     "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
                 )
-                caplog.clear()
-                code, out, _ = run(
+                code, out, err = run(
                     [
                         "report",
                         "--input", str(tweets),
@@ -1053,12 +1047,11 @@ class TestReport:
                     capsys,
                 )
                 assert code == 0
-                warnings = [r.message for r in caplog.records if r.levelname == "WARNING"]
-                outputs.append((out, warnings))
-            assert outputs[0][1] == []
+                outputs.append((out, err))
+            assert outputs[0][1] == ""
             assert outputs[1] == (
                 outputs[0][0],
-                ["3 prediction(s) reference ids missing from the corpus"],
+                "3 prediction(s) reference ids missing from the corpus\n",
             )
             if fmt == "json":
                 assert [group["total"] for group in json.loads(outputs[0][0])] == [5, 3, 2]
@@ -1101,6 +1094,55 @@ class TestReport:
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith(b"error: ") and b"Traceback" not in result.stderr
         assert not (tmp_path / "r.txt").exists()
+
+
+LABEL_NAMES = st.sampled_from(["negative", "positive", "neutral", "bogus"])
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(10**308, 10**400), st.floats(),
+    st.text(max_size=3), st.sampled_from(["1.5", "nan", "-inf", "7"]), st.lists(st.integers()),
+)
+
+
+@st.composite
+def prediction_records(draw):
+    """A predictions record as classify writes it, with up to two fields spoiled."""
+    record = {
+        "id": "t1",
+        "label": draw(LABEL_NAMES),
+        "oov_tokens": draw(st.integers(0, 9)),
+        "posteriors": draw(st.dictionaries(LABEL_NAMES, st.floats(0, 1), max_size=3)),
+    }
+    for _ in range(draw(st.integers(0, 2))):
+        field = draw(st.sampled_from(["label", "oov_tokens", "posteriors", "posterior", "drop"]))
+        if field == "posterior":
+            posteriors = record.get("posteriors")
+            posteriors = dict(posteriors) if isinstance(posteriors, dict) else {}
+            posteriors[draw(LABEL_NAMES)] = draw(JSON_SCALARS)
+            record["posteriors"] = posteriors
+        elif field == "drop":
+            record.pop(draw(st.sampled_from(["label", "oov_tokens", "posteriors"])), None)
+        else:
+            record[field] = draw(JSON_SCALARS)
+    return record
+
+
+def parse_outcome(parse, record):
+    try:
+        return parse(record)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return (type(exc), str(exc))
+
+
+class TestPredictionLabel:
+    """``report`` keeps a record's label only once the whole record is valid."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(prediction_records())
+    def test_agrees_with_building_a_prediction(self, record):
+        expected = parse_outcome(report_oracle.prediction, record)
+        if not isinstance(expected, tuple):
+            expected = expected.label
+        assert parse_outcome(cli._prediction_label, record) == expected
 
 
 # JSON that json.loads fails on with other errors than a JSONDecodeError:
@@ -1331,7 +1373,7 @@ class TestAtomicWrites:
         out = tmp_path / "out.jsonl"
         out.write_text(PREVIOUS, encoding="utf-8")
         scored = []
-        posteriors = cli._posteriors
+        posteriors = model._posteriors
 
         def fail_on_second(*args):
             scored.append(args)
@@ -1341,7 +1383,7 @@ class TestAtomicWrites:
 
         # One tweet per round: the first line is written before the failure.
         monkeypatch.setattr(cli, "_CLASSIFY_CHUNK", 1)
-        monkeypatch.setattr(cli, "_posteriors", fail_on_second)
+        monkeypatch.setattr(model, "_posteriors", fail_on_second)
         with pytest.raises(RuntimeError, match="mid-write"):
             classify_to(out, outside_model)
         assert out.read_text(encoding="utf-8") == PREVIOUS

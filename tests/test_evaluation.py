@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import NEG, NEU, POS, make_doc
+import report_oracle
+from kicaumine import evaluation
 from kicaumine.corpus import Tweet
 from kicaumine.evaluation import evaluate, k_fold, sentiment_report, split
 from kicaumine.exceptions import ConfigError, EvaluationError, SplitError, UnknownLabelError
@@ -105,6 +108,45 @@ class TestKFold:
     def test_deterministic(self):
         docs = numbered_docs(12)
         assert k_fold(docs, 3, seed=9) == k_fold(docs, 3, seed=9)
+
+
+class _SliceCounter(list):
+    """A list that counts the items its slices copy."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.copied = 0
+
+    def __getitem__(self, index):
+        item = super().__getitem__(index)
+        if isinstance(index, slice):
+            self.copied += len(item)
+        return item
+
+
+class TestFoldWork:
+    def test_cross_validate_copies_each_document_once_under_leave_one_out(self, monkeypatch):
+        # k_fold builds every fold's training list, k times n documents in
+        # all; cross_validate reads only the test slices, n documents.
+        n = 60
+        docs = [
+            make_doc(f"d{i:02d}", ["bagus" if i % 2 else "buruk", "calon"], POS if i % 2 else NEG)
+            for i in range(n)
+        ]
+        orders = []
+        shuffled = evaluation._shuffled
+
+        def counted(docs, seed):
+            orders.append(_SliceCounter(shuffled(docs, seed)))
+            return orders[-1]
+
+        monkeypatch.setattr(evaluation, "_shuffled", counted)
+        accuracies = evaluation.cross_validate(docs, n, seed=3)
+        assert len(accuracies) == n
+        assert [order.copied for order in orders] == [n]
+        folds = k_fold(docs, n, seed=3)
+        assert orders[1].copied == n * n
+        assert [test for _, test in folds] == [[doc] for doc in orders[0]]
 
 
 class TestEvaluate:
@@ -255,3 +297,25 @@ class TestSentimentReport:
         pairs = self.predictions([("x #b #a", POS)])
         keys = [r.group_key for r in sentiment_report(pairs, {"b", "a"})]
         assert keys == ["all", "a", "b"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(["x", "#a", "#A", "#ab", "#b", "#all", "#", "#é"]), max_size=4),
+                st.sampled_from([NEG, POS, NEU]),
+            ),
+            max_size=8,
+        ),
+        st.sets(st.sampled_from(["a", "#a", "A", "b", "ab", "é", "all", "", "#", "c"]), max_size=4),
+    )
+    def test_agrees_with_former_rollup(self, rows, tags):
+        pairs = self.predictions([(" ".join(words) or "x", label) for words, label in rows])
+
+        def rollup(report):
+            try:
+                return report(pairs, tags)
+            except ConfigError as exc:
+                return str(exc)
+
+        assert rollup(sentiment_report) == rollup(report_oracle.sentiment_report)

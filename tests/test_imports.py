@@ -1,4 +1,4 @@
-"""Importing the CLI or the package loads only what a command runs."""
+"""Importing the CLI or the package, or running a command, loads only what it runs."""
 
 import pytest
 
@@ -10,6 +10,14 @@ def test_import_loads_no_forbidden_module(module):
     loaded = import_guard.newly_loaded(module)
     assert module in loaded
     assert [name for name in import_guard.FORBIDDEN if name in loaded] == []
+
+
+def test_commands_load_no_forbidden_module():
+    loads = import_guard.command_loads()
+    assert list(loads) == list(import_guard.COMMAND_FORBIDDEN)
+    # The check sees what a command loads: eval scores with the model.
+    assert "kicaumine.model" in loads["eval"][1]
+    assert import_guard.command_problems(loads) == []
 
 
 def test_lazy_exports_resolve_bind_and_list():

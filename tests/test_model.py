@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import NEG, NEU, POS, make_doc
+import count_check_oracle
 import kfold_oracle
 from kicaumine import evaluation
 from kicaumine.corpus import SentimentLabel
@@ -24,6 +25,7 @@ from kicaumine.model import (
     OOV_SMOOTH,
     NbModel,
     _doc_scores,
+    _int_counts,
     classify,
     load_model,
     save_model,
@@ -312,6 +314,86 @@ class TestModelValidation:
         assert toy_model.vocabulary == union
 
 
+def outcome(call):
+    """What ``call()`` returned, or the type and text of what it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+# Count values and tokens a JSON file or a caller could hand the checks.
+COUNT_VALUES = st.one_of(
+    st.integers(-2, 4), st.integers(), st.floats(), st.booleans(), st.text(max_size=2), st.none()
+)
+TOKENS = st.one_of(st.text(max_size=3), st.none(), st.just(0))
+
+LISTED_TABLES = [
+    {"a": True},
+    {"a": False},
+    {"a": 1.0},
+    {"a": 0.5},
+    {"a": 0},
+    {"a": -3},
+    {"": 2},
+    {"a": 1, "": 2},
+    {"a": float("nan"), "b": 0},
+    {"a": 0.5, "b": "x"},
+    {"a": "x", "b": 0.5},
+    {"a": 2, None: 1},
+    {},
+]
+
+
+class TestCountChecks:
+    """``_int_counts`` and ``NbModel`` against the loops they replaced.
+
+    Every table is refused with the same error, or accepted, as by
+    ``count_check_oracle``.
+    """
+
+    def assert_int_counts_agree(self, counts):
+        expected = outcome(lambda: count_check_oracle.int_counts(counts, "token_counts"))
+        got = outcome(lambda: _int_counts(counts, "token_counts"))
+        if expected is counts:
+            assert got is counts
+        else:
+            assert got == expected
+
+    def assert_tables_agree(self, tables, docs):
+        labels = (NEG, POS)
+        docs_per_class = dict(zip(labels, docs))
+        token_counts = dict(zip(labels, tables))
+        expected = outcome(
+            lambda: count_check_oracle.check_tables(labels, docs_per_class, token_counts)
+        )
+        got = outcome(lambda: NbModel(labels, docs_per_class, token_counts))
+        if expected is None:
+            # The loop passed; the vocabulary check comes after it.
+            assert isinstance(got, NbModel) or got == (ValueError, "empty vocabulary")
+        else:
+            assert got == expected
+
+    @pytest.mark.parametrize("counts", LISTED_TABLES, ids=repr)
+    def test_listed_tables(self, counts):
+        self.assert_int_counts_agree(counts)
+        self.assert_tables_agree([{"ok": 1}, counts], [1, 1])
+        self.assert_tables_agree([counts, {"ok": 1}], [1, 1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.text(max_size=3), COUNT_VALUES, max_size=6))
+    def test_int_counts(self, counts):
+        self.assert_int_counts_agree(counts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.dictionaries(TOKENS, COUNT_VALUES, max_size=5), min_size=2, max_size=2),
+        st.lists(st.integers(-1, 3), min_size=2, max_size=2),
+    )
+    def test_model_tables(self, tables, docs):
+        self.assert_tables_agree(tables, docs)
+
+
 class TestSaveLoad:
     def test_round_trip_preserves_counts(self, toy_model, tmp_path):
         path = tmp_path / "model.json"
@@ -420,28 +502,49 @@ class TestSaveLoad:
             load_payload(payload, tmp_path)
 
 
-def kfold_outcome(run, monkeypatch, caplog):
-    """What a k-fold run returned or raised, what it logged, and every score.
+class _ReportSkips(logging.Handler):
+    """Passes each of the oracle's fold-skip warnings on as (fold, skipped)."""
+
+    def __init__(self, on_skip):
+        super().__init__()
+        self.on_skip = on_skip
+
+    def emit(self, record):
+        self.on_skip(*record.args)
+
+
+def oracle_fold_accuracies(docs, k, seed, oov, on_skip):
+    """``kfold_oracle.fold_accuracies``, its skip warnings passed to ``on_skip``."""
+    handler = _ReportSkips(on_skip)
+    kfold_oracle.logger.addHandler(handler)
+    try:
+        return kfold_oracle.fold_accuracies(docs, k, seed, oov)
+    finally:
+        kfold_oracle.logger.removeHandler(handler)
+
+
+def kfold_outcome(run, monkeypatch):
+    """What ``run(on_skip)`` returned or raised, its per-fold skip counts, and every score.
 
     ``evaluation._confusion`` is wrapped to record, for each fold, the
     labels and each test document's scores and OOV count, so the fold
     tables are compared float for float, not only through accuracies.
     """
     scored = []
+    skips = []
     confusion = evaluation._confusion
 
     def recording(table, labels, gold, oov_mode):
         scored.append((labels, [(d.source_id, _doc_scores(table, d.tokens, oov_mode)) for d in gold]))
         return confusion(table, labels, gold, oov_mode)
 
-    caplog.clear()
-    with monkeypatch.context() as patch, caplog.at_level(logging.WARNING):
+    with monkeypatch.context() as patch:
         patch.setattr(evaluation, "_confusion", recording)
         try:
-            result = run()
+            result = run(lambda fold, skipped: skips.append((fold, skipped)))
         except KicaumineError as exc:
             result = (type(exc), str(exc))
-    return result, [(r.levelname, r.getMessage()) for r in caplog.records], scored
+    return result, skips, scored
 
 
 def gold_like_corpus(rng, n_docs, labels, empty_share):
@@ -463,48 +566,51 @@ class TestTrainWithout:
     either OOV mode.
     """
 
-    def assert_folds_match(self, docs, k, seed, monkeypatch, caplog):
+    def assert_folds_match(self, docs, k, seed, monkeypatch):
         for oov in (OOV_SMOOTH, OOV_SKIP):
             expected = kfold_outcome(
-                lambda: kfold_oracle.fold_accuracies(docs, k, seed, oov), monkeypatch, caplog
+                lambda on_skip: oracle_fold_accuracies(docs, k, seed, oov, on_skip), monkeypatch
             )
             got = kfold_outcome(
-                lambda: evaluation.cross_validate(docs, k, seed, oov), monkeypatch, caplog
+                lambda on_skip: evaluation._fold_accuracies(docs, k, seed, oov, on_skip),
+                monkeypatch,
             )
             assert got == expected
+            if isinstance(got[0], list):
+                assert evaluation.cross_validate(docs, k, seed, oov) == got[0]
         return got
 
     @pytest.mark.parametrize("k,seed", [(2, 0), (3, 7), (5, 42), (10, 1), (40, 3)])
-    def test_random_corpora(self, k, seed, monkeypatch, caplog):
+    def test_random_corpora(self, k, seed, monkeypatch):
         rng = random.Random(seed)
         docs = gold_like_corpus(rng, 40, [NEG, POS, NEU], empty_share=0.15)
-        result, _, scored = self.assert_folds_match(docs, k, seed, monkeypatch, caplog)
+        result, _, scored = self.assert_folds_match(docs, k, seed, monkeypatch)
         assert len(result) == k
         assert sum(len(fold) for _, fold in scored) == 40
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_fold_losing_a_class(self, seed, monkeypatch, caplog):
+    def test_fold_losing_a_class(self, seed, monkeypatch):
         # One neutral document: the fold that tests it trains on two classes.
         docs = gold_like_corpus(random.Random(seed), 12, [NEG, POS], empty_share=0.0)
         docs.append(make_doc("zz-neutral", ["netral"], NEU))
-        _, warnings, scored = self.assert_folds_match(docs, 4, seed, monkeypatch, caplog)
-        assert len(warnings) == 1 and "skipping 1 test doc(s)" in warnings[0][1]
+        _, skips, scored = self.assert_folds_match(docs, 4, seed, monkeypatch)
+        assert len(skips) == 1 and skips[0][1] == 1
         assert sorted(len(labels) for labels, _ in scored) == [2, 3, 3, 3]
 
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_fold_left_with_one_class_raises_like_train(self, seed, monkeypatch, caplog):
+    def test_fold_left_with_one_class_raises_like_train(self, seed, monkeypatch):
         docs = [make_doc(f"p{i}", ["bagus"], POS) for i in range(5)]
         docs.append(make_doc("n0", ["buruk"], NEG))
-        result, _, _ = self.assert_folds_match(docs, 3, seed, monkeypatch, caplog)
+        result, _, _ = self.assert_folds_match(docs, 3, seed, monkeypatch)
         assert result == (
             DegenerateTrainingError, "training needs at least two classes, got ['positive']"
         )
 
-    def test_all_training_documents_empty_raises_like_train(self, monkeypatch, caplog):
+    def test_all_training_documents_empty_raises_like_train(self, monkeypatch):
         docs = [make_doc("a", ["bagus"], POS), make_doc("b", [], NEG), make_doc("c", [], POS)]
-        self.assert_folds_match(docs, 3, 0, monkeypatch, caplog)
+        self.assert_folds_match(docs, 3, 0, monkeypatch)
         docs = [make_doc("a", [], POS), make_doc("b", [], NEG)]
-        result, _, _ = self.assert_folds_match(docs, 2, 0, monkeypatch, caplog)
+        result, _, _ = self.assert_folds_match(docs, 2, 0, monkeypatch)
         assert result == (TrainingError, "no documents to train on")
 
     def test_log_calls_bounded_by_test_tokens(self, monkeypatch):
