@@ -10,7 +10,6 @@ import argparse
 import json
 import shutil
 import sys
-import tempfile
 from contextlib import nullcontext
 from itertools import chain, islice
 from json.encoder import encode_basestring
@@ -54,7 +53,8 @@ from .resources import (
 )
 
 # The model, preprocessing and evaluation modules are imported by the
-# commands that run them, so that collect and report never load them.
+# commands that run them, so that collect and report never load them, and
+# tempfile by collect alone.
 
 # Ids named in one warning line; the rest are only counted.
 _MAX_LOGGED_IDS = 10
@@ -396,6 +396,8 @@ def _format_reports(groups, fmt: str) -> str:
 
 
 def cmd_collect(config: RunConfig) -> int:
+    import tempfile
+
     config.require_files("input")
     if config.out_labeled is None or config.out_unlabeled is None:
         raise ConfigError("--out-labeled and --out-unlabeled are required")
@@ -585,12 +587,12 @@ def cmd_report(config: RunConfig) -> int:
     labels = _read_strict_jsonl(config.predictions, "prediction", _prediction_label)
     with open(config.input, "rb") as handle:
         tweets = iter_tweets(handle, CorpusStats())
-        pairs = [(t.text, labels[t.id]) for t in tweets if t.id in labels]
-    # iter_tweets yields each id once, so each pair matches a distinct prediction.
-    unmatched = len(labels) - len(pairs)
+        groups = _hashtag_rollup(((t.text, labels[t.id]) for t in tweets if t.id in labels), tags)
+    # The 'all' group counts every matched tweet, and iter_tweets yields each
+    # id once, so each matched tweet has a distinct prediction.
+    unmatched = len(labels) - sum(groups[0][1].values())
     if unmatched:
         _say(f"{unmatched} prediction(s) reference ids missing from the corpus")
-    groups = _hashtag_rollup(pairs, tags)
     _emit(_format_reports(groups, config.format), config.out)
     return 0
 

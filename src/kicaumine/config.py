@@ -6,8 +6,8 @@ key has a matching CLI flag; flags win over file values. Paths are
 resolved relative to the working directory.
 """
 
+import os
 from enum import Enum
-from pathlib import Path
 
 from .corpus import DEFAULT_HASHTAGS, _Record
 from .exceptions import ConfigError
@@ -85,16 +85,10 @@ class RunConfig(_Record):
     """
 
     __slots__ = _fields = tuple(_DEFAULTS)
+    _defaults = _DEFAULTS
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
-
-    def __init__(self, **settings):
-        unknown = settings.keys() - _DEFAULTS.keys()
-        if unknown:
-            raise TypeError(f"RunConfig got unknown settings: {', '.join(sorted(unknown))}")
-        for name, default in _DEFAULTS.items():
-            setattr(self, name, settings.get(name, default))
 
     def validate_values(self) -> None:
         if not 0.0 <= self.lang_threshold <= 1.0:
@@ -125,11 +119,11 @@ class RunConfig(_Record):
             value = getattr(self, key)
             if value is None:
                 problems.append(f"--{key.replace('_', '-')} is required")
-            elif not Path(value).is_file():
+            elif not os.path.isfile(value):
                 problems.append(f"{key}: no such file: {value}")
         for key in ("stopwords", "pos_lexicon", "stem_roots", "wordlist", "hashtags_file"):
             value = getattr(self, key)
-            if value is not None and not Path(value).is_file():
+            if value is not None and not os.path.isfile(value):
                 problems.append(f"{key}: no such file: {value}")
         if problems:
             raise ConfigError("; ".join(problems))

@@ -70,15 +70,43 @@ class _Record:
     """Base of the package's record classes: plain values with named fields.
 
     A subclass names its attributes in ``__slots__`` and, in ``_fields``,
-    those that are its ``__init__`` arguments and make up its value; its
-    ``__init__`` validates them and stores them with ``object.__setattr__``.
-    The base compares, hashes and shows the fields, refuses assignment once
-    the record is built, and copies and pickles every slot. A mutable record
-    restores ``object.__setattr__`` and sets ``__hash__ = None``.
+    those that make up its value. The base ``__init__`` takes the fields as
+    keyword arguments only: a field left out takes its value from the
+    class's ``_defaults`` dict (empty by default), and a positional
+    argument, an unknown name or a field with neither a keyword nor a
+    default raises TypeError naming the class. A subclass that validates
+    or derives values defines its own ``__init__`` and stores them with
+    ``object.__setattr__``. The base compares, hashes and shows the fields,
+    refuses assignment once the record is built, and copies and pickles
+    every slot. A mutable record restores ``object.__setattr__`` and sets
+    ``__hash__ = None``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init__(self, *positional, **values):
+        fields = self._fields
+        if len(values) != len(fields):
+            values = {**self._defaults, **values}
+        if not positional and len(values) == len(fields):
+            # One value per field, unless an unknown name took a field's
+            # place: then a store misses, and the checks below report it.
+            try:
+                for name in fields:
+                    object.__setattr__(self, name, values[name])
+                return
+            except KeyError:
+                pass
+        kind = type(self).__name__
+        if positional:
+            raise TypeError(f"{kind} takes keyword arguments only")
+        unknown = values.keys() - fields
+        if unknown:
+            raise TypeError(f"{kind} got unknown fields: {', '.join(sorted(unknown))}")
+        missing = [name for name in fields if name not in values]
+        raise TypeError(f"{kind} is missing fields: {', '.join(missing)}")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -178,16 +206,10 @@ class CorpusStats(_Record):
         "unlabeled",
         "flagged_overlong",
     )
+    _defaults = dict.fromkeys(_fields, 0)
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
-
-    def __init__(self, **counts):
-        unknown = counts.keys() - self._fields
-        if unknown:
-            raise TypeError(f"CorpusStats got unknown counters: {', '.join(sorted(unknown))}")
-        for name in self._fields:
-            setattr(self, name, counts.get(name, 0))
 
     def add(self, other: "CorpusStats") -> None:
         """Accumulate another stage's delta into this bag, field by field."""

@@ -7,9 +7,8 @@ identical splits regardless of input order or platform.
 """
 
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import chain
-from typing import Mapping, NamedTuple
 
 from .corpus import SentimentLabel, Tweet, _hashtag_rollup, _Record
 from .exceptions import EvaluationError, SplitError, TrainingError, UnknownLabelError
@@ -26,10 +25,7 @@ from .model import (
 from .preprocess import Document
 
 
-class ClassMetrics(NamedTuple):
-    precision: float
-    recall: float
-    f1: float
+ClassMetrics = namedtuple("ClassMetrics", ("precision", "recall", "f1"))
 
 
 class EvalMetrics(_Record):
@@ -41,18 +37,6 @@ class EvalMetrics(_Record):
     """
 
     __slots__ = _fields = ("confusion", "accuracy", "per_class", "n_test")
-
-    def __init__(
-        self,
-        confusion: Mapping[SentimentLabel, Mapping[SentimentLabel, int]],
-        accuracy: float,
-        per_class: Mapping[SentimentLabel, ClassMetrics],
-        n_test: int,
-    ):
-        object.__setattr__(self, "confusion", confusion)
-        object.__setattr__(self, "accuracy", accuracy)
-        object.__setattr__(self, "per_class", per_class)
-        object.__setattr__(self, "n_test", n_test)
 
     def as_dict(self) -> dict:
         return {
@@ -73,16 +57,6 @@ class SentimentReport(_Record):
     """Label counts and shares for one tweet group (hashtag or 'all')."""
 
     __slots__ = _fields = ("group_key", "counts", "percentages")
-
-    def __init__(
-        self,
-        group_key: str,
-        counts: Mapping[SentimentLabel, int],
-        percentages: Mapping[SentimentLabel, float],
-    ):
-        object.__setattr__(self, "group_key", group_key)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "percentages", percentages)
 
     @property
     def total(self) -> int:

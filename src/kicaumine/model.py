@@ -15,8 +15,8 @@ lookup per distinct vocabulary token.
 import json
 import math
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from itertools import chain
-from typing import Iterable, Mapping
 
 from .config import OOV_MODES, OOV_SKIP, OOV_SMOOTH
 from .corpus import SentimentLabel, _Record, decode_json
@@ -31,13 +31,6 @@ class Prediction(_Record):
     """Classification outcome: winning label plus normalized posteriors."""
 
     __slots__ = _fields = ("label", "posteriors", "oov_tokens")
-
-    def __init__(
-        self, label: SentimentLabel, posteriors: Mapping[SentimentLabel, float], oov_tokens: int
-    ):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "posteriors", posteriors)
-        object.__setattr__(self, "oov_tokens", oov_tokens)
 
 
 class _ScoreTable:

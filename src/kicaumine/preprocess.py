@@ -12,8 +12,9 @@ only the rule that drops leading ``RT`` words looks at more than one word.
 
 import re
 import threading
+from collections import namedtuple
+from collections.abc import Mapping
 from itertools import dropwhile
-from typing import Mapping, NamedTuple
 
 from .config import DEFAULT_POS_KEEP_TAGS, PosTag
 from .corpus import LabeledTweet, SentimentLabel, Tweet, _Record
@@ -32,9 +33,7 @@ _WORD_MEMO_MAX_ENTRIES = 1 << 13
 _WORD_MEMO_MAX_WORD_LEN = 32
 
 
-class PosTaggedToken(NamedTuple):
-    token: str
-    tag: PosTag
+PosTaggedToken = namedtuple("PosTaggedToken", ("token", "tag"))
 
 
 class Document(_Record):

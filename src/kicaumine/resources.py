@@ -11,12 +11,13 @@ import os
 import shutil
 from contextlib import contextmanager, suppress
 from functools import lru_cache
-from importlib.resources import files
 
 from .config import PosTag
 from .exceptions import ConfigError
 
-_DATA = files("kicaumine.data")
+# The bundled data files sit in a directory beside this module, so the
+# package must be installed as plain files, not run from a zip archive.
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 STOPWORDS_FILE = "stopwords_id.txt"
 ROOT_WORDS_FILE = "root_words_id.txt"
@@ -79,28 +80,22 @@ def load_word_file(path) -> list[str]:
         raise ConfigError(f"word file {path} is not UTF-8") from None
 
 
-def _bundled_lines(name: str) -> list[str]:
-    return parse_word_lines(_DATA.joinpath(name).read_text(encoding="utf-8").splitlines())
-
-
 def demo_corpus_path() -> str:
     """Filesystem path of the bundled six-tweet demo corpus."""
-    return str(_DATA.joinpath(DEMO_CORPUS_FILE))
+    return os.path.join(_DATA, DEMO_CORPUS_FILE)
 
 
 def load_stopwords(path=None) -> frozenset[str]:
-    entries = load_word_file(path) if path else _bundled_lines(STOPWORDS_FILE)
-    return frozenset(entries)
+    return frozenset(load_word_file(path or os.path.join(_DATA, STOPWORDS_FILE)))
 
 
 def load_wordlist(path=None) -> frozenset[str]:
-    entries = load_word_file(path) if path else _bundled_lines(WORDLIST_FILE)
-    return frozenset(entries)
+    return frozenset(load_word_file(path or os.path.join(_DATA, WORDLIST_FILE)))
 
 
 def load_root_words(path=None) -> frozenset[str]:
     """Stemmer root dictionary; entries must be lowercase letters only."""
-    entries = load_word_file(path) if path else _bundled_lines(ROOT_WORDS_FILE)
+    entries = load_word_file(path or os.path.join(_DATA, ROOT_WORDS_FILE))
     for entry in entries:
         if not entry.isalpha() or entry != entry.lower():
             raise ConfigError(f"root word {entry!r} is not lowercase letters")
@@ -114,7 +109,7 @@ def load_hashtags(path) -> frozenset[str]:
 
 def load_pos_lexicon(path=None) -> dict[str, PosTag]:
     """POS lexicon: `word<TAB>TAG` per line, TAG one of the PosTag names."""
-    entries = load_word_file(path) if path else _bundled_lines(POS_LEXICON_FILE)
+    entries = load_word_file(path or os.path.join(_DATA, POS_LEXICON_FILE))
     lexicon: dict[str, PosTag] = {}
     for entry in entries:
         word, sep, tag_name = entry.partition("\t")

@@ -1,12 +1,17 @@
 """Check that importing the CLI, the package or a command loads only what it runs.
 
-Each check starts a fresh interpreter, records ``sys.modules``, imports
-the module or runs the command, and lists what that added. Neither
-``kicaumine.cli`` nor ``kicaumine`` may load a module in ``FORBIDDEN``.
-Each command, run on the bundled demo corpus, may not load a module
-that ``COMMAND_FORBIDDEN`` names for it: no command loads ``logging``,
-``collect`` and ``report`` load no model, preprocessing, stemming or
-evaluation code, and ``train`` and ``classify`` load no evaluation code.
+Each check starts a fresh interpreter without ``site`` (``-S``), records
+``sys.modules``, imports the module or runs the command, and lists what
+that added. A ``site`` may import modules such as ``pathlib`` or
+``importlib.resources`` before the package does, and the check could
+then not see the package load them. Neither ``kicaumine.cli`` nor
+``kicaumine`` may load a module in ``FORBIDDEN``. Each command, run on
+the bundled demo corpus, may not load a module that
+``COMMAND_FORBIDDEN`` names for it: no command loads ``logging``,
+``typing``, ``pathlib``, ``importlib.resources`` or ``zipfile``, only
+``collect`` loads ``tempfile``, ``collect`` and ``report`` load no
+model, preprocessing, stemming or evaluation code, and ``train`` and
+``classify`` load no evaluation code.
 The package's lazy re-exports must all resolve, bind under ``from
 kicaumine import *`` and show in ``dir()``. Nothing is timed.
 
@@ -26,14 +31,19 @@ DEMO = SRC / "kicaumine" / "data" / "demo_tweets.jsonl"
 
 _MODEL_CODE = ("kicaumine.model", "kicaumine.preprocess", "kicaumine.stemming")
 
-FORBIDDEN = ("dataclasses", "inspect", "csv", "logging", "kicaumine.evaluation", *_MODEL_CODE)
+# Standard-library modules that no command needs.
+_UNUSED = ("logging", "typing", "pathlib", "importlib.resources", "zipfile")
+
+FORBIDDEN = (
+    "dataclasses", "inspect", "csv", "tempfile", *_UNUSED, "kicaumine.evaluation", *_MODEL_CODE
+)
 
 COMMAND_FORBIDDEN = {
-    "collect": ("logging", "kicaumine.evaluation", *_MODEL_CODE),
-    "train": ("logging", "kicaumine.evaluation"),
-    "classify": ("logging", "kicaumine.evaluation"),
-    "report": ("logging", "kicaumine.evaluation", *_MODEL_CODE),
-    "eval": ("logging",),
+    "collect": (*_UNUSED, "kicaumine.evaluation", *_MODEL_CODE),
+    "train": (*_UNUSED, "tempfile", "kicaumine.evaluation"),
+    "classify": (*_UNUSED, "tempfile", "kicaumine.evaluation"),
+    "report": (*_UNUSED, "tempfile", "kicaumine.evaluation", *_MODEL_CODE),
+    "eval": (*_UNUSED, "tempfile"),
 }
 
 # Each command's arguments, in an order where each reads what the earlier
@@ -88,11 +98,15 @@ print(json.dumps(problems))
 
 
 def _run(code: str, *args: str, cwd=None):
-    """Run ``code`` with ``args`` in a fresh interpreter with ``src`` on the path; its JSON output."""
+    """Run ``code`` with ``args`` in a fresh interpreter with ``src`` on the path; its JSON output.
+
+    The interpreter runs without ``site``, so that only the package and
+    the check's own code load modules.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, "-S", "-c", code, *args],
         env=env,
         cwd=cwd,
         capture_output=True,

@@ -602,6 +602,38 @@ class TestBoundedMemory:
         assert (stats["labeled_positive"], stats["unlabeled"]) == (4 * n, 4 * n)
         assert large_peak - small_peak < (large_size - small_size) / 4
 
+    def test_report_peak_grows_far_less_than_input(self, tmp_path):
+        # report holds the predictions' ids and labels, not the tweets' texts.
+        text = f"{self.TEXT * 3} #pilgubjabar"  # about 3.7 KB
+
+        def peak_bytes(n):
+            tweets, predictions = tmp_path / f"in{n}.jsonl", tmp_path / f"pred{n}.jsonl"
+            with open(tweets, "w", encoding="utf-8") as t, open(predictions, "w") as p:
+                for i in range(n):
+                    t.write(json.dumps({"id": f"tweet{i:07d}", "text": text}) + "\n")
+                    p.write(
+                        json.dumps({"id": f"tweet{i:07d}", "label": "positive", "oov_tokens": 0,
+                                    "posteriors": {"negative": 0.25, "positive": 0.75}}) + "\n"
+                    )
+            argv = ["report", "--input", str(tweets), "--predictions", str(predictions),
+                    "--out", str(tmp_path / "report.json"), "--format", "json"]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, tweets.stat().st_size
+
+        n = 300
+        peak_bytes(10)  # one-time caches
+        small_peak, small_size = peak_bytes(n)
+        large_peak, large_size = peak_bytes(8 * n)
+        groups = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        totals = {group["group"]: group["total"] for group in groups}
+        assert (totals["all"], totals["pilgubjabar"]) == (8 * n, 8 * n)
+        assert large_peak - small_peak < (large_size - small_size) / 4
+
 
 class TestEval:
     def write_gold(self, tmp_path, rows):

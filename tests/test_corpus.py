@@ -318,7 +318,7 @@ class TestTypes:
         assert not [name for name in called if name.endswith("enum.py")]
 
     def test_stats_take_known_keywords_only(self):
-        with pytest.raises(TypeError, match="unknown counters: bogus"):
+        with pytest.raises(TypeError, match="CorpusStats got unknown fields: bogus"):
             CorpusStats(bogus=1)
         with pytest.raises(TypeError):
             CorpusStats(3)

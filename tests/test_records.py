@@ -6,10 +6,10 @@ import pickle
 import pytest
 
 from conftest import NEG, POS, make_doc
-from kicaumine.config import RunConfig
+from kicaumine.config import _DEFAULTS, RunConfig
 from kicaumine.corpus import CorpusStats, LabeledTweet, LabelSource, Tweet
-from kicaumine.evaluation import evaluate, sentiment_report
-from kicaumine.model import classify, train
+from kicaumine.evaluation import EvalMetrics, SentimentReport, evaluate, sentiment_report
+from kicaumine.model import Prediction, classify, train
 from kicaumine.preprocess import PipelineConfig, run_pipeline
 from kicaumine.resources import default_pipeline_config
 
@@ -30,6 +30,16 @@ RECORDS = [
     evaluate(MODEL, DOCS),
 ]
 FROZEN = [r for r in RECORDS if not isinstance(r, (CorpusStats, RunConfig))]
+
+
+# The records built by the base constructor, each with a value for every field.
+KEYWORD_BUILT = [
+    (Prediction, {"label": POS, "posteriors": {POS: 1.0}, "oov_tokens": 0}),
+    (EvalMetrics, {"confusion": {}, "accuracy": 1.0, "per_class": {}, "n_test": 1}),
+    (SentimentReport, {"group_key": "all", "counts": {}, "percentages": {}}),
+    (CorpusStats, dict.fromkeys(CorpusStats._fields, 1)),
+    (RunConfig, {**_DEFAULTS, "seed": 7}),
+]
 
 
 def pickled(record):
@@ -131,3 +141,51 @@ def test_pipeline_config_copy_shares_memo_and_pickle_refuses_lock():
 def test_pipeline_config_defaults_do_not_share_a_lexicon():
     assert PipelineConfig().pos_lexicon == {}
     assert PipelineConfig().pos_lexicon is not PipelineConfig().pos_lexicon
+
+
+def built_id(case):
+    return case[0].__name__
+
+
+@pytest.mark.parametrize("case", KEYWORD_BUILT, ids=built_id)
+def test_keyword_built_records_store_every_field(case):
+    cls, values = case
+    record = cls(**values)
+    assert [getattr(record, name) for name in cls._fields] == list(values.values())
+    assert record.replace() == record
+
+
+@pytest.mark.parametrize("case", KEYWORD_BUILT, ids=built_id)
+def test_keyword_built_records_refuse_unknown_names(case):
+    cls, values = case
+    with pytest.raises(TypeError, match=f"^{cls.__name__} got unknown fields: bogus, other$"):
+        cls(**values, other=1, bogus=1)
+    # An unknown name in place of a field, so that the count of names matches.
+    swapped = {**values, "bogus": 1}
+    del swapped[cls._fields[0]]
+    with pytest.raises(TypeError, match=f"^{cls.__name__} got unknown fields: bogus$"):
+        cls(**swapped)
+
+
+@pytest.mark.parametrize("case", KEYWORD_BUILT, ids=built_id)
+def test_keyword_built_records_refuse_positional_arguments(case):
+    cls, values = case
+    with pytest.raises(TypeError, match=f"^{cls.__name__} takes keyword arguments only$"):
+        cls(*values.values())
+    with pytest.raises(TypeError, match=f"^{cls.__name__} takes keyword arguments only$"):
+        cls(None, **values)
+
+
+@pytest.mark.parametrize("case", KEYWORD_BUILT, ids=built_id)
+def test_keyword_built_records_fill_only_defaulted_fields(case):
+    cls, values = case
+    first, last = cls._fields[0], cls._fields[-1]
+    partial = {name: value for name, value in values.items() if name not in (first, last)}
+    if cls._defaults:
+        record = cls(**partial)
+        assert (getattr(record, first), getattr(record, last)) == (
+            cls._defaults[first], cls._defaults[last]
+        )
+    else:
+        with pytest.raises(TypeError, match=f"^{cls.__name__} is missing fields: {first}, {last}$"):
+            cls(**partial)
