@@ -17,10 +17,14 @@ from operator import itemgetter
 
 from .config import (
     DEFAULT_K,
+    DEFAULT_LANG_THRESHOLD,
+    DEFAULT_SEED,
+    DEFAULT_TRAIN_FRACTION,
     FORMATS,
     OOV_MODES,
     RunConfig,
     build_config,
+    flag_name,
     parse_setting,
 )
 from .corpus import (
@@ -601,55 +605,64 @@ def cmd_report(config: RunConfig) -> int:
 # argument parsing
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--input", help="input file for this command")
-    parser.add_argument("--out", help="output file (default: stdout)")
-    parser.add_argument(
-        "--format", choices=FORMATS, default=None, help="output format (default table)"
-    )
+# Settings that several commands take as flags.
+_COMMON = ("input", "out", "format")
+_PIPELINE = (
+    "stopwords",
+    "pos_lexicon",
+    "stem_roots",
+    "enable_stopwords",
+    "enable_pos",
+    "enable_stemming",
+    "pos_keep_tags",
+)
+_HASHTAGS = ("hashtags", "hashtags_file")
 
+# Per command: its help line and the settings it takes as flags, in the
+# order --help lists them after --config.
+_COMMAND_FLAGS = {
+    "collect": (
+        "ingest, filter, and emoticon-label tweets",
+        _COMMON + _HASHTAGS + ("out_labeled", "out_unlabeled", "wordlist", "lang_threshold"),
+    ),
+    "train": ("preprocess a labeled corpus and train the model", _COMMON + _PIPELINE + ("model",)),
+    "classify": ("classify tweets with a trained model", _COMMON + _PIPELINE + ("model", "oov")),
+    "eval": (
+        "score the classifier against manual gold labels",
+        _COMMON + _PIPELINE + ("model", "gold", "k", "seed", "train_fraction", "oov"),
+    ),
+    "report": ("per-hashtag sentiment percentage rollup", _COMMON + _HASHTAGS + ("predictions",)),
+}
 
-def _add_pipeline_flags(parser):
-    parser.add_argument("--stopwords", help="stopword list file (default: bundled)")
-    parser.add_argument("--pos-lexicon", dest="pos_lexicon", help="POS lexicon file (default: bundled)")
-    parser.add_argument("--stem-roots", dest="stem_roots", help="root-word dictionary file (default: bundled)")
-    parser.add_argument(
-        "--disable-stopwords",
-        dest="enable_stopwords",
-        action="store_const",
-        const=False,
-        default=None,
-        help="skip the stopword removal stage",
-    )
-    parser.add_argument(
-        "--enable-pos",
-        dest="enable_pos",
-        action="store_const",
-        const=True,
-        default=None,
-        help="enable the POS tag filter stage",
-    )
-    parser.add_argument(
-        "--disable-stemming",
-        dest="enable_stemming",
-        action="store_const",
-        const=False,
-        default=None,
-        help="skip the stemming stage",
-    )
-    parser.add_argument(
-        "--pos-keep-tags",
-        dest="pos_keep_tags",
-        help="comma-separated tags kept by the POS filter (noun,verb,adj,other)",
-    )
-
-
-def _add_hashtag_flags(parser):
-    parser.add_argument("--hashtags", help="comma-separated hashtags (without '#')")
-    parser.add_argument(
-        "--hashtags-file", dest="hashtags_file", help="hashtag set file, one tag per line"
-    )
+# One help text per setting.
+_FLAG_HELP = {
+    "input": "input file for this command",
+    "model": "model path: train writes it, classify reads it; eval without it "
+    "trains on a gold split",
+    "out": "output file (default: stdout)",
+    "out_labeled": "labeled corpus output path",
+    "out_unlabeled": "unlabeled corpus output path",
+    "predictions": "predictions JSONL from the classify command",
+    "gold": "gold labels CSV (header: id,label)",
+    "stopwords": "stopword list file (default: bundled)",
+    "pos_lexicon": "POS lexicon file (default: bundled)",
+    "stem_roots": "root-word dictionary file (default: bundled)",
+    "wordlist": "language wordlist file (default: bundled)",
+    "hashtags_file": "hashtag set file, one tag per line",
+    "hashtags": "comma-separated hashtags (without '#')",
+    "lang_threshold": "minimum dictionary-word ratio to keep a tweet "
+    f"(default {DEFAULT_LANG_THRESHOLD})",
+    "enable_stopwords": "skip the stopword removal stage",
+    "enable_pos": "enable the POS tag filter stage",
+    "enable_stemming": "skip the stemming stage",
+    "pos_keep_tags": "comma-separated tags kept by the POS filter (noun,verb,adj,other)",
+    "train_fraction": f"training share for the holdout mode (default {DEFAULT_TRAIN_FRACTION})",
+    "seed": f"shuffle seed (default {DEFAULT_SEED})",
+    "k": "k-fold cross-validation, all folds scored from one count of the gold data "
+    f"(default k={DEFAULT_K} when given)",
+    "format": f"output format: {', '.join(FORMATS)} (default table)",
+    "oov": f"unseen-token handling: {', '.join(OOV_MODES)} (default smooth)",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -658,74 +671,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Emoticon-supervised tweet sentiment mining pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_collect = sub.add_parser("collect", help="ingest, filter, and emoticon-label tweets")
-    _add_common(p_collect)
-    _add_hashtag_flags(p_collect)
-    p_collect.add_argument("--out-labeled", dest="out_labeled", help="labeled corpus output path")
-    p_collect.add_argument(
-        "--out-unlabeled", dest="out_unlabeled", help="unlabeled corpus output path"
-    )
-    p_collect.add_argument("--wordlist", help="language wordlist file (default: bundled)")
-    p_collect.add_argument(
-        "--lang-threshold",
-        dest="lang_threshold",
-        type=float,
-        help="minimum dictionary-word ratio to keep a tweet (default 0.5)",
-    )
-
-    p_train = sub.add_parser("train", help="preprocess a labeled corpus and train the model")
-    _add_common(p_train)
-    _add_pipeline_flags(p_train)
-    p_train.add_argument("--model", help="model output path")
-
-    p_classify = sub.add_parser("classify", help="classify tweets with a trained model")
-    _add_common(p_classify)
-    _add_pipeline_flags(p_classify)
-    p_classify.add_argument("--model", help="trained model path")
-    p_classify.add_argument(
-        "--oov", choices=OOV_MODES, default=None, help="unseen-token handling (default smooth)"
-    )
-
-    p_eval = sub.add_parser("eval", help="score the classifier against manual gold labels")
-    _add_common(p_eval)
-    _add_pipeline_flags(p_eval)
-    p_eval.add_argument("--model", help="trained model path (omit to train on a gold split)")
-    p_eval.add_argument("--gold", help="gold labels CSV (header: id,label)")
-    p_eval.add_argument(
-        "--k",
-        nargs="?",
-        const=DEFAULT_K,
-        type=int,
-        default=None,
-        help="k-fold cross-validation, all folds scored from one count of the gold data "
-        "(default k=10 when given)",
-    )
-    p_eval.add_argument("--seed", type=int, help="shuffle seed (default 42)")
-    p_eval.add_argument(
-        "--train-fraction",
-        dest="train_fraction",
-        type=float,
-        help="training share for the holdout mode (default 0.8)",
-    )
-    p_eval.add_argument(
-        "--oov", choices=OOV_MODES, default=None, help="unseen-token handling (default smooth)"
-    )
-
-    p_report = sub.add_parser("report", help="per-hashtag sentiment percentage rollup")
-    _add_common(p_report)
-    _add_hashtag_flags(p_report)
-    p_report.add_argument("--predictions", help="predictions JSONL from the classify command")
-
+    for command, (summary, keys) in _COMMAND_FLAGS.items():
+        flags = sub.add_parser(command, help=summary)
+        flags.add_argument("--config", help="key=value config file; flags override it")
+        for key in keys:
+            default = RunConfig._defaults[key]
+            if isinstance(default, bool):
+                how = {"action": "store_const", "const": not default}
+            elif key == "k":
+                how = {"nargs": "?", "const": DEFAULT_K}
+            else:
+                how = {}
+            flags.add_argument(flag_name(key), dest=key, help=_FLAG_HELP[key], **how)
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
+    """The run settings of ``args``, each string value parsed as its config-file line's."""
     overrides = {}
     for key in RunConfig._fields:
         value = getattr(args, key, None)
-        if key in ("hashtags", "pos_keep_tags") and value is not None:
-            value = parse_setting(key, value)
+        if isinstance(value, str):
+            try:
+                value = parse_setting(key, value)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         overrides[key] = value
     return build_config(config_path=args.config, **overrides)
 

@@ -2,7 +2,8 @@
 
 The config file format is one ``key=value`` per line, '#' comment lines,
 booleans spelled ``true``/``false``, list values comma-separated. Every
-key has a matching CLI flag; flags win over file values. Paths are
+key has a matching CLI flag (see ``flag_name``), whose value is parsed
+as its config-file line's is; flags win over file values. Paths are
 resolved relative to the working directory.
 """
 
@@ -77,6 +78,18 @@ _DEFAULTS = {
 }
 
 
+def flag_name(key: str) -> str:
+    """The command-line flag of setting ``key``.
+
+    ``--`` plus the key with ``-`` for ``_``. A boolean setting's flag
+    sets the opposite of its default: ``--enable-pos``, ``--disable-stemming``.
+    """
+    flag = "--" + key.replace("_", "-")
+    if _DEFAULTS[key] is True:
+        return flag.replace("--enable-", "--disable-", 1)
+    return flag
+
+
 class RunConfig(_Record):
     """Everything a CLI command may need; commands validate their subset.
 
@@ -118,7 +131,7 @@ class RunConfig(_Record):
         for key in keys:
             value = getattr(self, key)
             if value is None:
-                problems.append(f"--{key.replace('_', '-')} is required")
+                problems.append(f"{flag_name(key)} is required")
             elif not os.path.isfile(value):
                 problems.append(f"{key}: no such file: {value}")
         for key in ("stopwords", "pos_lexicon", "stem_roots", "wordlist", "hashtags_file"):
@@ -154,7 +167,8 @@ def parse_setting(key: str, raw: str):
     """The text ``raw`` as a value of setting ``key``, typed like its default.
 
     A bad boolean or POS tag raises ConfigError. A bad number raises
-    ValueError, which the config-file parser reports with ``path:line``.
+    ValueError, which the config-file parser reports after ``path:line``
+    and the CLI reports without one.
     """
     if key == "hashtags":
         return _parse_tags(raw)
@@ -177,7 +191,7 @@ def parse_config_file(path) -> dict:
     """Read a key=value config file into a dict of typed values."""
     values: dict = {}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc

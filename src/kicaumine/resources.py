@@ -1,10 +1,11 @@
 """Word-file parsing, access to the bundled data files, atomic output writes.
 
-All word resources share one line format: UTF-8 text, one entry per
-line, lines starting with '#' are comments, leading and trailing
-whitespace is trimmed. The package bundles an Indonesian stopword list, root-word
-dictionary, POS lexicon, language-detection wordlist, and a six-tweet
-demo corpus so the whole pipeline runs offline out of the box.
+All word resources share one line format: UTF-8 text (a leading
+byte-order mark is dropped), one entry per line, lines starting with '#'
+are comments, leading and trailing whitespace is trimmed. The package
+bundles an Indonesian stopword list, root-word dictionary, POS lexicon,
+language-detection wordlist, and a six-tweet demo corpus so the whole
+pipeline runs offline out of the box.
 """
 
 import os
@@ -74,7 +75,7 @@ def atomic_writer(path):
 
 def load_word_file(path) -> list[str]:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return parse_word_lines(handle)
     except UnicodeDecodeError:
         raise ConfigError(f"word file {path} is not UTF-8") from None

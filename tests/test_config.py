@@ -1,12 +1,20 @@
-"""Run settings: config-file keys, their flags, and the config-file errors."""
+"""Run settings: config-file keys, their flags, the errors of both, and
+a leading byte-order mark in each file kind a run reads words or settings from."""
 
 import re
 from pathlib import Path
 
 import pytest
 
-from kicaumine import cli
-from kicaumine.config import RunConfig
+from kicaumine import cli, config
+from kicaumine.config import RunConfig, parse_config_file
+from kicaumine.resources import (
+    load_hashtags,
+    load_pos_lexicon,
+    load_root_words,
+    load_stopwords,
+    load_wordlist,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -74,27 +82,52 @@ def test_bare_k_flag_means_ten_folds(tmp_path):
     assert from_argv(["eval", "--k"]).k == 10
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("# threshold\nlang_threshold=abc\n", "{path}:2: lang_threshold must be a number"),
-        ("train_fraction=0.5x\n", "{path}:1: train_fraction must be a number"),
-        ("seed=seven\n", "{path}:1: seed must be an integer"),
-        ("k=2.5\n", "{path}:1: k must be an integer"),
-        ("enable_pos=yes\n", "enable_pos must be true or false, got 'yes'"),
-        ("seed=1\njust words\n", "{path}:2: expected key=value, got 'just words'"),
-        ("no_such_key=1\n", "{path}:1: unknown config key 'no_such_key'"),
-        ("pos_keep_tags=noun,bogus\n", "unknown POS tag in pos_keep_tags: 'BOGUS'"),
-        ("hashtags=\n", "hashtag set must not be empty"),
-        ("pos_keep_tags=\n", "POS keep-tag set must not be empty"),
-        ("enable_pos=false\npos_keep_tags= , \n", "POS keep-tag set must not be empty"),
-    ],
-)
+# Each config file that is refused, with the error line's text after "error: ".
+FILE_ERRORS = [
+    ("# threshold\nlang_threshold=abc\n", "{path}:2: lang_threshold must be a number"),
+    ("train_fraction=0.5x\n", "{path}:1: train_fraction must be a number"),
+    ("seed=seven\n", "{path}:1: seed must be an integer"),
+    ("k=2.5\n", "{path}:1: k must be an integer"),
+    ("enable_pos=yes\n", "enable_pos must be true or false, got 'yes'"),
+    ("seed=1\njust words\n", "{path}:2: expected key=value, got 'just words'"),
+    ("no_such_key=1\n", "{path}:1: unknown config key 'no_such_key'"),
+    ("pos_keep_tags=noun,bogus\n", "unknown POS tag in pos_keep_tags: 'BOGUS'"),
+    ("hashtags=\n", "hashtag set must not be empty"),
+    ("pos_keep_tags=\n", "POS keep-tag set must not be empty"),
+    ("enable_pos=false\npos_keep_tags= , \n", "POS keep-tag set must not be empty"),
+    ("format=bogus\n", "format must be one of ('table', 'json', 'csv'), got 'bogus'"),
+    ("oov=nope\n", "oov must be one of ('smooth', 'skip'), got 'nope'"),
+]
+
+# The same bad value given as a flag, for each file above whose value has one.
+FLAG_FORMS = {
+    "# threshold\nlang_threshold=abc\n": ["collect", "--lang-threshold", "abc"],
+    "train_fraction=0.5x\n": ["eval", "--train-fraction", "0.5x"],
+    "seed=seven\n": ["eval", "--seed", "seven"],
+    "k=2.5\n": ["eval", "--k", "2.5"],
+    "pos_keep_tags=noun,bogus\n": ["train", "--pos-keep-tags", "noun,bogus"],
+    "hashtags=\n": ["collect", "--hashtags", ""],
+    "pos_keep_tags=\n": ["train", "--pos-keep-tags", ""],
+    "enable_pos=false\npos_keep_tags= , \n": ["train", "--pos-keep-tags", " , "],
+    "format=bogus\n": ["train", "--format", "bogus"],
+    "oov=nope\n": ["classify", "--oov", "nope"],
+}
+
+
+@pytest.mark.parametrize("text, message", FILE_ERRORS)
 def test_config_file_errors_verbatim(text, message, tmp_path, capsys):
     path = tmp_path / "run.conf"
     path.write_text(text, encoding="utf-8")
     result = run(["train", "--config", str(path)], capsys)
     assert result == (2, "", f"error: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("text, message", [case for case in FILE_ERRORS if case[0] in FLAG_FORMS])
+def test_flag_errors_match_config_file_errors(text, message, capsys):
+    # The file's message without its "path:line: " prefix.
+    expected = re.sub(r"^\{path\}:\d+: ", "", message)
+    result = run(FLAG_FORMS[text], capsys)
+    assert result == (2, "", f"error: {expected}\n")
 
 
 def test_unknown_pos_tag_flag_error_verbatim(capsys):
@@ -116,6 +149,35 @@ def test_empty_list_flags_exit_2(capsys):
     assert result == (2, "", "error: POS keep-tag set must not be empty\n")
 
 
+def test_flag_names_follow_the_rule():
+    for field, (_, flag_args, _) in SETTINGS.items():
+        assert flag_args[0] == config.flag_name(field)
+
+
+# Every flag of each command, as its --help lists them.
+COMMAND_FLAGS = {
+    "collect": "--input --out --format --hashtags --hashtags-file --out-labeled "
+    "--out-unlabeled --wordlist --lang-threshold",
+    "train": "--input --out --format --stopwords --pos-lexicon --stem-roots "
+    "--disable-stopwords --enable-pos --disable-stemming --pos-keep-tags --model",
+    "classify": "--input --out --format --stopwords --pos-lexicon --stem-roots "
+    "--disable-stopwords --enable-pos --disable-stemming --pos-keep-tags --model --oov",
+    "eval": "--input --out --format --stopwords --pos-lexicon --stem-roots "
+    "--disable-stopwords --enable-pos --disable-stemming --pos-keep-tags --model --gold "
+    "--k --seed --train-fraction --oov",
+    "report": "--input --out --format --hashtags --hashtags-file --predictions",
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_help_names_every_flag(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"])
+    assert exit_info.value.code == 0
+    flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert flags == {"--help", "--config", *COMMAND_FLAGS[command].split()}
+
+
 def test_every_flag_sets_a_field():
     parser = cli.build_parser()
     dests = set()
@@ -129,3 +191,24 @@ def test_readme_lists_every_config_key():
     listing = text.split("Keys mirror the flag names:", 1)[1].split(".", 1)[0]
     keys = re.findall(r"`(\w+)`", listing)
     assert sorted(keys) == sorted(RunConfig._fields)
+
+
+# Each file kind with its reader, and a content whose first entry matters.
+BOM_KINDS = {
+    "config": (parse_config_file, "seed=7\nformat=json\n"),
+    "stopwords": (load_stopwords, "yang\ndan\n"),
+    "pos-lexicon": (load_pos_lexicon, "bagus\tADJ\nburuk\tADJ\n"),
+    "stem-roots": (load_root_words, "kerja\nmakan\n"),
+    "wordlist": (load_wordlist, "bagus\nsekali\n"),
+    "hashtags-file": (load_hashtags, "pilgubjabar\nridwankamil\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BOM_KINDS))
+def test_leading_byte_order_mark_is_dropped(kind, tmp_path):
+    read, text = BOM_KINDS[kind]
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read(str(marked)) == read(str(plain))
