@@ -3,12 +3,14 @@
 The collection chain is ingest -> hashtag filter -> language filter ->
 distant labeling, applied one tweet at a time. Live crawling is
 deliberately absent: tweets enter as JSON Lines exports, read one line at
-a time by :func:`iter_tweets`. The hashtag and language tests take a
-tweet's lowercased text, so that one lowering serves both, and each is
-built by a factory that first checks its settings (ConfigError). The list
-functions ``filter_hashtags``, ``filter_language`` and ``distant_label``
-apply the same tests to a whole list. ``report``'s per-hashtag rollup
-matches tweets with the same hashtag needles as the collection filter.
+a time by :func:`iter_tweets`; ``_read_strict_jsonl`` reads the labeled
+corpora and predictions that the commands write. The hashtag and
+language tests take a tweet's lowercased text, so that one lowering
+serves both, and each is built by a factory that first checks its
+settings (ConfigError). The list functions ``filter_hashtags``,
+``filter_language`` and ``distant_label`` apply the same tests to a
+whole list. ``report``'s per-hashtag rollup matches tweets with the same
+hashtag needles as the collection filter.
 """
 
 import json
@@ -308,6 +310,36 @@ def iter_tweets(source, stats: CorpusStats):
         if tweet.overlong:
             stats.flagged_overlong += 1
         yield tweet
+
+
+def _read_strict_jsonl(path, kind: str, parse) -> dict:
+    """Parse each record of a JSONL file written by this package, keyed by id.
+
+    Every non-blank line must be a UTF-8 JSON object with a string ``id``
+    seen nowhere earlier in the file, and ``parse(record)`` must accept it;
+    anything else stops the command with ConfigError naming ``path:line``.
+    A UTF-8 byte-order mark opening the first line is dropped.
+    """
+    parsed = {}
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            if lineno == 1:
+                raw = raw.removeprefix(_UTF8_BOM)
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                record = decode_json(line)
+                if not isinstance(record, dict):
+                    raise TypeError("record is not a JSON object")
+                if not isinstance(record.get("id"), str):
+                    raise TypeError("id must be a string")
+                if record["id"] in parsed:
+                    raise ConfigError(f"{path}:{lineno}: duplicate {kind} id {record['id']!r}")
+                parsed[record["id"]] = parse(record)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
+    return parsed
 
 
 def ingest_jsonl(source) -> tuple[list[Tweet], CorpusStats]:

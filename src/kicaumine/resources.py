@@ -1,4 +1,5 @@
-"""Word-file parsing, access to the bundled data files, atomic output writes.
+"""Word-file parsing, access to the bundled data files, atomic output writes,
+and the plumbing that the command modules share.
 
 All word resources share one line format: UTF-8 text (a leading
 byte-order mark is dropped), one entry per line, lines starting with '#'
@@ -10,10 +11,11 @@ pipeline runs offline out of the box.
 
 import os
 import shutil
-from contextlib import contextmanager, suppress
+import sys
+from contextlib import contextmanager, nullcontext, suppress
 from functools import lru_cache
 
-from .config import PosTag
+from .config import PosTag, RunConfig
 from .exceptions import ConfigError
 
 # The bundled data files sit in a directory beside this module, so the
@@ -150,3 +152,65 @@ def default_pipeline_config(
         pos_lexicon=lexicon,
         root_words=roots,
     )
+
+
+# ---------------------------------------------------------------------------
+# command plumbing
+
+
+def _say(line: str) -> None:
+    """Write one diagnostic line to stderr.
+
+    A line that stderr cannot take, because it is closed or fails, is
+    dropped: a diagnostic never changes a command's data or exit status.
+    """
+    try:
+        sys.stderr.write(line + "\n")
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        pass
+
+
+def _output(path):
+    """A context giving stdout when ``path`` is None, else an atomic writer to ``path``."""
+    return nullcontext(sys.stdout) if path is None else atomic_writer(path)
+
+
+def _emit(text: str, out_path) -> None:
+    """Write ``text`` to ``out_path`` (stdout when None), ending with a newline."""
+    with _output(out_path) as handle:
+        handle.write(text)
+        if not text.endswith("\n"):
+            handle.write("\n")
+
+
+def _csv_writer():
+    """A CSV writer with LF line ends and the text buffer it writes to."""
+    import csv
+    import io
+
+    buffer = io.StringIO()
+    return buffer, csv.writer(buffer, lineterminator="\n")
+
+
+def _pipeline_config(config: RunConfig):
+    from .preprocess import PipelineConfig
+
+    return PipelineConfig(
+        stopword_list=load_stopwords(config.stopwords),
+        enable_stopwords=config.enable_stopwords,
+        enable_pos=config.enable_pos,
+        pos_keep_tags=config.pos_keep_tags,
+        enable_stemming=config.enable_stemming,
+        pos_lexicon=load_pos_lexicon(config.pos_lexicon),
+        root_words=load_root_words(config.stem_roots),
+    )
+
+
+def _effective_hashtags(config: RunConfig) -> frozenset[str]:
+    if config.hashtags_file is not None:
+        tags = load_hashtags(config.hashtags_file)
+        if not tags:
+            raise ConfigError(f"hashtag file {config.hashtags_file} has no entries")
+        return tags
+    return config.hashtags

@@ -5,13 +5,18 @@ Each check starts a fresh interpreter without ``site`` (``-S``), records
 that added. A ``site`` may import modules such as ``pathlib`` or
 ``importlib.resources`` before the package does, and the check could
 then not see the package load them. Neither ``kicaumine.cli`` nor
-``kicaumine`` may load a module in ``FORBIDDEN``. Each command, run on
-the bundled demo corpus, may not load a module that
+``kicaumine`` may load a module in ``FORBIDDEN``, which names every
+command module. Each command, run on the bundled demo corpus, loads its
+own command module (``kicaumine._collect`` for ``collect``) and none of
+the other four, and may not load a module that
 ``COMMAND_FORBIDDEN`` names for it: no command loads ``logging``,
 ``typing``, ``pathlib``, ``importlib.resources`` or ``zipfile``, only
 ``collect`` loads ``tempfile``, ``collect`` and ``report`` load no
 model, preprocessing, stemming or evaluation code, and ``train`` and
-``classify`` load no evaluation code.
+``classify`` load no evaluation code. Each command is also run as
+``python -m kicaumine.cli`` runs it, through ``runpy``; afterwards
+``kicaumine.cli`` must not be in ``sys.modules``, since a package
+module that imported it would compile and run the CLI a second time.
 The package's lazy re-exports must all resolve, bind under ``from
 kicaumine import *`` and show in ``dir()``. Nothing is timed.
 
@@ -34,10 +39,6 @@ _MODEL_CODE = ("kicaumine.model", "kicaumine.preprocess", "kicaumine.stemming")
 # Standard-library modules that no command needs.
 _UNUSED = ("logging", "typing", "pathlib", "importlib.resources", "zipfile")
 
-FORBIDDEN = (
-    "dataclasses", "inspect", "csv", "tempfile", *_UNUSED, "kicaumine.evaluation", *_MODEL_CODE
-)
-
 COMMAND_FORBIDDEN = {
     "collect": (*_UNUSED, "kicaumine.evaluation", *_MODEL_CODE),
     "train": (*_UNUSED, "tempfile", "kicaumine.evaluation"),
@@ -45,6 +46,14 @@ COMMAND_FORBIDDEN = {
     "report": (*_UNUSED, "tempfile", "kicaumine.evaluation", *_MODEL_CODE),
     "eval": (*_UNUSED, "tempfile"),
 }
+
+# Each command's own module.
+COMMAND_MODULES = {command: f"kicaumine._{command}" for command in COMMAND_FORBIDDEN}
+
+FORBIDDEN = (
+    "dataclasses", "inspect", "csv", "tempfile", *_UNUSED, "kicaumine.evaluation", *_MODEL_CODE,
+    *COMMAND_MODULES.values(),
+)
 
 # Each command's arguments, in an order where each reads what the earlier
 # ones wrote. Every command writes to a file, so stdout holds only the
@@ -72,6 +81,16 @@ before = set(sys.modules)
 from kicaumine.cli import main
 status = main(sys.argv[1:])
 print(json.dumps([status, sorted(set(sys.modules) - before)]))
+"""
+
+_RUN_AS_MAIN = """
+import json, runpy, sys
+try:
+    runpy.run_module("kicaumine.cli", run_name="__main__", alter_sys=True)
+    status = 0
+except SystemExit as exc:
+    status = exc.code
+print(json.dumps([status, "kicaumine.cli" in sys.modules]))
 """
 
 _EXPORTS = """
@@ -121,16 +140,27 @@ def newly_loaded(module: str) -> list[str]:
     return _run(_NEWLY_LOADED.format(module=module))
 
 
-def command_loads() -> dict:
-    """Each command's exit status and the modules it adds to a fresh interpreter."""
-    loads = {}
+def _run_commands(code: str) -> dict:
+    """``code``'s JSON output for each command's arguments, the commands run in order."""
+    outputs = {}
     with tempfile.TemporaryDirectory() as work:
         Path(work, "gold.csv").write_text(
             "id,label\nt1,positive\nt2,positive\nt3,negative\n", encoding="utf-8"
         )
         for argv in COMMANDS:
-            loads[argv[0]] = _run(_COMMAND_LOADS, *argv, cwd=work)
-    return loads
+            outputs[argv[0]] = _run(code, *argv, cwd=work)
+    return outputs
+
+
+def command_loads() -> dict:
+    """Each command's exit status and the modules it adds to a fresh interpreter."""
+    return _run_commands(_COMMAND_LOADS)
+
+
+def run_as_main() -> dict:
+    """Each command's exit status when run as ``python -m kicaumine.cli`` runs it,
+    and whether ``kicaumine.cli`` was imported besides."""
+    return _run_commands(_RUN_AS_MAIN)
 
 
 def export_problems() -> list[str]:
@@ -144,8 +174,22 @@ def command_problems(loads: dict) -> list[str]:
     for command, (status, loaded) in loads.items():
         if status != 0:
             found.append(f"{command} exits {status} on the demo corpus")
-        forbidden = COMMAND_FORBIDDEN[command]
-        found += [f"{command} loads {name}" for name in forbidden if name in loaded]
+        own = COMMAND_MODULES[command]
+        if own not in loaded:
+            found.append(f"{command} does not load {own}")
+        forbidden = [*COMMAND_FORBIDDEN[command], *COMMAND_MODULES.values()]
+        found += [f"{command} loads {name}" for name in forbidden if name in loaded and name != own]
+    return found
+
+
+def run_as_main_problems(runs: dict) -> list[str]:
+    """What is wrong with the ``run_as_main()`` result ``runs``."""
+    found = []
+    for command, (status, imported) in runs.items():
+        if status != 0:
+            found.append(f"{command} run as __main__ exits {status}")
+        if imported:
+            found.append(f"{command} run as __main__ also imports kicaumine.cli")
     return found
 
 
@@ -154,7 +198,8 @@ def problems() -> list[str]:
     for module in ("kicaumine.cli", "kicaumine"):
         loaded = newly_loaded(module)
         found += [f"import {module} loads {name}" for name in FORBIDDEN if name in loaded]
-    return found + command_problems(command_loads()) + export_problems()
+    found += command_problems(command_loads()) + run_as_main_problems(run_as_main())
+    return found + export_problems()
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@
 ``Prediction`` from each predictions record, and ``sentiment_report`` is
 the former body of ``kicaumine.evaluation.sentiment_report``, both
 unchanged but for their names and imports. ``report`` now keeps only each
-record's label once ``cli._prediction_label`` has checked the whole
+record's label once ``_report._prediction_label`` has checked the whole
 record, and counts groups in ``corpus._hashtag_rollup``. ``tests/test_cli.py``
 and ``tests/test_evaluation.py`` check the new code against these.
 """

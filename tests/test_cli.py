@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import NEG, NEU, POS
 import report_oracle
-from kicaumine import cli, model
+from kicaumine import _classify, _report, model, resources
 from kicaumine.cli import main
 from kicaumine.config import FORMATS
 from kicaumine.corpus import CorpusStats, iter_tweets
@@ -360,6 +360,16 @@ class TestTrain:
         assert code == 2
         assert f"{corpus}:3: duplicate labeled-corpus id 'a'" in err
         assert not model_path.exists()
+
+    def test_byte_order_mark_dropped(self, collected, tmp_path, capsys):
+        labeled, _, _ = collected
+        marked = tmp_path / "marked.jsonl"
+        marked.write_bytes(b"\xef\xbb\xbf" + labeled.read_bytes())
+        plain_model, marked_model = tmp_path / "plain.json", tmp_path / "marked.json"
+        assert run(["train", "--input", str(labeled), "--model", str(plain_model)], capsys)[0] == 0
+        code, _, err = run(["train", "--input", str(marked), "--model", str(marked_model)], capsys)
+        assert code == 0, err
+        assert marked_model.read_bytes() == plain_model.read_bytes()
 
 
 class TestClassify:
@@ -986,6 +996,18 @@ class TestReport:
         assert out == ""
         assert f"{predictions}:3: duplicate prediction id '1'" in err
 
+    def test_byte_order_mark_dropped(self, toy_model_file, tmp_path, capsys):
+        demo = demo_corpus_path()
+        predictions = tmp_path / "pred.jsonl"
+        classify = ["classify", "--input", demo, "--model", str(toy_model_file)]
+        assert run([*classify, "--out", str(predictions)], capsys)[0] == 0
+        marked = tmp_path / "marked.jsonl"
+        marked.write_bytes(b"\xef\xbb\xbf" + predictions.read_bytes())
+        plain = run(["report", "--input", demo, "--predictions", str(predictions)], capsys)
+        code, out, err = run(["report", "--input", demo, "--predictions", str(marked)], capsys)
+        assert code == 0, err
+        assert (code, out, err) == plain
+
     @pytest.mark.parametrize(
         "record",
         [
@@ -1174,7 +1196,7 @@ class TestPredictionLabel:
         expected = parse_outcome(report_oracle.prediction, record)
         if not isinstance(expected, tuple):
             expected = expected.label
-        assert parse_outcome(cli._prediction_label, record) == expected
+        assert parse_outcome(_report._prediction_label, record) == expected
 
 
 # JSON that json.loads fails on with other errors than a JSONDecodeError:
@@ -1387,7 +1409,7 @@ WRITERS = {
         train([Document("p", ("bagus",), POS), Document("n", ("buruk",), NEG)]), path
     ),
     "classify": classify_to,
-    "emit": lambda path, model: cli._emit("new text", path),
+    "emit": lambda path, model: resources._emit("new text", path),
 }
 
 
@@ -1414,7 +1436,7 @@ class TestAtomicWrites:
             return posteriors(*args)
 
         # One tweet per round: the first line is written before the failure.
-        monkeypatch.setattr(cli, "_CLASSIFY_CHUNK", 1)
+        monkeypatch.setattr(_classify, "_CLASSIFY_CHUNK", 1)
         monkeypatch.setattr(model, "_posteriors", fail_on_second)
         with pytest.raises(RuntimeError, match="mid-write"):
             classify_to(out, outside_model)
@@ -1459,7 +1481,7 @@ class TestAtomicWrites:
         real.write_text(PREVIOUS, encoding="utf-8")
         link = tmp_path / "link.txt"
         link.symlink_to(real)
-        cli._emit("new text", link)
+        resources._emit("new text", link)
         assert link.is_symlink()
         assert real.read_text(encoding="utf-8") == "new text\n"
 
@@ -1499,7 +1521,7 @@ class TestAtomicWrites:
             target=lambda: received.append(fifo.read_text(encoding="utf-8")), daemon=True
         )
         reader.start()
-        cli._emit("new text", fifo)
+        resources._emit("new text", fifo)
         reader.join(timeout=10)
         assert not reader.is_alive()
         assert received == ["new text\n"]

@@ -169,7 +169,7 @@ COMMAND_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+@pytest.mark.parametrize("command", sorted(cli._COMMAND_FLAGS))
 def test_help_names_every_flag(command, capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main([command, "--help"])
@@ -181,7 +181,7 @@ def test_help_names_every_flag(command, capsys):
 def test_every_flag_sets_a_field():
     parser = cli.build_parser()
     dests = set()
-    for command in cli._COMMANDS:
+    for command in cli._COMMAND_FLAGS:
         dests |= vars(parser.parse_args([command])).keys()
     assert dests - {"config", "command"} == set(RunConfig._fields)
 

@@ -20,5 +20,11 @@ def test_commands_load_no_forbidden_module():
     assert import_guard.command_problems(loads) == []
 
 
+def test_commands_run_as_main_import_no_cli_module():
+    runs = import_guard.run_as_main()
+    assert list(runs) == list(import_guard.COMMAND_MODULES)
+    assert import_guard.run_as_main_problems(runs) == []
+
+
 def test_lazy_exports_resolve_bind_and_list():
     assert import_guard.export_problems() == []
