@@ -3,12 +3,15 @@
 import json
 
 from .config import RunConfig
-from .corpus import CorpusStats, LabeledTweet, LabelSource, SentimentLabel, iter_tweets
+from .corpus import CorpusStats, SentimentLabel, iter_tweets
 from .exceptions import ConfigError, EmptyCorpusError, EvaluationError
 from .resources import _csv_writer, _emit, _pipeline_config, _say
 
 # Ids named in one warning line; the rest are only counted.
 _MAX_LOGGED_IDS = 10
+
+# Each gold label, by its trimmed lowercase name in the gold file.
+_GOLD_LABELS = {label.value: label for label in SentimentLabel}
 
 
 def _read_gold_csv(path) -> dict[str, SentimentLabel]:
@@ -34,18 +37,16 @@ def _read_gold_csv(path) -> dict[str, SentimentLabel]:
             for row in reader:
                 if not row:
                     continue
-                tweet_id, label_name = (cell.strip() for cell in (row + ["", ""])[:2])
-                label_name = label_name.lower()
+                tweet_id = row[0].strip()
+                label_name = row[1].strip().lower() if len(row) > 1 else ""
                 if not tweet_id:
                     raise refusal("empty gold id")
                 if tweet_id in gold:
                     raise refusal(f"duplicate gold id {tweet_id!r}")
-                try:
-                    gold[tweet_id] = SentimentLabel(label_name)
-                except ValueError:
-                    raise refusal(
-                        f"unknown gold label {label_name!r} for id {tweet_id!r}"
-                    ) from None
+                label = _GOLD_LABELS.get(label_name)
+                if label is None:
+                    raise refusal(f"unknown gold label {label_name!r} for id {tweet_id!r}")
+                gold[tweet_id] = label
     except UnicodeDecodeError:
         raise ConfigError(f"gold file {path} is not UTF-8") from None
     except csv.Error as exc:
@@ -111,7 +112,7 @@ def _format_kfold(result: dict, fmt: str) -> str:
 
 def _gold_documents(config: RunConfig, pipeline):
     """Join the gold CSV against the input tweets and preprocess them."""
-    from .preprocess import run_pipeline
+    from .preprocess import _document
 
     gold = _read_gold_csv(config.gold)
     stats = CorpusStats()
@@ -125,10 +126,7 @@ def _gold_documents(config: RunConfig, pipeline):
         if len(missing) > _MAX_LOGGED_IDS:
             shown += f", ... and {len(missing) - _MAX_LOGGED_IDS} more"
         _say(f"{len(missing)} gold id(s) missing from the corpus and excluded: {shown}")
-    docs = []
-    for tweet_id in sorted(by_id):
-        item = LabeledTweet(by_id[tweet_id], gold[tweet_id], LabelSource.MANUAL)
-        docs.append(run_pipeline(item, pipeline))
+    docs = [_document(by_id[tweet_id], gold[tweet_id], pipeline) for tweet_id in sorted(by_id)]
     if not docs:
         raise EvaluationError("no gold ids matched the corpus")
     return docs

@@ -201,6 +201,14 @@ def cross_validate(
     return _fold_accuracies(docs, k, seed, oov_mode, lambda fold, skipped: None)
 
 
+def _summed(counts_per_class: dict) -> Counter:
+    """Each token's count over all the classes of a :func:`_class_counts` Counter dict."""
+    totals = Counter()
+    for counts in counts_per_class.values():
+        totals.update(counts)
+    return totals
+
+
 def _fold_accuracies(docs, k, seed, oov_mode, on_skip) -> list[float]:
     """:func:`cross_validate`, reporting each fold's skipped test documents.
 
@@ -212,7 +220,7 @@ def _fold_accuracies(docs, k, seed, oov_mode, on_skip) -> list[float]:
     if None in docs_per_class:
         doc = next(d for d in docs if d.label is None and d.tokens)
         raise TrainingError(f"document {doc.source_id!r} is unlabeled")
-    token_totals = Counter(chain.from_iterable(d.tokens for d in docs))
+    token_totals = _summed(token_counts)
     accuracies = []
     for i, (start, stop) in enumerate(bounds, start=1):
         test_docs = ordered[start:stop]
@@ -221,18 +229,15 @@ def _fold_accuracies(docs, k, seed, oov_mode, on_skip) -> list[float]:
         if not any(train_docs.values()):
             raise TrainingError("no documents to train on")
         labels = _trained_labels(train_docs)
-        held_totals = Counter(chain.from_iterable(d.tokens for d in test_docs))
+        held_totals = _summed(held_counts)
         kept = frozenset(token for token, n in held_totals.items() if n < token_totals[token])
-        train_counts = []
-        for lab in labels:
-            counts, held = token_counts[lab], held_counts.get(lab, {})
-            train_counts.append({token: counts[token] - held.get(token, 0) for token in kept})
         table = _ScoreTable(
             [train_docs[lab] for lab in labels],
             [tokens_per_class[lab] - held_tokens.get(lab, 0) for lab in labels],
             len(token_totals) - (len(held_totals) - len(kept)),
-            train_counts,
+            [token_counts[lab] for lab in labels],
             kept,
+            [held_counts.get(lab, {}) for lab in labels],
         )
         table.build(kept)
         usable_test = [d for d in test_docs if d.label in labels]

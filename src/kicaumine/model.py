@@ -16,7 +16,7 @@ import json
 import math
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from itertools import chain
+from itertools import chain, repeat
 
 from .config import OOV_MODES, OOV_SKIP, OOV_SMOOTH
 from .corpus import SentimentLabel, _Record, decode_json
@@ -38,22 +38,29 @@ class _ScoreTable:
 
     The per-label arguments are in label order: ``docs_per_class[j]``,
     ``tokens_per_class[j]`` and ``token_counts[j]`` (token to count, absent
-    meaning 0) describe the j-th label's class. ``vocab`` is a set. Once
-    :meth:`build` has seen a token in it, ``rows[token][j]`` is its log
-    likelihood under the j-th label; ``oov_log_lik[j]`` is that of a token
-    outside ``vocab``, which has no row.
+    meaning 0) describe the j-th label's class. When ``held_counts`` is
+    given, a token's count in the j-th class is ``token_counts[j]`` less
+    ``held_counts[j]`` (absent meaning 0 in both), which is how a fold of
+    :func:`~kicaumine.evaluation.cross_validate` leaves its test documents
+    out. ``vocab`` is a set. Once :meth:`build` has seen a token in it,
+    ``rows[token][j]`` is its log likelihood under the j-th label;
+    ``oov_log_lik[j]`` is that of a token outside ``vocab``, which has no row.
     """
 
     __slots__ = ("vocab", "rows", "log_priors", "oov_log_lik", "_columns")
 
-    def __init__(self, docs_per_class, tokens_per_class, vocabulary_size, token_counts, vocab):
+    def __init__(
+        self, docs_per_class, tokens_per_class, vocabulary_size, token_counts, vocab,
+        held_counts=None,
+    ):
         total_docs = sum(docs_per_class)
         self.log_priors = tuple(math.log(n / total_docs) for n in docs_per_class)
         denoms = [n + vocabulary_size for n in tokens_per_class]
         self.vocab = vocab
         self.rows = {}
         self.oov_log_lik = tuple(math.log(1 / denom) for denom in denoms)
-        self._columns = list(zip(token_counts, denoms))
+        held = repeat({}) if held_counts is None else held_counts
+        self._columns = list(zip(token_counts, held, denoms))
 
     def build(self, tokens: Iterable[str]) -> None:
         """Compute the rows of those ``tokens`` in the vocabulary that have none yet.
@@ -64,8 +71,8 @@ class _ScoreTable:
         rows = self.rows
         new = [token for token in self.vocab.intersection(tokens) if token not in rows]
         columns = [
-            [math.log((counts.get(token, 0) + 1) / denom) for token in new]
-            for counts, denom in self._columns
+            [math.log((counts.get(t, 0) - held.get(t, 0) + 1) / denom) for t in new]
+            for counts, held, denom in self._columns
         ]
         rows.update(zip(new, zip(*columns)))
 

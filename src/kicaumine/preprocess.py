@@ -19,7 +19,6 @@ from itertools import dropwhile
 from .config import DEFAULT_POS_KEEP_TAGS, PosTag
 from .corpus import LabeledTweet, SentimentLabel, Tweet, _Record
 from .exceptions import ContractError
-from .stemming import ConfixStemmer
 
 _URL_MARKER_RE = re.compile(r"https?://|www\.")
 
@@ -115,9 +114,13 @@ class PipelineConfig(_Record):
         object.__setattr__(self, "root_words", root_words)
         object.__setattr__(self, "_word_memo", {})
         object.__setattr__(self, "_word_memo_lock", threading.Lock())
-        object.__setattr__(
-            self, "_stem", ConfixStemmer(root_words).stem if enable_stemming else None
-        )
+        stem = None
+        if enable_stemming:
+            # Imported only here, so a run with stemming off never loads it.
+            from .stemming import ConfixStemmer
+
+            stem = ConfixStemmer(root_words).stem
+        object.__setattr__(self, "_stem", stem)
 
 
 def cleanse(text: str) -> str:
@@ -273,9 +276,12 @@ def run_pipeline(item: Tweet | LabeledTweet, config: PipelineConfig) -> Document
     ``pos_lexicon`` must not be mutated after first use.
     """
     if isinstance(item, LabeledTweet):
-        tweet, label = item.tweet, item.label
-    else:
-        tweet, label = item, None
+        return _document(item.tweet, item.label, config)
+    return _document(item, None, config)
+
+
+def _document(tweet: Tweet, label: SentimentLabel | None, config: PipelineConfig) -> Document:
+    """:func:`run_pipeline`'s document of ``tweet``, labeled ``label``."""
     memo = config._word_memo
     tokens = []
     leading = True  # no earlier word cleansed to anything but RT

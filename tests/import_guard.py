@@ -17,6 +17,8 @@ model, preprocessing, stemming or evaluation code, and ``train`` and
 ``python -m kicaumine.cli`` runs it, through ``runpy``; afterwards
 ``kicaumine.cli`` must not be in ``sys.modules``, since a package
 module that imported it would compile and run the CLI a second time.
+``train``, ``classify`` and ``eval`` load ``kicaumine.stemming`` by
+default and not with ``--disable-stemming``.
 The package's lazy re-exports must all resolve, bind under ``from
 kicaumine import *`` and show in ``dir()``. Nothing is timed.
 
@@ -54,6 +56,9 @@ FORBIDDEN = (
     "dataclasses", "inspect", "csv", "tempfile", *_UNUSED, "kicaumine.evaluation", *_MODEL_CODE,
     *COMMAND_MODULES.values(),
 )
+
+# The commands that preprocess: each stems unless given --disable-stemming.
+STEMMING_COMMANDS = ("train", "classify", "eval")
 
 # Each command's arguments, in an order where each reads what the earlier
 # ones wrote. Every command writes to a file, so stdout holds only the
@@ -140,14 +145,22 @@ def newly_loaded(module: str) -> list[str]:
     return _run(_NEWLY_LOADED.format(module=module))
 
 
-def _run_commands(code: str) -> dict:
-    """``code``'s JSON output for each command's arguments, the commands run in order."""
+def _run_commands(code: str, disable_stemming: bool = False) -> dict:
+    """``code``'s JSON output for each command's arguments, the commands run in order.
+
+    With ``disable_stemming``, each of ``STEMMING_COMMANDS`` also runs with
+    ``--disable-stemming`` first, its output kept under ``"<command>
+    --disable-stemming"``.
+    """
     outputs = {}
     with tempfile.TemporaryDirectory() as work:
         Path(work, "gold.csv").write_text(
             "id,label\nt1,positive\nt2,positive\nt3,negative\n", encoding="utf-8"
         )
         for argv in COMMANDS:
+            if disable_stemming and argv[0] in STEMMING_COMMANDS:
+                flag = "--disable-stemming"
+                outputs[f"{argv[0]} {flag}"] = _run(code, *argv, flag, cwd=work)
             outputs[argv[0]] = _run(code, *argv, cwd=work)
     return outputs
 
@@ -161,6 +174,18 @@ def run_as_main() -> dict:
     """Each command's exit status when run as ``python -m kicaumine.cli`` runs it,
     and whether ``kicaumine.cli`` was imported besides."""
     return _run_commands(_RUN_AS_MAIN)
+
+
+def stemming_loads() -> dict:
+    """Whether each of ``STEMMING_COMMANDS`` loads ``kicaumine.stemming``, by default
+    and with ``--disable-stemming``, as [exit status, loaded] pairs under
+    ``"<command>"`` and ``"<command> --disable-stemming"``."""
+    loads = _run_commands(_COMMAND_LOADS, disable_stemming=True)
+    return {
+        run: [status, "kicaumine.stemming" in loaded]
+        for run, (status, loaded) in loads.items()
+        if run.split()[0] in STEMMING_COMMANDS
+    }
 
 
 def export_problems() -> list[str]:
@@ -193,12 +218,26 @@ def run_as_main_problems(runs: dict) -> list[str]:
     return found
 
 
+def stemming_problems(loads: dict) -> list[str]:
+    """What is wrong with the ``stemming_loads()`` result ``loads``."""
+    found = []
+    for command in STEMMING_COMMANDS:
+        for run, want in ((command, True), (f"{command} --disable-stemming", False)):
+            status, loaded = loads.get(run, [None, None])
+            if status != 0:
+                found.append(f"{run} exits {status} on the demo corpus")
+            if loaded is not want:
+                found.append(f"{run} {'does not load' if want else 'loads'} kicaumine.stemming")
+    return found
+
+
 def problems() -> list[str]:
     found = []
     for module in ("kicaumine.cli", "kicaumine"):
         loaded = newly_loaded(module)
         found += [f"import {module} loads {name}" for name in FORBIDDEN if name in loaded]
     found += command_problems(command_loads()) + run_as_main_problems(run_as_main())
+    found += stemming_problems(stemming_loads())
     return found + export_problems()
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -14,11 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import NEG, NEU, POS
+import gold_csv_oracle
 import report_oracle
-from kicaumine import _classify, _report, model, resources
+import synthdata
+from kicaumine import _classify, _eval, _report, model, resources
 from kicaumine.cli import main
-from kicaumine.config import FORMATS
-from kicaumine.corpus import CorpusStats, iter_tweets
+from kicaumine.config import FORMATS, RunConfig
+from kicaumine.corpus import CorpusStats, LabeledTweet, LabelSource, iter_tweets
+from kicaumine.exceptions import ConfigError, KicaumineError
 from kicaumine.model import OOV_MODES, classify, load_model, save_model, train
 from kicaumine.preprocess import Document, run_pipeline
 from kicaumine.resources import default_pipeline_config, demo_corpus_path
@@ -889,6 +893,160 @@ class TestEval:
         config = tmp_path / "run.conf"
         config.write_text("k=1\n", encoding="utf-8")
         assert run(argv + ["--config", str(config)], capsys)[0] == 2
+
+
+def gold_outcome(read, path):
+    """What ``read(path)`` returned, as (id, label) pairs in order, or the class and text it raised."""
+    try:
+        return list(read(path).items())
+    except KicaumineError as exc:
+        return (type(exc), str(exc))
+
+
+# Gold-file bodies after a standard header, by case.
+GOLD_BODIES = {
+    "plain": b"t1,positive\nt2,negative\nt3,neutral\n",
+    "blank-rows": b"\nt1,positive\n\n\nt2,negative\n\n",
+    "one-cell-row": b"t1,positive\nt2\n",
+    "one-empty-cell-row": b"t1,positive\n\"\"\n",
+    "whitespace-only-id": b"t1,positive\n   ,negative\n",
+    "tab-only-id": b"t1,positive\n\t,negative\n",
+    "extra-columns": b"t1,positive,extra\nt2,negative,,more,cells\n",
+    "padded-upper-case-labels": b"t1, Positive \nt2,NEGATIVE\n t3 ,\tNeutral\t\n",
+    "empty-label": b"t1,positive\nt2,\n",
+    "blank-label": b"t1,positive\nt2,   \n",
+    "unknown-label": b"t1,positive\nt2,happy\n",
+    "label-of-dotted-capital-i": "t1,posİtive\n".encode("utf-8"),
+    "duplicate-id": b"t1,positive\nt2,negative\nt1,negative\n",
+    "duplicate-after-trim": b"t1,positive\n t1 ,negative\n",
+    "quoted-comma": b'"t,1",positive\n"t2","neg,ative"\n',
+    "quoted-newline": b'"t\n1",positive\n"t\n2",negative\nt3,positive\n',
+    "duplicate-after-quoted-newline": b'"t\n1",positive\n"t\n1",negative\n',
+    "unknown-after-quoted-newline": b'"t\n1",positive\nt2,"bad\nlabel"\n',
+    "unterminated-quote": b't1,positive\n"t2,negative\n',
+    "oversized-field": b"t1,positive\nt2," + b"x" * 200_000 + b"\n",
+    "not-utf-8": b"t1,positive\nt2,\xffnegative\n",
+    "utf-8-ids": "t1,positive\ntwé,negative\n".encode("utf-8"),
+    "crlf": b"t1,positive\r\nt2,negative\r\n",
+    "no-rows": b"",
+    "only-blank-rows": b"\n\n",
+}
+
+
+class TestGoldReader:
+    """``_eval._read_gold_csv`` against ``gold_csv_oracle``, the reader it replaced.
+
+    Each file must give the same (id, label) pairs in the same order, or
+    the same exception class with the same text, ``path:line`` included.
+    """
+
+    def assert_same(self, path):
+        expected = gold_outcome(gold_csv_oracle.read_gold_csv, path)
+        assert gold_outcome(_eval._read_gold_csv, path) == expected
+        return expected
+
+    @pytest.mark.parametrize("case", list(GOLD_BODIES))
+    @pytest.mark.parametrize("header", [b"id,label\n", b"\xef\xbb\xbfid,label\n", b" id , label\n"])
+    def test_agrees_with_former_reader(self, case, header, tmp_path):
+        path = tmp_path / "gold.csv"
+        path.write_bytes(header + GOLD_BODIES[case])
+        self.assert_same(path)
+
+    @pytest.mark.parametrize(
+        "content", [b"", b"\n", b"label,id\nt1,positive\n", b"id\nt1,positive\n", b"\xffid,label\n"]
+    )
+    def test_bad_header_agrees(self, content, tmp_path):
+        path = tmp_path / "gold.csv"
+        path.write_bytes(content)
+        assert isinstance(self.assert_same(path), tuple)
+
+    def test_messages_name_the_line(self, tmp_path):
+        path = tmp_path / "gold.csv"
+        expected = {
+            "one-cell-row": f"{path}:3: unknown gold label '' for id 't2'",
+            "whitespace-only-id": f"{path}:3: empty gold id",
+            "unknown-label": f"{path}:3: unknown gold label 'happy' for id 't2'",
+            "duplicate-id": f"{path}:4: duplicate gold id 't1'",
+            "duplicate-after-quoted-newline": f"{path}:5: duplicate gold id 't\\n1'",
+            "unknown-after-quoted-newline": f"{path}:5: unknown gold label 'bad\\nlabel' for id 't2'",
+        }
+        for case, message in expected.items():
+            path.write_bytes(b"id,label\n" + GOLD_BODIES[case])
+            assert self.assert_same(path) == (ConfigError, message), case
+        path.write_bytes(b"id,label\n" + GOLD_BODIES["padded-upper-case-labels"])
+        assert self.assert_same(path) == [("t1", POS), ("t2", NEG), ("t3", NEU)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.text(alphabet=st.sampled_from(list('t1 ,"\n\r\tPosNegpositivenegativeneutral')),
+                    max_size=24),
+            max_size=6,
+        )
+    )
+    def test_random_bodies_agree(self, lines):
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work, "gold.csv")
+            path.write_text("id,label\n" + "\n".join(lines), encoding="utf-8", newline="")
+            self.assert_same(path)
+
+
+def noisy_text(rng, tokens, words):
+    """``tokens`` mixed with bundled ``words`` and tweet noise, as one tweet text."""
+    out = ["RT"] if rng.random() < 0.2 else []
+    for token in tokens:
+        if rng.random() < 0.3:
+            out.append(rng.choice(words))
+        out.append(rng.choice([token, token.upper(), f"#{token}", f"{token}:)", f"@{token}"])
+                   if rng.random() < 0.3 else token)
+    if rng.random() < 0.2:
+        out.append("http://t.co/x")
+    return " ".join(out)
+
+
+class TestGoldDocuments:
+    """``_eval._gold_documents`` builds the documents of the former path.
+
+    That path made a manual ``LabeledTweet`` of each gold tweet and ran it
+    through ``run_pipeline``.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("enable_pos", [False, True])
+    @pytest.mark.parametrize("enable_stemming", [False, True])
+    def test_same_documents_as_labeled_tweets(self, seed, enable_pos, enable_stemming, tmp_path):
+        rng = random.Random(seed)
+        stopwords, lexicon, roots = resources._bundled_resources()
+        words = sorted(lexicon)[:300] + sorted(roots)[:300] + sorted(stopwords)[:50]
+        export = tmp_path / "export.jsonl"
+        gold = tmp_path / "gold.csv"
+        labels = {}
+        with export.open("w", encoding="utf-8") as handle:
+            for doc in synthdata.two_class_corpus(n_docs=300, seed=seed):
+                text = noisy_text(rng, doc.tokens, words)
+                handle.write(json.dumps({"id": doc.source_id, "text": text}) + "\n")
+                if rng.random() < 0.9:
+                    labels[doc.source_id] = doc.label
+        labels["ghost"] = NEU  # gold id missing from the export
+        gold.write_text(
+            "id,label\n" + "".join(f"{i},{lab.value}\n" for i, lab in labels.items()),
+            encoding="utf-8",
+        )
+        config = RunConfig(
+            input=str(export), gold=str(gold), enable_pos=enable_pos, enable_stemming=enable_stemming
+        )
+        with redirect_stderr(io.StringIO()):
+            got = _eval._gold_documents(config, resources._pipeline_config(config))
+        pipeline = resources._pipeline_config(config)
+        with export.open("rb") as handle:
+            by_id = {t.id: t for t in iter_tweets(handle, CorpusStats())}
+        expected = [
+            run_pipeline(LabeledTweet(by_id[i], labels[i], LabelSource.MANUAL), pipeline)
+            for i in sorted(labels)
+            if i in by_id
+        ]
+        assert got == expected
+        assert len(got) == len(labels) - 1 and any(d.tokens for d in got)
 
 
 class TestReport:

@@ -26,5 +26,15 @@ def test_commands_run_as_main_import_no_cli_module():
     assert import_guard.run_as_main_problems(runs) == []
 
 
+def test_stemming_loads_only_when_enabled():
+    loads = import_guard.stemming_loads()
+    assert list(loads) == [
+        run
+        for command in import_guard.STEMMING_COMMANDS
+        for run in (f"{command} --disable-stemming", command)
+    ]
+    assert import_guard.stemming_problems(loads) == []
+
+
 def test_lazy_exports_resolve_bind_and_list():
     assert import_guard.export_problems() == []
