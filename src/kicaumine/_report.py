@@ -63,7 +63,7 @@ def _format_reports(groups, fmt: str) -> str:
 def cmd_report(config: RunConfig) -> int:
     config.require_files("input", "predictions")
     tags = _effective_hashtags(config)
-    labels = _read_strict_jsonl(config.predictions, "prediction", _prediction_label)
+    labels = dict(_read_strict_jsonl(config.predictions, "prediction", _prediction_label))
     with open(config.input, "rb") as handle:
         tweets = iter_tweets(handle, CorpusStats())
         groups = _hashtag_rollup(((t.text, labels[t.id]) for t in tweets if t.id in labels), tags)

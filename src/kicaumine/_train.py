@@ -20,29 +20,27 @@ def _labeled_tweet(record: dict) -> LabeledTweet:
     )
 
 
-def _read_labeled_corpus(path) -> list[LabeledTweet]:
-    """Read the labeled-corpus JSONL written by the collect command."""
-    labeled = list(_read_strict_jsonl(path, "labeled-corpus", _labeled_tweet).values())
-    if not labeled:
-        raise EmptyCorpusError(f"no labeled tweets in {path}")
-    return labeled
+def _documents(path, pipeline):
+    """Yield the non-empty document of each row of the labeled-corpus JSONL at ``path``.
 
+    Each row is preprocessed as it is read, and none is kept.
+    Once the file is read, the rows that preprocessed to empty are
+    reported, and a file with no row raises EmptyCorpusError.
+    """
+    from .preprocess import _document
 
-def _preprocess_labeled(labeled, pipeline):
-    """Preprocess labeled tweets, dropping empty documents with a count."""
-    from .preprocess import run_pipeline
-
-    docs = []
-    dropped = 0
-    for item in labeled:
-        doc = run_pipeline(item, pipeline)
+    rows = dropped = 0
+    for _, item in _read_strict_jsonl(path, "labeled-corpus", _labeled_tweet):
+        rows += 1
+        doc = _document(item.tweet, item.label, pipeline)
         if doc.empty:
             dropped += 1
         else:
-            docs.append(doc)
+            yield doc
+    if not rows:
+        raise EmptyCorpusError(f"no labeled tweets in {path}")
     if dropped:
         _say(f"dropped {dropped} document(s) that preprocessed to empty")
-    return docs
 
 
 def cmd_train(config: RunConfig) -> int:
@@ -51,10 +49,7 @@ def cmd_train(config: RunConfig) -> int:
     config.require_files("input")
     if config.model is None:
         raise ConfigError("--model is required (path to write the trained model)")
-    pipeline = _pipeline_config(config)
-    labeled = _read_labeled_corpus(config.input)
-    docs = _preprocess_labeled(labeled, pipeline)
-    model = train(docs)
+    model = train(_documents(config.input, _pipeline_config(config)))
     save_model(model, config.model)
     _say(
         f"trained on {model.total_docs} documents over"

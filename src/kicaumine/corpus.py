@@ -312,15 +312,16 @@ def iter_tweets(source, stats: CorpusStats):
         yield tweet
 
 
-def _read_strict_jsonl(path, kind: str, parse) -> dict:
-    """Parse each record of a JSONL file written by this package, keyed by id.
+def _read_strict_jsonl(path, kind: str, parse):
+    """Yield ``(id, parse(record))`` per record of a JSONL file this package wrote.
 
-    Every non-blank line must be a UTF-8 JSON object with a string ``id``
-    seen nowhere earlier in the file, and ``parse(record)`` must accept it;
-    anything else stops the command with ConfigError naming ``path:line``.
-    A UTF-8 byte-order mark opening the first line is dropped.
+    The file is read once, and only the ids seen are kept. Every non-blank
+    line must be a UTF-8 JSON object with a string ``id`` seen nowhere
+    earlier in the file, and ``parse(record)`` must accept it; anything
+    else stops the command with ConfigError naming ``path:line``. A UTF-8
+    byte-order mark opening the first line is dropped.
     """
-    parsed = {}
+    seen_ids = set()
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
             if lineno == 1:
@@ -334,12 +335,13 @@ def _read_strict_jsonl(path, kind: str, parse) -> dict:
                     raise TypeError("record is not a JSON object")
                 if not isinstance(record.get("id"), str):
                     raise TypeError("id must be a string")
-                if record["id"] in parsed:
+                if record["id"] in seen_ids:
                     raise ConfigError(f"{path}:{lineno}: duplicate {kind} id {record['id']!r}")
-                parsed[record["id"]] = parse(record)
+                seen_ids.add(record["id"])
+                parsed = parse(record)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{path}:{lineno}: bad {kind} record: {exc}") from exc
-    return parsed
+            yield record["id"], parsed
 
 
 def ingest_jsonl(source) -> tuple[list[Tweet], CorpusStats]:

@@ -18,7 +18,8 @@ from conftest import NEG, NEU, POS
 import gold_csv_oracle
 import report_oracle
 import synthdata
-from kicaumine import _classify, _eval, _report, model, resources
+import train_oracle
+from kicaumine import _classify, _eval, _report, _train, model, resources
 from kicaumine.cli import main
 from kicaumine.config import FORMATS, RunConfig
 from kicaumine.corpus import CorpusStats, LabeledTweet, LabelSource, iter_tweets
@@ -616,6 +617,32 @@ class TestBoundedMemory:
         assert (stats["labeled_positive"], stats["unlabeled"]) == (4 * n, 4 * n)
         assert large_peak - small_peak < (large_size - small_size) / 4
 
+    def test_train_peak_grows_far_less_than_input(self, tmp_path):
+        # train holds the labeled rows' ids and the counts, not the rows.
+        def peak_bytes(n):
+            corpus = tmp_path / f"labeled{n}.jsonl"
+            with open(corpus, "w", encoding="utf-8") as handle:
+                for i in range(n):
+                    label = "positive" if i % 2 else "negative"
+                    handle.write(json.dumps({"id": f"tweet{i:07d}", "text": self.TEXT,
+                                             "label": label, "label_source": "distant"}) + "\n")
+            argv = ["train", "--input", str(corpus), "--model", str(tmp_path / "model.json")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, corpus.stat().st_size
+
+        n = 600
+        peak_bytes(10)  # one-time caches
+        small_peak, small_size = peak_bytes(n)
+        large_peak, large_size = peak_bytes(8 * n)
+        payload = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+        assert payload["docs_per_class"] == {"negative": 4 * n, "positive": 4 * n}
+        assert large_peak - small_peak < (large_size - small_size) / 4
+
     def test_report_peak_grows_far_less_than_input(self, tmp_path):
         # report holds the predictions' ids and labels, not the tweets' texts.
         text = f"{self.TEXT * 3} #pilgubjabar"  # about 3.7 KB
@@ -1047,6 +1074,72 @@ class TestGoldDocuments:
         ]
         assert got == expected
         assert len(got) == len(labels) - 1 and any(d.tokens for d in got)
+
+
+class TestTrainOracle:
+    """``train`` writes what the former two-pass path wrote.
+
+    ``train_oracle.cmd_train`` read every labeled row into a list, then
+    preprocessed the list into a second one, then counted that.
+    """
+
+    EMPTY_ROW = {"id": "e", "text": "123 :) http://t.co/x", "label": "negative"}
+
+    @staticmethod
+    def rows(seed):
+        rng = random.Random(seed)
+        stopwords, lexicon, roots = resources._bundled_resources()
+        words = sorted(lexicon)[:300] + sorted(roots)[:300] + sorted(stopwords)[:50]
+        rows = []
+        for i, doc in enumerate(synthdata.two_class_corpus(n_docs=200, seed=seed)):
+            row = {"id": doc.source_id, "text": noisy_text(rng, doc.tokens, words),
+                   "label": doc.label.value}
+            if i % 3:
+                row["label_source"] = "distant" if i % 3 == 1 else "manual"
+            rows.append(row)
+            if i % 50 == 0:
+                rows.append({**TestTrainOracle.EMPTY_ROW, "id": f"e{i}"})
+        return rows
+
+    # name: (rows of the corpus from rows(seed), exit status)
+    CASES = {
+        "valid": (lambda rows: rows, 0),
+        "one empty row, last": (lambda rows: [r for r in rows if r["id"][0] != "e"]
+                                + [TestTrainOracle.EMPTY_ROW], 0),
+        "unknown last label": (lambda rows: rows + [{**rows[0], "id": "z", "label": "happy"}], 2),
+        "distant neutral last": (
+            lambda rows: rows + [{**rows[0], "id": "z", "label": "neutral",
+                                  "label_source": "distant"}], 2),
+        "duplicate last id": (lambda rows: rows + [rows[1]], 2),
+        "no rows": (lambda rows: [], 1),
+        "every row empty": (lambda rows: [{**TestTrainOracle.EMPTY_ROW, "id": r["id"]}
+                                          for r in rows[:5]], 1),
+        "one class": (lambda rows: [r for r in rows if r["label"] == "positive"], 1),
+    }
+
+    def outcome(self, argv, model_path, capsys):
+        code, out, err = run(argv, capsys)
+        written = model_path.read_bytes() if model_path.exists() else None
+        model_path.unlink(missing_ok=True)
+        return code, out, err, written
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("enable_pos", [False, True])
+    @pytest.mark.parametrize("enable_stemming", [False, True])
+    def test_same_model_and_messages(
+        self, case, enable_pos, enable_stemming, tmp_path, capsys, monkeypatch
+    ):
+        build, status = self.CASES[case]
+        corpus, model_path = tmp_path / "labeled.jsonl", tmp_path / "model.json"
+        rows = build(self.rows(1 + enable_pos + 2 * enable_stemming))
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        argv = ["train", "--input", str(corpus), "--model", str(model_path)]
+        argv += ["--enable-pos"] * enable_pos + ["--disable-stemming"] * (not enable_stemming)
+        with monkeypatch.context() as patch:
+            patch.setattr(_train, "cmd_train", train_oracle.cmd_train)
+            expected = self.outcome(argv, model_path, capsys)
+        assert expected[0] == status and (expected[3] is not None) == (status == 0)
+        assert self.outcome(argv, model_path, capsys) == expected
 
 
 class TestReport:

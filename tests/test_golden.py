@@ -4,7 +4,10 @@ Three small seeded exports from ``perfbench/synth.py`` (campaign; POS on
 with stemming off; noisy) go through collect -> train -> classify ->
 report -> eval (``--model``, holdout and ``--k``) in process, in every
 ``--format``. The sha256 of each output file and of stdout must match
-``golden.json``.
+``golden.json``. One corpus is also run in a child process under a fixed
+``PYTHONHASHSEED``, so that the hashes are pinned under two string-hash
+seeds: no artifact may depend on the order in which sets, dicts or
+Counters keyed by strings were filled.
 
 ``golden.json`` changes only with a change whose purpose is to change
 the output. Posteriors go through ``math.exp``, so the file records the
@@ -19,7 +22,9 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import platform
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -118,6 +123,24 @@ def test_artifacts_match_golden(name, tmp_path):
         f"{len(changed)} artifact hash(es) differ from golden.json (recorded on Python "
         f"{golden['python']}, running {platform.python_version()}): {changed}"
     )
+
+
+def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["hashes"]
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    paths = [str(REPO / "src"), str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")]
+    path = os.pathsep.join(filter(None, paths))
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, pathlib; from test_golden import corpus_hashes; "
+         "print(json.dumps(corpus_hashes(sys.argv[1], pathlib.Path(sys.argv[2]))))",
+         "noisy", str(tmp_path)],
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+        capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    hashes = json.loads(child.stdout.splitlines()[-1])
+    assert hashes == {key: value for key, value in golden.items() if key.startswith("noisy/")}
 
 
 def _regenerate():

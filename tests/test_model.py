@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import NEG, NEU, POS, make_doc
 import count_check_oracle
 import kfold_oracle
+import synthdata
+import train_oracle
 from kicaumine import evaluation
 from kicaumine.corpus import SentimentLabel
 from kicaumine.exceptions import (
@@ -24,6 +26,7 @@ from kicaumine.model import (
     OOV_SKIP,
     OOV_SMOOTH,
     NbModel,
+    _class_counts,
     _doc_scores,
     _int_counts,
     classify,
@@ -156,6 +159,71 @@ class TestTrain:
             lambda: kfold_oracle._model_from_counts(observed, kfold_oracle._count(docs, observed))
         )
         assert outcome(lambda: train(docs)) == expected
+
+
+class TestTrainOracle:
+    """``train`` and ``_class_counts`` read their documents once.
+
+    ``train_oracle`` keeps the former ``train`` and ``_class_counts``, which
+    took a list, grouped each label's token tuples before counting them and
+    scanned the list again to name a bad document.
+    """
+
+    BAD = {
+        "unlabeled": lambda doc: make_doc(doc.source_id, doc.tokens),
+        "empty": lambda doc: make_doc(doc.source_id, (), doc.label),
+        "unlabeled and empty": lambda doc: make_doc(doc.source_id, ()),
+    }
+
+    @pytest.mark.parametrize("position", [0, 20, 39])
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    @pytest.mark.parametrize("container", [list, iter])
+    def test_bad_document_named_as_before(self, position, kind, container):
+        docs = synthdata.two_class_corpus(n_docs=40, seed=position)
+        docs[position] = self.BAD[kind](docs[position])
+        if position != 39:
+            docs[-1] = self.BAD["unlabeled"](docs[-1])  # a later bad document is not named
+        expected = outcome(lambda: train_oracle.train(docs))
+        assert expected[0] is TrainingError and repr(docs[position].source_id) in expected[1]
+        assert outcome(lambda: train(container(docs))) == expected
+
+    @pytest.mark.parametrize("container", [list, iter])
+    def test_empty_collection_refused_as_before(self, container):
+        expected = outcome(lambda: train_oracle.train([]))
+        assert outcome(lambda: train(container([]))) == expected
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("container", [list, iter])
+    def test_same_model_as_before(self, seed, container, tmp_path):
+        docs = synthdata.two_class_corpus(n_docs=300, seed=seed)
+        expected = train_oracle.train(docs)
+        got = train(container(docs))
+        assert got == expected
+        assert list(got.docs_per_class) == list(expected.docs_per_class)
+        save_model(expected, tmp_path / "expected.json")
+        save_model(got, tmp_path / "got.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([None, NEG, POS, NEU]),
+                st.lists(st.sampled_from(["a", "b", "cc", "d"]), max_size=4),
+            ),
+            max_size=12,
+        )
+    )
+    def test_matches_former_code(self, spec):
+        docs = [make_doc(f"d{i}", tokens, label) for i, (label, tokens) in enumerate(spec)]
+        expected = outcome(lambda: train_oracle.train(docs))
+        assert outcome(lambda: train(docs)) == expected
+        assert outcome(lambda: train(iter(docs))) == expected
+        counts = train_oracle.class_counts(docs)
+        for got in (_class_counts(docs), _class_counts(iter(docs))):
+            assert got == counts
+            assert [list(table) for table in got] == [list(table) for table in counts]
+            assert [list(c) for c in got[2].values()] == [list(c) for c in counts[2].values()]
 
 
 class TestPriorsAndLikelihoods:
