@@ -5,7 +5,7 @@ from json.encoder import encode_basestring
 from operator import itemgetter
 
 from .config import RunConfig
-from .corpus import CorpusStats, iter_tweets
+from .corpus import CorpusStats, _tweet_fields
 from .resources import _output, _pipeline_config, _say
 
 # Tweets that classify reads, then scores, then writes, per round. One
@@ -16,7 +16,7 @@ _CLASSIFY_CHUNK = 256
 
 def cmd_classify(config: RunConfig) -> int:
     from .model import _posteriors, load_model
-    from .preprocess import run_pipeline
+    from .preprocess import _document
 
     config.require_files("input", "model")
     pipeline = _pipeline_config(config)
@@ -36,16 +36,18 @@ def cmd_classify(config: RunConfig) -> int:
     )
     count = 0
     with open(config.input, "rb") as handle, _output(config.out) as out:
-        tweets = iter_tweets(handle, CorpusStats())
+        tweets = _tweet_fields(handle, CorpusStats())
         while chunk := list(islice(tweets, _CLASSIFY_CHUNK)):
-            token_lists = [run_pipeline(tweet, pipeline).tokens for tweet in chunk]
+            token_lists = [
+                _document(tweet_id, text, None, pipeline).tokens for tweet_id, text, _, _ in chunk
+            ]
             table.build(chain.from_iterable(token_lists))
             scored = [_posteriors(table, tokens, oov_mode) for tokens in token_lists]
             out.write(
                 "".join(
-                    f'{{"id": {encode_basestring(tweet.id)}{heads[best]}{oov}'
+                    f'{{"id": {encode_basestring(tweet_id)}{heads[best]}{oov}'
                     f"{tail % in_key_order(posteriors)}"
-                    for tweet, (best, posteriors, oov) in zip(chunk, scored)
+                    for (tweet_id, _, _, _), (best, posteriors, oov) in zip(chunk, scored)
                 )
             )
             count += len(chunk)

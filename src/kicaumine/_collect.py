@@ -9,12 +9,11 @@ from .config import RunConfig
 from .corpus import (
     CorpusStats,
     LabelSource,
-    Tweet,
     _DISTANT_LABELS,
     _emoticon_outcome,
     _hashtag_test,
     _language_test,
-    iter_tweets,
+    _tweet_fields,
 )
 from .exceptions import ConfigError, EmptyCorpusError
 from .resources import _csv_writer, _effective_hashtags, _emit, _say, atomic_writer, load_wordlist
@@ -29,23 +28,20 @@ _LABEL_MEMBERS = {
 }
 
 
-def _tweet_line(tweet: Tweet, label_members: str = "") -> str:
-    """``tweet``'s JSON line, with ``label_members`` after its id.
+def _tweet_line(
+    tweet_id: str, text: str, created_at: str | None, lang: str | None, label_members: str = ""
+) -> str:
+    """A tweet's JSON line, with ``label_members`` after its id.
 
     The line is the one ``json.dumps(record, sort_keys=True,
-    ensure_ascii=False)`` writes for the record of the tweet's fields
-    (``lang`` for its declared language), with ``created_at`` and ``lang``
-    left out when they are None.
+    ensure_ascii=False)`` writes for the record of the tweet's fields,
+    with ``created_at`` and ``lang`` left out when they are None.
     """
-    created = "" if tweet.created_at is None else (
-        f'"created_at": {encode_basestring(tweet.created_at)}, '
-    )
-    lang = "" if tweet.declared_lang is None else (
-        f', "lang": {encode_basestring(tweet.declared_lang)}'
-    )
+    created = "" if created_at is None else f'"created_at": {encode_basestring(created_at)}, '
+    lang = "" if lang is None else f', "lang": {encode_basestring(lang)}'
     return (
-        f'{{{created}"id": {encode_basestring(tweet.id)}{label_members}{lang}'
-        f', "text": {encode_basestring(tweet.text)}}}\n'
+        f'{{{created}"id": {encode_basestring(tweet_id)}{label_members}{lang}'
+        f', "text": {encode_basestring(text)}}}\n'
     )
 
 
@@ -78,7 +74,7 @@ def cmd_collect(config: RunConfig) -> int:
         open(config.input, "rb") as handle,
         tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool,
     ):
-        tweets = iter_tweets(handle, stats)
+        tweets = _tweet_fields(handle, stats)
         # An export with no valid tweet is reported before bad filter settings.
         first = next(tweets, None)
         if first is None:
@@ -86,20 +82,22 @@ def cmd_collect(config: RunConfig) -> int:
         on_topic = _hashtag_test(tags)
         in_language = _language_test(wordlist, config.lang_threshold)
         with atomic_writer(config.out_labeled) as labeled:
-            for tweet in chain((first,), tweets):
-                lowered = tweet.text.lower()
+            for tweet_id, text, created_at, lang in chain((first,), tweets):
+                lowered = text.lower()
                 if not on_topic(lowered):
                     stats.rejected_hashtag += 1
                     continue
                 if not in_language(lowered):
                     stats.rejected_language += 1
                     continue
-                outcome = _emoticon_outcome(tweet.text)
+                outcome = _emoticon_outcome(text)
                 setattr(stats, outcome, getattr(stats, outcome) + 1)
                 if outcome in _DISTANT_LABELS:
-                    labeled.write(_tweet_line(tweet, _LABEL_MEMBERS[outcome]))
+                    labeled.write(
+                        _tweet_line(tweet_id, text, created_at, lang, _LABEL_MEMBERS[outcome])
+                    )
                 elif outcome == "unlabeled":
-                    spool.write(_tweet_line(tweet))
+                    spool.write(_tweet_line(tweet_id, text, created_at, lang))
             if not stats.check_partition():
                 raise RuntimeError("internal error: corpus stats do not partition the input")
         spool.seek(0)

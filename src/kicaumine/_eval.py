@@ -3,15 +3,12 @@
 import json
 
 from .config import RunConfig
-from .corpus import CorpusStats, SentimentLabel, iter_tweets
+from .corpus import _SENTIMENT_LABELS, CorpusStats, SentimentLabel, _tweet_fields
 from .exceptions import ConfigError, EmptyCorpusError, EvaluationError
 from .resources import _csv_writer, _emit, _pipeline_config, _say
 
 # Ids named in one warning line; the rest are only counted.
 _MAX_LOGGED_IDS = 10
-
-# Each gold label, by its trimmed lowercase name in the gold file.
-_GOLD_LABELS = {label.value: label for label in SentimentLabel}
 
 
 def _read_gold_csv(path) -> dict[str, SentimentLabel]:
@@ -43,7 +40,7 @@ def _read_gold_csv(path) -> dict[str, SentimentLabel]:
                     raise refusal("empty gold id")
                 if tweet_id in gold:
                     raise refusal(f"duplicate gold id {tweet_id!r}")
-                label = _GOLD_LABELS.get(label_name)
+                label = _SENTIMENT_LABELS.get(label_name)
                 if label is None:
                     raise refusal(f"unknown gold label {label_name!r} for id {tweet_id!r}")
                 gold[tweet_id] = label
@@ -117,16 +114,23 @@ def _gold_documents(config: RunConfig, pipeline):
     gold = _read_gold_csv(config.gold)
     stats = CorpusStats()
     with open(config.input, "rb") as handle:
-        by_id = {t.id: t for t in iter_tweets(handle, stats) if t.id in gold}
+        texts = {
+            tweet_id: text
+            for tweet_id, text, _, _ in _tweet_fields(handle, stats)
+            if tweet_id in gold
+        }
     if stats.total_ingested == stats.rejected_malformed:
         raise EmptyCorpusError(f"no valid tweets in {config.input}")
-    missing = sorted(tweet_id for tweet_id in gold if tweet_id not in by_id)
+    missing = sorted(tweet_id for tweet_id in gold if tweet_id not in texts)
     if missing:
         shown = ", ".join(missing[:_MAX_LOGGED_IDS])
         if len(missing) > _MAX_LOGGED_IDS:
             shown += f", ... and {len(missing) - _MAX_LOGGED_IDS} more"
         _say(f"{len(missing)} gold id(s) missing from the corpus and excluded: {shown}")
-    docs = [_document(by_id[tweet_id], gold[tweet_id], pipeline) for tweet_id in sorted(by_id)]
+    docs = [
+        _document(tweet_id, texts[tweet_id], gold[tweet_id], pipeline)
+        for tweet_id in sorted(texts)
+    ]
     if not docs:
         raise EvaluationError("no gold ids matched the corpus")
     return docs

@@ -3,7 +3,15 @@
 import json
 
 from .config import RunConfig
-from .corpus import CorpusStats, SentimentLabel, _hashtag_rollup, _read_strict_jsonl, iter_tweets
+from .corpus import (
+    _SENTIMENT_LABELS,
+    CorpusStats,
+    SentimentLabel,
+    _hashtag_rollup,
+    _member,
+    _read_strict_jsonl,
+    _tweet_fields,
+)
 from .resources import _csv_writer, _effective_hashtags, _emit, _say
 
 
@@ -12,16 +20,23 @@ def _prediction_label(record: dict) -> SentimentLabel:
 
     The fields are checked in the order a ``Prediction`` is built from
     them: posteriors type, label, each posterior's label and float, then
-    ``oov_tokens``.
+    ``oov_tokens``. A label is looked up by its value, and
+    ``SentimentLabel``, ``float`` or ``int`` is called only on a value that
+    the lookup misses or that is not already of that type, so an invalid
+    field raises what building the ``Prediction`` would.
     """
     posteriors = record.get("posteriors", {})
     if not isinstance(posteriors, dict):
         raise TypeError("posteriors must be a JSON object")
-    label = SentimentLabel(record["label"])
+    label = _member(SentimentLabel, _SENTIMENT_LABELS, record["label"])
     for name, p in posteriors.items():
-        SentimentLabel(name)
-        float(p)
-    int(record.get("oov_tokens", 0))
+        if name not in _SENTIMENT_LABELS:
+            SentimentLabel(name)
+        if type(p) is not float:
+            float(p)
+    oov_tokens = record.get("oov_tokens", 0)
+    if type(oov_tokens) is not int:
+        int(oov_tokens)
     return label
 
 
@@ -65,10 +80,13 @@ def cmd_report(config: RunConfig) -> int:
     tags = _effective_hashtags(config)
     labels = dict(_read_strict_jsonl(config.predictions, "prediction", _prediction_label))
     with open(config.input, "rb") as handle:
-        tweets = iter_tweets(handle, CorpusStats())
-        groups = _hashtag_rollup(((t.text, labels[t.id]) for t in tweets if t.id in labels), tags)
-    # The 'all' group counts every matched tweet, and iter_tweets yields each
-    # id once, so each matched tweet has a distinct prediction.
+        tweets = _tweet_fields(handle, CorpusStats())
+        groups = _hashtag_rollup(
+            ((text, labels[tweet_id]) for tweet_id, text, _, _ in tweets if tweet_id in labels),
+            tags,
+        )
+    # The 'all' group counts every matched tweet, and the field scan yields
+    # each id once, so each matched tweet has a distinct prediction.
     unmatched = len(labels) - sum(groups[0][1].values())
     if unmatched:
         _say(f"{unmatched} prediction(s) reference ids missing from the corpus")

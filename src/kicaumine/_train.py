@@ -1,7 +1,16 @@
 """The train command: preprocess a labeled corpus and write the model."""
 
 from .config import RunConfig
-from .corpus import LabeledTweet, LabelSource, SentimentLabel, Tweet, _read_strict_jsonl
+from .corpus import (
+    _LABEL_SOURCES,
+    _SENTIMENT_LABELS,
+    LabeledTweet,
+    LabelSource,
+    SentimentLabel,
+    Tweet,
+    _member,
+    _read_strict_jsonl,
+)
 from .exceptions import ConfigError, EmptyCorpusError
 from .resources import _pipeline_config, _say
 
@@ -15,8 +24,8 @@ def _labeled_tweet(record: dict) -> LabeledTweet:
     )
     return LabeledTweet(
         tweet=tweet,
-        label=SentimentLabel(record["label"]),
-        source=LabelSource(record.get("label_source", "manual")),
+        label=_member(SentimentLabel, _SENTIMENT_LABELS, record["label"]),
+        source=_member(LabelSource, _LABEL_SOURCES, record.get("label_source", "manual")),
     )
 
 
@@ -32,7 +41,7 @@ def _documents(path, pipeline):
     rows = dropped = 0
     for _, item in _read_strict_jsonl(path, "labeled-corpus", _labeled_tweet):
         rows += 1
-        doc = _document(item.tweet, item.label, pipeline)
+        doc = _document(item.tweet.id, item.tweet.text, item.label, pipeline)
         if doc.empty:
             dropped += 1
         else:

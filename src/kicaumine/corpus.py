@@ -3,8 +3,11 @@
 The collection chain is ingest -> hashtag filter -> language filter ->
 distant labeling, applied one tweet at a time. Live crawling is
 deliberately absent: tweets enter as JSON Lines exports, read one line at
-a time by :func:`iter_tweets`; ``_read_strict_jsonl`` reads the labeled
-corpora and predictions that the commands write. The hashtag and
+a time by the field scan ``_tweet_fields``, which yields each valid
+record's ``(id, text, created_at, lang)`` and builds no record object.
+The commands read those fields; :func:`iter_tweets` wraps them in
+``Tweet`` records for library callers. ``_read_strict_jsonl`` reads the
+labeled corpora and predictions that the commands write. The hashtag and
 language tests take a tweet's lowercased text, so that one lowering
 serves both, and each is built by a factory that first checks its
 settings (ConfigError). The list functions ``filter_hashtags``,
@@ -66,6 +69,22 @@ class LabelSource(Enum):
 
     def __str__(self):
         return self.value
+
+
+# Each member of the two label enums by its value. A lookup here costs one
+# dict probe; calling the Enum class runs several Python-level calls.
+_SENTIMENT_LABELS = {label.value: label for label in SentimentLabel}
+_LABEL_SOURCES = {source.value: source for source in LabelSource}
+
+
+def _member(enum, members: dict, value):
+    """``enum(value)``, taken from ``members``, ``enum``'s {value: member} dict.
+
+    Only a value that is not a string or names no member reaches
+    ``enum(value)``, which raises its usual ValueError.
+    """
+    member = members.get(value) if type(value) is str else None
+    return enum(value) if member is None else member
 
 
 class _Record:
@@ -151,14 +170,7 @@ class Tweet(_Record):
     def __init__(
         self, id: str, text: str, created_at: str | None = None, declared_lang: str | None = None
     ):
-        if not isinstance(id, str):
-            raise TypeError(f"tweet id must be a str, got {type(id).__name__}")
-        if not isinstance(text, str):
-            raise TypeError(f"tweet text must be a str, got {type(text).__name__}")
-        if not id:
-            raise ValueError("tweet id must be non-empty")
-        if not text.strip():
-            raise ValueError(f"tweet {id!r} has empty text")
+        _check_tweet(id, text)
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "text", text)
         object.__setattr__(self, "created_at", created_at)
@@ -167,6 +179,22 @@ class Tweet(_Record):
     @property
     def overlong(self) -> bool:
         return len(self.text) > TWEET_CHAR_LIMIT
+
+
+def _check_tweet(id, text) -> None:
+    """Raise unless ``id`` and ``text`` can make a tweet.
+
+    Both must be strings (TypeError), ``id`` non-empty and ``text``
+    non-empty after trimming (ValueError).
+    """
+    if not isinstance(id, str):
+        raise TypeError(f"tweet id must be a str, got {type(id).__name__}")
+    if not isinstance(text, str):
+        raise TypeError(f"tweet text must be a str, got {type(text).__name__}")
+    if not id:
+        raise ValueError("tweet id must be non-empty")
+    if not text.strip():
+        raise ValueError(f"tweet {id!r} has empty text")
 
 
 class LabeledTweet(_Record):
@@ -268,6 +296,18 @@ def iter_tweets(source, stats: CorpusStats):
     opening the first line is dropped. Memory held between lines is the
     set of ids seen so far.
     """
+    for fields in _tweet_fields(source, stats):
+        yield Tweet(*fields)
+
+
+def _tweet_fields(source, stats: CorpusStats):
+    """Yield ``(id, text, created_at, lang)`` for each tweet :func:`iter_tweets` yields.
+
+    The lines are checked and counted in ``stats`` as :func:`iter_tweets`
+    says, but no record is built: the commands read exports through this
+    scan. ``created_at`` and ``lang`` are None where the record has no
+    string there.
+    """
     lines = iter(source)
     first = next(lines, None)
     if first is not None:
@@ -289,27 +329,28 @@ def iter_tweets(source, stats: CorpusStats):
         try:
             record = decode_json(line)
             created_at = record.get("created_at")  # AttributeError: not an object
-            declared_lang = record.get("lang")
-            tweet = Tweet(
-                record.get("id"),
-                record.get("text"),
-                created_at if isinstance(created_at, str) else None,
-                declared_lang if isinstance(declared_lang, str) else None,
-            )
+            lang = record.get("lang")
+            tweet_id = record.get("id")
+            text = record.get("text")
+            _check_tweet(tweet_id, text)
+            if not isinstance(created_at, str):
+                created_at = None
+            if not isinstance(lang, str):
+                lang = None
             if "\\u" in line:
                 # No output can hold a lone surrogate: UTF-8 encoding raises
                 # UnicodeEncodeError, a ValueError.
-                f"{tweet.id}{tweet.text}{tweet.created_at}{tweet.declared_lang}".encode()
+                f"{tweet_id}{text}{created_at}{lang}".encode()
         except (AttributeError, TypeError, ValueError):
             stats.rejected_malformed += 1
             continue
-        if tweet.id in seen_ids:
+        if tweet_id in seen_ids:
             stats.rejected_malformed += 1
             continue
-        seen_ids.add(tweet.id)
-        if tweet.overlong:
+        seen_ids.add(tweet_id)
+        if len(text) > TWEET_CHAR_LIMIT:
             stats.flagged_overlong += 1
-        yield tweet
+        yield tweet_id, text, created_at, lang
 
 
 def _read_strict_jsonl(path, kind: str, parse):

@@ -276,16 +276,19 @@ def run_pipeline(item: Tweet | LabeledTweet, config: PipelineConfig) -> Document
     ``pos_lexicon`` must not be mutated after first use.
     """
     if isinstance(item, LabeledTweet):
-        return _document(item.tweet, item.label, config)
-    return _document(item, None, config)
+        tweet = item.tweet
+        return _document(tweet.id, tweet.text, item.label, config)
+    return _document(item.id, item.text, None, config)
 
 
-def _document(tweet: Tweet, label: SentimentLabel | None, config: PipelineConfig) -> Document:
-    """:func:`run_pipeline`'s document of ``tweet``, labeled ``label``."""
+def _document(
+    source_id: str, text: str, label: SentimentLabel | None, config: PipelineConfig
+) -> Document:
+    """:func:`run_pipeline`'s document of the tweet ``source_id`` with ``text``, labeled ``label``."""
     memo = config._word_memo
     tokens = []
     leading = True  # no earlier word cleansed to anything but RT
-    for word in tweet.text.split():
+    for word in text.split():
         out = memo.get(word)
         if out is None:
             out = _word_tokens(word, config)
@@ -293,7 +296,7 @@ def _document(tweet: Tweet, label: SentimentLabel | None, config: PipelineConfig
             continue
         leading = False
         tokens += out
-    return Document(source_id=tweet.id, tokens=tuple(tokens), label=label)
+    return Document(source_id=source_id, tokens=tuple(tokens), label=label)
 
 
 def _word_tokens(word: str, config: PipelineConfig) -> tuple[str, ...]:

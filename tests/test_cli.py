@@ -1418,11 +1418,16 @@ def prediction_records(draw):
         "posteriors": draw(st.dictionaries(LABEL_NAMES, st.floats(0, 1), max_size=3)),
     }
     for _ in range(draw(st.integers(0, 2))):
-        field = draw(st.sampled_from(["label", "oov_tokens", "posteriors", "posterior", "drop"]))
-        if field == "posterior":
+        field = draw(st.sampled_from(
+            ["label", "oov_tokens", "posteriors", "posterior", "posterior name", "drop"]
+        ))
+        if field in ("posterior", "posterior name"):
             posteriors = record.get("posteriors")
             posteriors = dict(posteriors) if isinstance(posteriors, dict) else {}
-            posteriors[draw(LABEL_NAMES)] = draw(JSON_SCALARS)
+            if field == "posterior":
+                posteriors[draw(LABEL_NAMES)] = draw(JSON_SCALARS)
+            else:
+                posteriors[draw(st.one_of(st.none(), st.integers(-1, 2)))] = 0.5
             record["posteriors"] = posteriors
         elif field == "drop":
             record.pop(draw(st.sampled_from(["label", "oov_tokens", "posteriors"])), None)
@@ -1441,13 +1446,62 @@ def parse_outcome(parse, record):
 class TestPredictionLabel:
     """``report`` keeps a record's label only once the whole record is valid."""
 
-    @settings(max_examples=500, deadline=None)
-    @given(prediction_records())
-    def test_agrees_with_building_a_prediction(self, record):
+    VALID = {"id": "t1", "label": "positive", "oov_tokens": 0,
+             "posteriors": {"negative": 0.25, "positive": 0.75}}
+    # Each value that the label lookups miss, or that is not already a float
+    # (posteriors) or an int (oov_tokens), with the field it goes in.
+    FALLBACKS = [
+        *({"label": value} for value in (None, 1, 1.5, True, ["positive"], "bogus", "Positive")),
+        *({"posteriors": {name: 0.5}} for name in (None, 1, "bogus", "")),
+        *({"posteriors": {"positive": value}} for value in (
+            1, True, "1.5", "nan", "x", 10**400, None, [0.5], {"p": 1})),
+        *({"oov_tokens": value} for value in (
+            1.5, float("inf"), float("nan"), "7", "x", True, 10**400, None, [1])),
+    ]
+
+    def check(self, record):
         expected = parse_outcome(report_oracle.prediction, record)
         if not isinstance(expected, tuple):
             expected = expected.label
         assert parse_outcome(_report._prediction_label, record) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(prediction_records())
+    def test_agrees_with_building_a_prediction(self, record):
+        self.check(record)
+
+    @pytest.mark.parametrize("spoiled", FALLBACKS)
+    def test_each_fallback_agrees(self, spoiled):
+        self.check({**self.VALID, **spoiled})
+
+
+@st.composite
+def labeled_rows(draw):
+    """A labeled-corpus row as collect or a person writes it, with up to two fields spoiled."""
+    record = {"id": "t1", "text": "bagus", "label": draw(LABEL_NAMES)}
+    if draw(st.booleans()):
+        record["label_source"] = draw(st.sampled_from(["distant", "manual"]))
+    for _ in range(draw(st.integers(0, 2))):
+        field = draw(st.sampled_from(
+            ["id", "text", "label", "label_source", "created_at", "lang", "drop"]
+        ))
+        if field == "drop":
+            record.pop(draw(st.sampled_from(sorted(record))))
+        else:
+            record[field] = draw(st.one_of(
+                st.sampled_from(["", " ", "distant", "manual", "bogus"]), LABEL_NAMES, JSON_SCALARS
+            ))
+    return record
+
+
+class TestLabeledTweet:
+    """``train`` reads a labeled row as the former ``_labeled_tweet`` did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_rows())
+    def test_agrees_with_former_reader(self, record):
+        expected = parse_outcome(train_oracle.labeled_tweet, record)
+        assert parse_outcome(_train._labeled_tweet, record) == expected
 
 
 # JSON that json.loads fails on with other errors than a JSONDecodeError:

@@ -5,7 +5,9 @@ nesting, a huge integer, a lone surrogate, NUL, a byte-order mark, CR-only
 line ends and a line of about 100 kB. Every hostile line is one that the
 tweet reader must count as ``rejected_malformed``. Commands run in process
 through ``cli.main``; an exception escaping it is the traceback a user
-would see.
+would see. The same lines, with other odd ones, go through the commands'
+field scan and ``iter_tweets``, which must agree with the former
+``iter_tweets`` kept in ``tests/ingest_oracle.py``.
 """
 
 import io
@@ -17,8 +19,9 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import NEG, POS
+import ingest_oracle
 from kicaumine.cli import main
-from kicaumine.corpus import CorpusStats
+from kicaumine.corpus import CorpusStats, _tweet_fields, iter_tweets
 from kicaumine.model import save_model, train
 from kicaumine.preprocess import Document
 
@@ -134,3 +137,59 @@ def test_hostile_lines_change_no_artifact(data, tweet_texts, kinds):
         report = ["report", "--input", str(dirty), "--predictions", str(bad_predictions)]
         assert run(report + ["--out", str(tmp / "r.txt")]) == (2, "")
         assert not (tmp / "r.txt").exists()
+
+
+# Lines beside HOSTILE's whose reading an ingest rewrite could get wrong.
+ODD = {
+    "blank": "  \t ",
+    "not-object": '["t0", "bagus"]',
+    "null-id": '{"id": null, "text": "bagus"}',
+    "empty-id": '{"id": "", "text": "bagus"}',
+    "spaces-text": '{"id": "sp", "text": "   "}',
+    "number-fields": '{"id": "nf", "text": "bagus", "created_at": 20180627, "lang": 7}',
+    "string-fields": '{"id": "sf", "text": "bagus", "created_at": "2018-06-27", "lang": "in"}',
+    "surrogate-created": '{"id": "sc", "text": "bagus", "created_at": "\\udc80"}',
+    "surrogate-lang": '{"id": "sl", "text": "bagus", "lang": "\\ud800"}',
+    "escaped": '{"id": "\\u0065s", "text": "caf\\u00e9 \\ud83d\\ude00"}',
+    "overlong": '{"id": "ol", "text": "' + "kata " * 40 + '"}',
+    "dup-of-valid": '{"id": "t0", "text": "lain"}',
+    "dup-after-malformed": '{"id": "dm", "text": 5}\n{"id": "dm", "text": "bagus"}',
+    "late-bom": '\ufeff{"id": "lb", "text": "bagus"}',
+}
+# Lines that are not UTF-8.
+NOT_UTF8 = [b'{"id": "b1", "text": "bagus \xff"}', b"\xc3", b'{"id": "t1", "text": "\xed\xa0\x80"}']
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.data(),
+    st.lists(texts, max_size=5),
+    st.lists(st.sampled_from([*HOSTILE.values(), *ODD.values()]), max_size=8),
+    st.lists(st.sampled_from(NOT_UTF8), max_size=2),
+    st.booleans(),
+)
+def test_field_scan_agrees_with_former_reader(data, tweet_texts, odd, not_utf8, bom):
+    valid = [json.dumps({"id": f"t{i}", "text": t}) for i, t in enumerate(tweet_texts)]
+    lines = mixed(data, [line.encode() for line in mixed(data, valid, odd)], not_utf8)
+    blob = b"\xef\xbb\xbf" * bom + b"".join(
+        line + data.draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for line in lines
+    )
+    sources = [lambda: io.BytesIO(blob)]
+    try:
+        text = blob.decode()
+    except UnicodeDecodeError:
+        pass
+    else:
+        # A text stream ends lines at CR as well as LF.
+        sources.append(lambda: io.StringIO(text, newline=""))
+
+    def read(reader, source):
+        stats = CorpusStats()
+        return list(reader(source(), stats)), stats
+
+    for source in sources:
+        expected, expected_stats = read(ingest_oracle.iter_tweets, source)
+        fields, stats = read(_tweet_fields, source)
+        assert fields == [(t.id, t.text, t.created_at, t.declared_lang) for t in expected]
+        assert stats == expected_stats
+        assert read(iter_tweets, source) == (expected, expected_stats)

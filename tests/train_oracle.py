@@ -1,7 +1,9 @@
 """``train``'s former two-pass path, from the labeled file to the model.
 
 ``read_strict_jsonl`` is the former ``kicaumine.corpus._read_strict_jsonl``,
-which returned every parsed record in a dict keyed by id;
+which returned every parsed record in a dict keyed by id; ``labeled_tweet``
+is the former ``kicaumine._train._labeled_tweet``, which called
+``SentimentLabel`` and ``LabelSource`` on each row's label fields;
 ``read_labeled_corpus`` and ``preprocess_labeled`` are the former
 ``kicaumine._train._read_labeled_corpus`` and ``_preprocess_labeled``, which
 built a list of every ``LabeledTweet`` and then a list of every non-empty
@@ -18,9 +20,15 @@ docstring, their names and their imports, and they are the oracle that
 from collections import Counter
 from itertools import chain
 
-from kicaumine._train import _labeled_tweet
 from kicaumine.config import RunConfig
-from kicaumine.corpus import _UTF8_BOM, LabeledTweet, decode_json
+from kicaumine.corpus import (
+    _UTF8_BOM,
+    LabeledTweet,
+    LabelSource,
+    SentimentLabel,
+    Tweet,
+    decode_json,
+)
 from kicaumine.exceptions import ConfigError, EmptyCorpusError, TrainingError
 from kicaumine.model import NbModel, _trained_labels, save_model
 from kicaumine.preprocess import Document
@@ -57,9 +65,23 @@ def read_strict_jsonl(path, kind: str, parse) -> dict:
     return parsed
 
 
+def labeled_tweet(record: dict) -> LabeledTweet:
+    tweet = Tweet(
+        id=record["id"],
+        text=record["text"],
+        created_at=record.get("created_at"),
+        declared_lang=record.get("lang"),
+    )
+    return LabeledTweet(
+        tweet=tweet,
+        label=SentimentLabel(record["label"]),
+        source=LabelSource(record.get("label_source", "manual")),
+    )
+
+
 def read_labeled_corpus(path) -> list[LabeledTweet]:
     """Read the labeled-corpus JSONL written by the collect command."""
-    labeled = list(read_strict_jsonl(path, "labeled-corpus", _labeled_tweet).values())
+    labeled = list(read_strict_jsonl(path, "labeled-corpus", labeled_tweet).values())
     if not labeled:
         raise EmptyCorpusError(f"no labeled tweets in {path}")
     return labeled
