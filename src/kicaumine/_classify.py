@@ -16,7 +16,7 @@ _CLASSIFY_CHUNK = 256
 
 def cmd_classify(config: RunConfig) -> int:
     from .model import _posteriors, load_model
-    from .preprocess import _document
+    from .preprocess import _tokens
 
     config.require_files("input", "model")
     pipeline = _pipeline_config(config)
@@ -38,9 +38,7 @@ def cmd_classify(config: RunConfig) -> int:
     with open(config.input, "rb") as handle, _output(config.out) as out:
         tweets = _tweet_fields(handle, CorpusStats())
         while chunk := list(islice(tweets, _CLASSIFY_CHUNK)):
-            token_lists = [
-                _document(tweet_id, text, None, pipeline).tokens for tweet_id, text, _, _ in chunk
-            ]
+            token_lists = [_tokens(text, pipeline) for _, text, _, _ in chunk]
             table.build(chain.from_iterable(token_lists))
             scored = [_posteriors(table, tokens, oov_mode) for tokens in token_lists]
             out.write(

@@ -107,9 +107,9 @@ def _format_kfold(result: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _gold_documents(config: RunConfig, pipeline):
-    """Join the gold CSV against the input tweets and preprocess them."""
-    from .preprocess import _document
+def _gold_pairs(config: RunConfig, pipeline) -> list[tuple]:
+    """Join the gold CSV against the input tweets: ``(label, tokens)`` per gold tweet, by id."""
+    from .preprocess import _tokens
 
     gold = _read_gold_csv(config.gold)
     stats = CorpusStats()
@@ -127,27 +127,33 @@ def _gold_documents(config: RunConfig, pipeline):
         if len(missing) > _MAX_LOGGED_IDS:
             shown += f", ... and {len(missing) - _MAX_LOGGED_IDS} more"
         _say(f"{len(missing)} gold id(s) missing from the corpus and excluded: {shown}")
-    docs = [
-        _document(tweet_id, texts[tweet_id], gold[tweet_id], pipeline)
-        for tweet_id in sorted(texts)
-    ]
-    if not docs:
+    pairs = [(gold[tweet_id], _tokens(texts[tweet_id], pipeline)) for tweet_id in sorted(texts)]
+    if not pairs:
         raise EvaluationError("no gold ids matched the corpus")
-    return docs
+    return pairs
+
+
+def _known(pairs: list[tuple], model, what: str, model_name: str) -> list[tuple]:
+    """The ``pairs`` whose label ``model`` knows; the others are counted in one line."""
+    known = [pair for pair in pairs if pair[0] in model.labels]
+    skipped = len(pairs) - len(known)
+    if skipped:
+        _say(f"skipping {skipped} {what} with labels absent from the {model_name}")
+    return known
 
 
 def cmd_eval(config: RunConfig) -> int:
-    from .evaluation import _fold_accuracies, evaluate, split
-    from .model import load_model, train
+    from .evaluation import _fold_accuracies, _metrics, _split
+    from .model import _model, load_model
 
     required = ["input", "gold"] if config.k or config.model is None else ["input", "gold", "model"]
     config.require_files(*required)
     pipeline = _pipeline_config(config)
-    docs = _gold_documents(config, pipeline)
+    pairs = _gold_pairs(config, pipeline)
 
     if config.k:
         accuracies = _fold_accuracies(
-            docs,
+            pairs,
             config.k,
             config.seed,
             config.oov,
@@ -169,21 +175,17 @@ def cmd_eval(config: RunConfig) -> int:
 
     if config.model is not None:
         model = load_model(config.model)
-        gold_docs = [d for d in docs if d.label in model.labels]
-        skipped = len(docs) - len(gold_docs)
-        if skipped:
-            _say(f"skipping {skipped} gold doc(s) with labels absent from the model")
-        if not gold_docs:
+        test = _known(pairs, model, "gold doc(s)", "model")
+        if not test:
             raise EvaluationError("no gold documents with labels the model knows")
-        metrics = evaluate(model, gold_docs, oov_mode=config.oov)
     else:
         # Self-contained holdout: train on a split of the gold data itself.
-        usable = [d for d in docs if not d.empty]
-        train_docs, test_docs = split(usable, config.train_fraction, config.seed)
-        holdout_model = train(train_docs)
-        test_docs = [d for d in test_docs if d.label in holdout_model.labels]
-        if not test_docs:
+        train_pairs, test_pairs = _split(
+            [pair for pair in pairs if pair[1]], config.train_fraction, config.seed
+        )
+        model = _model(train_pairs)
+        test = _known(test_pairs, model, "test doc(s)", "holdout model")
+        if not test:
             raise EvaluationError("holdout test side has no evaluable documents")
-        metrics = evaluate(holdout_model, test_docs, oov_mode=config.oov)
-    _emit(_format_metrics(metrics, config.format), config.out)
+    _emit(_format_metrics(_metrics(model, test, config.oov), config.format), config.out)
     return 0

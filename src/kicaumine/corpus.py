@@ -207,11 +207,16 @@ class LabeledTweet(_Record):
     __slots__ = _fields = ("tweet", "label", "source")
 
     def __init__(self, tweet: Tweet, label: SentimentLabel, source: LabelSource):
-        if source is LabelSource.DISTANT and label is SentimentLabel.NEUTRAL:
-            raise ValueError("distant supervision cannot produce neutral labels")
+        _check_label(label, source)
         object.__setattr__(self, "tweet", tweet)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "source", source)
+
+
+def _check_label(label: SentimentLabel, source: LabelSource) -> None:
+    """Raise ValueError if ``source`` cannot give ``label``: distant labels are never neutral."""
+    if source is LabelSource.DISTANT and label is SentimentLabel.NEUTRAL:
+        raise ValueError("distant supervision cannot produce neutral labels")
 
 
 class CorpusStats(_Record):

@@ -3,7 +3,10 @@ sentiment rollups.
 
 Shuffles are driven by ``random.Random(seed)`` (Mersenne Twister) over
 documents first sorted by id, so identical (documents, seed) pairs give
-identical splits regardless of input order or platform.
+identical splits regardless of input order or platform. The public
+functions take ``Document`` lists; ``eval`` passes its gold documents as
+``(label, tokens)`` pairs already in id order to the private ``_split``,
+``_fold_accuracies`` and ``_metrics``, which give the same results.
 """
 
 import random
@@ -63,8 +66,13 @@ class SentimentReport(_Record):
         return sum(self.counts.values())
 
 
-def _shuffled(docs: list[Document], seed: int) -> list[Document]:
-    ordered = sorted(docs, key=lambda d: d.source_id)
+def _by_id(docs: list[Document]) -> list[Document]:
+    return sorted(docs, key=lambda d: d.source_id)
+
+
+def _shuffled(items: list, seed: int) -> list:
+    """A copy of ``items``, which are in source id order, shuffled by ``seed``."""
+    ordered = list(items)
     random.Random(seed).shuffle(ordered)
     return ordered
 
@@ -77,38 +85,42 @@ def split(
     The cut point is ``round(train_fraction * len(docs))``; both sides
     must come out non-empty or SplitError is raised.
     """
-    if len(docs) < 2:
-        raise SplitError(f"need at least 2 documents to split, got {len(docs)}")
+    return _split(_by_id(docs), train_fraction, seed)
+
+
+def _split(items: list, train_fraction: float, seed: int) -> tuple[list, list]:
+    """:func:`split` of ``items``, documents or ``(label, tokens)`` pairs in source id order."""
+    if len(items) < 2:
+        raise SplitError(f"need at least 2 documents to split, got {len(items)}")
     if not 0.0 < train_fraction < 1.0:
         raise SplitError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    ordered = _shuffled(docs, seed)
+    ordered = _shuffled(items, seed)
     cut = round(train_fraction * len(ordered))
     if cut < 1 or cut >= len(ordered):
         raise SplitError(
-            f"train_fraction {train_fraction} leaves an empty side for {len(docs)} documents"
+            f"train_fraction {train_fraction} leaves an empty side for {len(items)} documents"
         )
     return ordered[:cut], ordered[cut:]
 
 
-def _fold_slices(docs: list[Document], k: int, seed: int) -> tuple[list[Document], list]:
-    """``docs`` shuffled, and the (start, stop) bounds of each fold's test slice of it.
+def _fold_bounds(n: int, k: int) -> list[tuple[int, int]]:
+    """The (start, stop) bounds of each of ``k`` folds' test slices of ``n`` documents.
 
-    Fold sizes differ by at most one. k must be between 2 and the number
-    of documents (k equal to the count gives leave-one-out).
+    Fold sizes differ by at most one. k must be between 2 and n (k equal
+    to n gives leave-one-out).
     """
     if k < 2:
         raise SplitError(f"k must be at least 2, got {k}")
-    if k > len(docs):
-        raise SplitError(f"k={k} exceeds the {len(docs)} available documents")
-    ordered = _shuffled(docs, seed)
-    base, extra = divmod(len(ordered), k)
+    if k > n:
+        raise SplitError(f"k={k} exceeds the {n} available documents")
+    base, extra = divmod(n, k)
     bounds = []
     start = 0
     for i in range(k):
         stop = start + base + (1 if i < extra else 0)
         bounds.append((start, stop))
         start = stop
-    return ordered, bounds
+    return bounds
 
 
 def k_fold(
@@ -122,22 +134,23 @@ def k_fold(
     be between 2 and the number of documents (k equal to the count gives
     leave-one-out).
     """
-    ordered, bounds = _fold_slices(docs, k, seed)
+    bounds = _fold_bounds(len(docs), k)
+    ordered = _shuffled(_by_id(docs), seed)
     return [(ordered[:start] + ordered[stop:], ordered[start:stop]) for start, stop in bounds]
 
 
 def _confusion(
-    table: _ScoreTable, labels: tuple[SentimentLabel, ...], gold: list[Document], oov_mode: str
+    table: _ScoreTable, labels: tuple[SentimentLabel, ...], gold: list[tuple], oov_mode: str
 ) -> dict[SentimentLabel, dict[SentimentLabel, int]]:
-    """Gold-row, predicted-column counts of ``gold`` scored by ``table``.
+    """Gold-row, predicted-column counts of ``(label, tokens)`` pairs scored by ``table``.
 
     The prediction is the label :func:`~kicaumine.model.classify` picks,
     by the same rule.
     """
     confusion = {g: {p: 0 for p in labels} for g in labels}
-    for doc in gold:
-        scores, _ = _doc_scores(table, doc.tokens, oov_mode)
-        confusion[doc.label][labels[_best(scores)]] += 1
+    for label, tokens in gold:
+        scores, _ = _doc_scores(table, tokens, oov_mode)
+        confusion[label][labels[_best(scores)]] += 1
     return confusion
 
 
@@ -155,8 +168,13 @@ def evaluate(model: NbModel, gold: list[Document], oov_mode: str = OOV_SMOOTH) -
             raise UnknownLabelError(
                 f"gold document {doc.source_id!r} labeled {doc.label} outside model labels"
             )
+    return _metrics(model, [(doc.label, doc.tokens) for doc in gold], oov_mode)
+
+
+def _metrics(model: NbModel, gold: list[tuple], oov_mode: str) -> EvalMetrics:
+    """:func:`evaluate` of ``(label, tokens)`` pairs: at least one, each with a model label."""
     table = model._score_table()
-    table.build(chain.from_iterable(doc.tokens for doc in gold))
+    table.build(chain.from_iterable(tokens for _, tokens in gold))
     confusion = _confusion(table, model.labels, gold, oov_mode)
     n_test = len(gold)
     correct = sum(confusion[lab][lab] for lab in model.labels)
@@ -198,7 +216,12 @@ def cross_validate(
     are skipped (``eval --k`` prints one line per fold that skips any);
     a fold left with none raises EvaluationError.
     """
-    return _fold_accuracies(docs, k, seed, oov_mode, lambda fold, skipped: None)
+    _fold_bounds(len(docs), k)  # a bad k is reported before an unlabeled document
+    unlabeled = next((doc for doc in docs if doc.label is None and doc.tokens), None)
+    if unlabeled is not None:
+        raise TrainingError(f"document {unlabeled.source_id!r} is unlabeled")
+    pairs = [(doc.label, doc.tokens) for doc in _by_id(docs)]
+    return _fold_accuracies(pairs, k, seed, oov_mode, lambda fold, skipped: None)
 
 
 def _summed(counts_per_class: dict) -> Counter:
@@ -209,17 +232,15 @@ def _summed(counts_per_class: dict) -> Counter:
     return totals
 
 
-def _fold_accuracies(docs, k, seed, oov_mode, on_skip) -> list[float]:
-    """:func:`cross_validate`, reporting each fold's skipped test documents.
+def _fold_accuracies(pairs, k, seed, oov_mode, on_skip) -> list[float]:
+    """:func:`cross_validate` of labeled ``(label, tokens)`` pairs in source id order.
 
     ``on_skip(fold, skipped)`` is called, with the fold's number from 1,
     for each fold that skips any, before that fold is scored or raises.
     """
-    ordered, bounds = _fold_slices(docs, k, seed)
-    docs_per_class, tokens_per_class, token_counts = _class_counts(docs)
-    if None in docs_per_class:
-        doc = next(d for d in docs if d.label is None and d.tokens)
-        raise TrainingError(f"document {doc.source_id!r} is unlabeled")
+    bounds = _fold_bounds(len(pairs), k)
+    ordered = _shuffled(pairs, seed)
+    docs_per_class, tokens_per_class, token_counts = _class_counts(pairs)
     token_totals = _summed(token_counts)
     accuracies = []
     for i, (start, stop) in enumerate(bounds, start=1):
@@ -240,7 +261,7 @@ def _fold_accuracies(docs, k, seed, oov_mode, on_skip) -> list[float]:
             [held_counts.get(lab, {}) for lab in labels],
         )
         table.build(kept)
-        usable_test = [d for d in test_docs if d.label in labels]
+        usable_test = [pair for pair in test_docs if pair[0] in labels]
         skipped = len(test_docs) - len(usable_test)
         if skipped:
             on_skip(i, skipped)

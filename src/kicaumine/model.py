@@ -1,15 +1,16 @@
 """Multinomial Naive Bayes with add-one smoothing.
 
-Training counts documents and token occurrences per class; classification
-picks the class maximizing prior times the product of per-token
-likelihoods ``(count + 1) / (class_tokens + vocabulary_size)``. Scoring
-runs in log space, which preserves the argmax while avoiding underflow on
-long documents, and the normalizing document probability is dropped
-because it is constant across classes. Each model caches a score table
-of per-token log-likelihood rows. Rows are computed in one batch for the
-tokens of the documents about to be scored, never on lookup. So the words
-no document uses cost nothing, and scoring a document is one dictionary
-lookup per distinct vocabulary token.
+Training counts documents and token occurrences per class from
+``(label, tokens)`` pairs, so the commands build no ``Document``;
+classification picks the class maximizing prior times the product of
+per-token likelihoods ``(count + 1) / (class_tokens + vocabulary_size)``.
+Scoring runs in log space, which preserves the argmax while avoiding
+underflow on long documents, and the normalizing document probability is
+dropped because it is constant across classes. Each model caches a score
+table of per-token log-likelihood rows. Rows are computed in one batch
+for the tokens of the documents about to be scored, never on lookup. So
+the words no document uses cost nothing, and scoring a document is one
+dictionary lookup per distinct vocabulary token.
 """
 
 import json
@@ -164,27 +165,40 @@ def _trained_labels(docs_per_class: Mapping[SentimentLabel, int]) -> tuple[Senti
     return labels
 
 
-def _class_counts(docs: Iterable[Document]) -> tuple[dict, dict, dict]:
-    """Per label of the non-empty ``docs``, read once: documents, tokens, and token counts."""
+def _class_counts(pairs: Iterable[tuple]) -> tuple[dict, dict, dict]:
+    """Per label of the non-empty ``(label, tokens)`` pairs, read once: docs, tokens, counts."""
     docs_per_class = defaultdict(int)
     token_counts = defaultdict(Counter)
-    for doc in docs:
-        if doc.tokens:
-            docs_per_class[doc.label] += 1
+    for label, tokens in pairs:
+        if tokens:
+            docs_per_class[label] += 1
             # Counter.update's C helper: counting 29,902 campaign documents
             # took 14.5 ms through it and 21.3 ms through Counter.update.
-            _count_elements(token_counts[doc.label], doc.tokens)
+            _count_elements(token_counts[label], tokens)
     tokens_per_class = {lab: sum(counts.values()) for lab, counts in token_counts.items()}
     return dict(docs_per_class), tokens_per_class, dict(token_counts)
 
 
-def _checked(docs: Iterable[Document]) -> Iterable[Document]:
-    """``docs``, raising TrainingError at the first that is unlabeled or empty."""
+def _checked(docs: Iterable[Document]) -> Iterable[tuple]:
+    """``(label, tokens)`` of each document; TrainingError at the first unlabeled or empty one."""
     for doc in docs:
         if doc.label is None or doc.empty:
             problem = "is unlabeled" if doc.label is None else "has no tokens"
             raise TrainingError(f"document {doc.source_id!r} {problem}")
-        yield doc
+        yield doc.label, doc.tokens
+
+
+def _model(pairs: Iterable[tuple]) -> NbModel:
+    """The model counted from ``(label, tokens)`` pairs, read once, each labeled and non-empty."""
+    docs_per_class, _, token_counts = _class_counts(pairs)
+    if not docs_per_class:
+        raise TrainingError("no documents to train on")
+    labels = _trained_labels(docs_per_class)
+    return NbModel(
+        labels=labels,
+        docs_per_class=docs_per_class,
+        token_counts={lab: dict(token_counts[lab]) for lab in labels},
+    )
 
 
 def train(docs: Iterable[Document]) -> NbModel:
@@ -195,15 +209,7 @@ def train(docs: Iterable[Document]) -> NbModel:
     TrainingError naming it. Fewer than two classes is a degenerate problem
     and raises.
     """
-    docs_per_class, _, token_counts = _class_counts(_checked(docs))
-    if not docs_per_class:
-        raise TrainingError("no documents to train on")
-    labels = _trained_labels(docs_per_class)
-    return NbModel(
-        labels=labels,
-        docs_per_class=docs_per_class,
-        token_counts={lab: dict(token_counts[lab]) for lab in labels},
-    )
+    return _model(_checked(docs))
 
 
 def _doc_scores(table: _ScoreTable, tokens: Iterable[str], oov_mode: str) -> tuple[list[float], int]:

@@ -1,13 +1,15 @@
-"""Tweet text normalization: from raw post to a clean token Document.
+"""Tweet text normalization: from raw post to a tuple of clean tokens.
 
 Stage order is fixed: cleanse -> case fold -> tokenize -> stopword
 removal -> POS tag filter -> stem. The first two stages are idempotent;
 every stage after tokenization can only keep or drop tokens (stemming
 maps one to one), so token counts never grow along the chain.
 
-No stage reaches across whitespace, so :func:`run_pipeline` runs the
-chain once per distinct raw word and memoizes the result in its config;
-only the rule that drops leading ``RT`` words looks at more than one word.
+No stage reaches across whitespace, so ``_tokens`` runs the chain once
+per distinct raw word, checks its tokens as ``Document`` does and
+memoizes them in its config; only the rule that drops leading ``RT``
+words looks at more than one word. The commands call ``_tokens``;
+:func:`run_pipeline` wraps its tokens in a ``Document``.
 """
 
 import re
@@ -49,19 +51,7 @@ class Document(_Record):
     def __init__(
         self, source_id: str, tokens: tuple[str, ...], label: SentimentLabel | None = None
     ):
-        # One pass over the joined tokens decides the common valid case;
-        # letters and lowercase-fixed points are per-character properties,
-        # so the join passes exactly when every token does.
-        try:
-            joined = "".join(tokens)
-        except TypeError:  # a non-string token; the loop below names it
-            joined = None
-        if joined is None or not (
-            all(tokens) and (joined.isalpha() or not joined) and joined == joined.lower()
-        ):
-            for token in tokens:
-                if not token or not token.isalpha() or token != token.lower():
-                    raise ValueError(f"invalid document token {token!r}")
+        _check_tokens(tokens)
         object.__setattr__(self, "source_id", source_id)
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "label", label)
@@ -69,6 +59,23 @@ class Document(_Record):
     @property
     def empty(self) -> bool:
         return not self.tokens
+
+
+def _check_tokens(tokens) -> None:
+    """Raise ValueError naming the first token that is not a non-empty lowercase letter string."""
+    # One pass over the joined tokens decides the common valid case;
+    # letters and lowercase-fixed points are per-character properties,
+    # so the join passes exactly when every token does.
+    try:
+        joined = "".join(tokens)
+    except TypeError:  # a non-string token; the loop below names it
+        joined = None
+    if joined is None or not (
+        all(tokens) and (joined.isalpha() or not joined) and joined == joined.lower()
+    ):
+        for token in tokens:
+            if not token or not token.isalpha() or token != token.lower():
+                raise ValueError(f"invalid document token {token!r}")
 
 
 class PipelineConfig(_Record):
@@ -277,14 +284,12 @@ def run_pipeline(item: Tweet | LabeledTweet, config: PipelineConfig) -> Document
     """
     if isinstance(item, LabeledTweet):
         tweet = item.tweet
-        return _document(tweet.id, tweet.text, item.label, config)
-    return _document(item.id, item.text, None, config)
+        return Document(source_id=tweet.id, tokens=_tokens(tweet.text, config), label=item.label)
+    return Document(source_id=item.id, tokens=_tokens(item.text, config))
 
 
-def _document(
-    source_id: str, text: str, label: SentimentLabel | None, config: PipelineConfig
-) -> Document:
-    """:func:`run_pipeline`'s document of the tweet ``source_id`` with ``text``, labeled ``label``."""
+def _tokens(text: str, config: PipelineConfig) -> tuple[str, ...]:
+    """The tokens of :func:`run_pipeline`'s document of a tweet with ``text``."""
     memo = config._word_memo
     tokens = []
     leading = True  # no earlier word cleansed to anything but RT
@@ -296,11 +301,11 @@ def _document(
             continue
         leading = False
         tokens += out
-    return Document(source_id=source_id, tokens=tuple(tokens), label=label)
+    return tuple(tokens)
 
 
 def _word_tokens(word: str, config: PipelineConfig) -> tuple[str, ...]:
-    """Run the chain on one raw word and memoize its output tokens."""
+    """Run the chain on one raw word; memoize its output tokens once Document's check passes."""
     cleansed = _cleanse_word(word)
     if not cleansed:
         out = _CLEANSED_AWAY
@@ -315,6 +320,7 @@ def _word_tokens(word: str, config: PipelineConfig) -> tuple[str, ...]:
             if config.enable_pos and lexicon.get(token, PosTag.OTHER) not in keep:
                 continue
             kept.append(token if stem is None else stem(token))
+        _check_tokens(kept)
         out = _Skippable(kept) if cleansed == "RT" else tuple(kept)
     memo = config._word_memo
     # A full memo skips the lock; the lock keeps the size check and the

@@ -29,9 +29,9 @@ with a single ``str.endswith`` on the whole tuple before the matching
 ending is looked for. At most three prefixes and one ending per stage are
 stripped, so the time per word is linear in its length.
 
-The stemmer keeps no memo of its own: ``preprocess.run_pipeline``
-memoizes the output of whole words, so it stems only the words that miss
-there.
+The stemmer keeps no memo of its own: ``preprocess._tokens``, which the
+commands and ``run_pipeline`` call, memoizes the checked output tokens
+of whole words, so it stems only the words that miss there.
 """
 
 _PARTICLES = ("lah", "kah", "pun")

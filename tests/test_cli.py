@@ -1031,49 +1031,132 @@ def noisy_text(rng, tokens, words):
     return " ".join(out)
 
 
+def gold_corpus(tmp_path, seed):
+    """A noisy export and a gold CSV over it, neither in id order.
+
+    Some gold texts preprocess to nothing, some gold labels are neutral
+    (a class no training document has), and one gold id is missing from
+    the export. Returns the paths and the gold labels by id.
+    """
+    rng = random.Random(seed)
+    stopwords, lexicon, roots = resources._bundled_resources()
+    words = sorted(lexicon)[:300] + sorted(roots)[:300] + sorted(stopwords)[:50]
+    export = tmp_path / "export.jsonl"
+    gold = tmp_path / "gold.csv"
+    docs = synthdata.two_class_corpus(n_docs=300, seed=seed)
+    rng.shuffle(docs)
+    labels = {}
+    with export.open("w", encoding="utf-8") as handle:
+        for doc in docs:
+            empty = rng.random() < 0.05
+            text = "123 :) http://t.co/x" if empty else noisy_text(rng, doc.tokens, words)
+            handle.write(json.dumps({"id": doc.source_id, "text": text}) + "\n")
+            if rng.random() < 0.9:
+                labels[doc.source_id] = NEU if rng.random() < 0.03 else doc.label
+    labels["ghost"] = NEU  # gold id missing from the export
+    write_gold(gold, labels)
+    return export, gold, labels
+
+
+def write_gold(path, labels):
+    """Write ``labels`` as a gold CSV, in descending id order."""
+    rows = "".join(f"{i},{labels[i].value}\n" for i in sorted(labels, reverse=True))
+    path.write_text("id,label\n" + rows, encoding="utf-8")
+
+
+def former_gold_documents(export, labels, pipeline):
+    """The gold documents as ``eval`` built them before: ``run_pipeline`` on a ``LabeledTweet``."""
+    with export.open("rb") as handle:
+        by_id = {t.id: t for t in iter_tweets(handle, CorpusStats())}
+    return [
+        run_pipeline(LabeledTweet(by_id[i], labels[i], LabelSource.MANUAL), pipeline)
+        for i in sorted(labels)
+        if i in by_id
+    ]
+
+
 class TestGoldDocuments:
-    """``_eval._gold_documents`` builds the documents of the former path.
+    """``_eval._gold_pairs`` gives the labels and tokens of the former path's documents.
 
     That path made a manual ``LabeledTweet`` of each gold tweet and ran it
-    through ``run_pipeline``.
+    through ``run_pipeline``, in id order.
     """
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("enable_pos", [False, True])
     @pytest.mark.parametrize("enable_stemming", [False, True])
     def test_same_documents_as_labeled_tweets(self, seed, enable_pos, enable_stemming, tmp_path):
-        rng = random.Random(seed)
-        stopwords, lexicon, roots = resources._bundled_resources()
-        words = sorted(lexicon)[:300] + sorted(roots)[:300] + sorted(stopwords)[:50]
-        export = tmp_path / "export.jsonl"
-        gold = tmp_path / "gold.csv"
-        labels = {}
-        with export.open("w", encoding="utf-8") as handle:
-            for doc in synthdata.two_class_corpus(n_docs=300, seed=seed):
-                text = noisy_text(rng, doc.tokens, words)
-                handle.write(json.dumps({"id": doc.source_id, "text": text}) + "\n")
-                if rng.random() < 0.9:
-                    labels[doc.source_id] = doc.label
-        labels["ghost"] = NEU  # gold id missing from the export
-        gold.write_text(
-            "id,label\n" + "".join(f"{i},{lab.value}\n" for i, lab in labels.items()),
-            encoding="utf-8",
-        )
+        export, gold, labels = gold_corpus(tmp_path, seed)
         config = RunConfig(
             input=str(export), gold=str(gold), enable_pos=enable_pos, enable_stemming=enable_stemming
         )
         with redirect_stderr(io.StringIO()):
-            got = _eval._gold_documents(config, resources._pipeline_config(config))
-        pipeline = resources._pipeline_config(config)
-        with export.open("rb") as handle:
-            by_id = {t.id: t for t in iter_tweets(handle, CorpusStats())}
-        expected = [
-            run_pipeline(LabeledTweet(by_id[i], labels[i], LabelSource.MANUAL), pipeline)
-            for i in sorted(labels)
-            if i in by_id
-        ]
-        assert got == expected
-        assert len(got) == len(labels) - 1 and any(d.tokens for d in got)
+            got = _eval._gold_pairs(config, resources._pipeline_config(config))
+        expected = former_gold_documents(export, labels, resources._pipeline_config(config))
+        assert got == [(doc.label, doc.tokens) for doc in expected]
+        assert len(got) == len(labels) - 1 and any(tokens for _, tokens in got)
+        assert not all(tokens for _, tokens in got)
+
+
+class TestEvalModesOnPairs:
+    """``eval``'s holdout and ``--k`` modes print what the public ``Document`` API computes.
+
+    The command passes ``(label, tokens)`` pairs to ``evaluation._split``,
+    ``model._model``, ``evaluation._metrics`` and ``evaluation._fold_accuracies``;
+    the public ``split``, ``train``, ``evaluate`` and ``cross_validate``, on the
+    former path's documents, must give the same output.
+    """
+
+    def run_eval(self, *argv):
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+            code = main(["eval", *argv, "--format", "json"])
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("test_side_neutral", [False, True])
+    def test_holdout(self, seed, test_side_neutral, tmp_path):
+        from kicaumine.evaluation import evaluate, split
+
+        export, gold, labels = gold_corpus(tmp_path, seed)
+        if test_side_neutral:
+            # Neutral only on the test side: the holdout model lacks the class.
+            # The split depends on the ids alone, so relabeling keeps it.
+            labels = {i: POS if lab is NEU else lab for i, lab in labels.items()}
+            docs = former_gold_documents(export, labels, default_pipeline_config())
+            _, test_docs = split([d for d in docs if not d.empty], 0.8, seed)
+            labels[test_docs[0].source_id] = labels[test_docs[-1].source_id] = NEU
+            write_gold(gold, labels)
+        docs = former_gold_documents(export, labels, default_pipeline_config())
+        train_docs, test_docs = split([d for d in docs if not d.empty], 0.8, seed)
+        holdout_model = train(train_docs)
+        known = [d for d in test_docs if d.label in holdout_model.labels]
+        skipped = len(test_docs) - len(known)
+        assert skipped == (2 if test_side_neutral else 0)
+        code, out, err = self.run_eval("--input", str(export), "--gold", str(gold), "--seed", str(seed))
+        assert code == 0
+        assert out == _eval._format_metrics(evaluate(holdout_model, known), "json") + "\n"
+        expected_err = "1 gold id(s) missing from the corpus and excluded: ghost\n"
+        if skipped:
+            expected_err += (
+                f"skipping {skipped} test doc(s) with labels absent from the holdout model\n"
+            )
+        assert err == expected_err
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_k_fold(self, seed, tmp_path):
+        from kicaumine.evaluation import cross_validate
+
+        export, gold, labels = gold_corpus(tmp_path, seed)
+        # Neutral gold documents are too few for every fold to train on them.
+        body = gold.read_text(encoding="utf-8").replace(",neutral\n", ",positive\n")
+        gold.write_text(body, encoding="utf-8")
+        labels = {i: POS if lab is NEU else lab for i, lab in labels.items()}
+        docs = former_gold_documents(export, labels, default_pipeline_config())
+        code, out, _ = self.run_eval(
+            "--input", str(export), "--gold", str(gold), "--k", "5", "--seed", str(seed)
+        )
+        assert code == 0
+        assert json.loads(out)["fold_accuracies"] == cross_validate(docs, 5, seed)
 
 
 class TestTrainOracle:
@@ -1495,13 +1578,19 @@ def labeled_rows(draw):
 
 
 class TestLabeledTweet:
-    """``train`` reads a labeled row as the former ``_labeled_tweet`` did."""
+    """``train`` reads a labeled row as the former ``_labeled_tweet`` did.
+
+    ``_train._labeled_row`` builds no record: it must raise the same error,
+    or give the text and label of the ``LabeledTweet`` the former reader built.
+    """
 
     @settings(max_examples=300, deadline=None)
     @given(labeled_rows())
     def test_agrees_with_former_reader(self, record):
         expected = parse_outcome(train_oracle.labeled_tweet, record)
-        assert parse_outcome(_train._labeled_tweet, record) == expected
+        if isinstance(expected, LabeledTweet):
+            expected = (expected.tweet.text, expected.label)
+        assert parse_outcome(_train._labeled_row, record) == expected
 
 
 # JSON that json.loads fails on with other errors than a JSONDecodeError:

@@ -61,6 +61,10 @@ def work(tmp_path_factory):
         "id,label\nt1,positive\nt2,positive\nt3,negative\nt4,neutral\nghost,negative\n",
         encoding="utf-8",
     )
+    (work / "gold5.csv").write_text(
+        "id,label\nt1,positive\nt2,positive\nt3,negative\nt4,negative\nt5,neutral\n",
+        encoding="utf-8",
+    )
     (work / "gold6.csv").write_text(
         "id,label\nt1,positive\nt2,positive\nt3,negative\nt4,negative\nt5,neutral\nt6,negative\n",
         encoding="utf-8",
@@ -106,6 +110,14 @@ CASES = {
         ("eval", "--input", DEMO, "--gold", "gold6.csv", "--k", "4", "--seed", "1"),
         1,
         SKIP_LINE.format(3, 1) + "error: fold 3 has no evaluable test documents\n",
+    ),
+    # The holdout model of seed 5 trains on two classes, and its test side
+    # holds only the neutral document.
+    "eval-holdout-skip-then-error": (
+        ("eval", "--input", DEMO, "--gold", "gold5.csv", "--seed", "5"),
+        1,
+        "skipping 1 test doc(s) with labels absent from the holdout model\n"
+        "error: holdout test side has no evaluable documents\n",
     ),
     "missing-input": (
         ("report", "--input", "nope.jsonl", "--predictions", "predictions.jsonl"),

@@ -127,10 +127,13 @@ class _SliceCounter(list):
 class TestFoldWork:
     def test_cross_validate_copies_each_document_once_under_leave_one_out(self, monkeypatch):
         # k_fold builds every fold's training list, k times n documents in
-        # all; cross_validate reads only the test slices, n documents.
+        # all; cross_validate reads only the test slices, n documents. It
+        # shuffles the documents' (label, tokens) pairs, and a distinct
+        # token per document tells the pairs apart.
         n = 60
         docs = [
-            make_doc(f"d{i:02d}", ["bagus" if i % 2 else "buruk", "calon"], POS if i % 2 else NEG)
+            make_doc(f"d{i:02d}", ["bagus" if i % 2 else "buruk", "calon", "x" * (i + 1)],
+                     POS if i % 2 else NEG)
             for i in range(n)
         ]
         orders = []
@@ -146,7 +149,10 @@ class TestFoldWork:
         assert [order.copied for order in orders] == [n]
         folds = k_fold(docs, n, seed=3)
         assert orders[1].copied == n * n
-        assert [test for _, test in folds] == [[doc] for doc in orders[0]]
+        assert len(set(orders[0])) == n
+        assert [[(doc.label, doc.tokens) for doc in test] for _, test in folds] == [
+            [pair] for pair in orders[0]
+        ]
 
 
 class TestEvaluate:

@@ -20,6 +20,7 @@ from kicaumine.exceptions import (
     DegenerateTrainingError,
     KicaumineError,
     ModelFormatError,
+    SplitError,
     TrainingError,
 )
 from kicaumine.model import (
@@ -29,6 +30,7 @@ from kicaumine.model import (
     _class_counts,
     _doc_scores,
     _int_counts,
+    _model,
     classify,
     load_model,
     save_model,
@@ -220,10 +222,51 @@ class TestTrainOracle:
         assert outcome(lambda: train(docs)) == expected
         assert outcome(lambda: train(iter(docs))) == expected
         counts = train_oracle.class_counts(docs)
-        for got in (_class_counts(docs), _class_counts(iter(docs))):
+        pairs = [(label, tuple(tokens)) for label, tokens in spec]
+        for got in (_class_counts(pairs), _class_counts(iter(pairs))):
             assert got == counts
             assert [list(table) for table in got] == [list(table) for table in counts]
             assert [list(c) for c in got[2].values()] == [list(c) for c in counts[2].values()]
+
+
+class TestModelOfPairs:
+    """``_model``, which ``train`` and the commands count through, against the former ``train``.
+
+    The commands pass ``(label, tokens)`` pairs, each labeled and non-empty,
+    with no ``Document``; the model must be the one the oracle builds from
+    the same documents.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_model_and_bytes(self, seed, tmp_path):
+        docs = synthdata.two_class_corpus(n_docs=300, seed=seed)
+        expected = train_oracle.train(docs)
+        got = _model((doc.label, doc.tokens) for doc in docs)
+        assert got == expected
+        assert list(got.docs_per_class) == list(expected.docs_per_class)
+        save_model(expected, tmp_path / "expected.json")
+        save_model(got, tmp_path / "got.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([NEG, POS, NEU]),
+                st.lists(st.sampled_from(["a", "b", "cc", "d"]), min_size=1, max_size=4),
+            ),
+            max_size=12,
+        )
+    )
+    def test_matches_former_train(self, spec):
+        docs = [make_doc(f"d{i}", tokens, label) for i, (label, tokens) in enumerate(spec)]
+        expected = outcome(lambda: train_oracle.train(docs))
+        pairs = [(label, tuple(tokens)) for label, tokens in spec]
+        assert outcome(lambda: _model(iter(pairs))) == expected
+        if isinstance(expected, NbModel):
+            assert [list(c) for c in _model(pairs).token_counts.values()] == [
+                list(c) for c in expected.token_counts.values()
+            ]
 
 
 class TestPriorsAndLikelihoods:
@@ -595,15 +638,18 @@ def kfold_outcome(run, monkeypatch):
     """What ``run(on_skip)`` returned or raised, its per-fold skip counts, and every score.
 
     ``evaluation._confusion`` is wrapped to record, for each fold, the
-    labels and each test document's scores and OOV count, so the fold
-    tables are compared float for float, not only through accuracies.
+    labels and each test document's label, tokens, scores and OOV count,
+    so the fold tables are compared float for float, not only through
+    accuracies.
     """
     scored = []
     skips = []
     confusion = evaluation._confusion
 
     def recording(table, labels, gold, oov_mode):
-        scored.append((labels, [(d.source_id, _doc_scores(table, d.tokens, oov_mode)) for d in gold]))
+        scored.append(
+            (labels, [(label, tokens, _doc_scores(table, tokens, oov_mode)) for label, tokens in gold])
+        )
         return confusion(table, labels, gold, oov_mode)
 
     with monkeypatch.context() as patch:
@@ -635,12 +681,14 @@ class TestTrainWithout:
     """
 
     def assert_folds_match(self, docs, k, seed, monkeypatch):
+        # eval --k passes its gold documents as (label, tokens) pairs in id order.
+        pairs = [(doc.label, doc.tokens) for doc in sorted(docs, key=lambda d: d.source_id)]
         for oov in (OOV_SMOOTH, OOV_SKIP):
             expected = kfold_outcome(
                 lambda on_skip: oracle_fold_accuracies(docs, k, seed, oov, on_skip), monkeypatch
             )
             got = kfold_outcome(
-                lambda on_skip: evaluation._fold_accuracies(docs, k, seed, oov, on_skip),
+                lambda on_skip: evaluation._fold_accuracies(pairs, k, seed, oov, on_skip),
                 monkeypatch,
             )
             assert got == expected
@@ -680,6 +728,20 @@ class TestTrainWithout:
         docs = [make_doc("a", [], POS), make_doc("b", [], NEG)]
         result, _, _ = self.assert_folds_match(docs, 2, 0, monkeypatch)
         assert result == (TrainingError, "no documents to train on")
+
+    @pytest.mark.parametrize("k", [1, 3, 9])
+    def test_unlabeled_document_named_by_id_as_before(self, k):
+        # cross_validate names the first unlabeled non-empty document in the
+        # order given, not in id order, after checking k.
+        docs = list(reversed(gold_like_corpus(random.Random(4), 8, [NEG, POS], empty_share=0.0)))
+        docs[0] = make_doc(docs[0].source_id, ())  # unlabeled and empty: not counted
+        for i in (1, 5):
+            docs[i] = make_doc(docs[i].source_id, docs[i].tokens)
+        expected = outcome(lambda: kfold_oracle.fold_accuracies(docs, k, 0, OOV_SMOOTH))
+        assert expected[0] is (TrainingError if k == 3 else SplitError)
+        assert outcome(lambda: evaluation.cross_validate(docs, k, 0)) == expected
+        if k == 3:
+            assert repr(docs[1].source_id) in expected[1]
 
     def test_log_calls_bounded_by_test_tokens(self, monkeypatch):
         # A vocabulary far larger than any fold's test tokens: the former

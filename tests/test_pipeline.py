@@ -1,6 +1,7 @@
 """The per-word memoized pipeline agrees with the stage-by-stage reference."""
 
 import itertools
+import json
 import random
 import sys
 import threading
@@ -204,3 +205,70 @@ def test_stemmer_resolved_once_per_config():
     run_pipeline(Tweet("t", " ".join(words)), second.replace(enable_stopwords=False))
     assert len(second._word_memo) == len(words)
     assert _CountingRoots.eq_calls <= 1
+
+
+# The pipelines of tests/test_golden.py's corpora (campaign and noisy run the
+# defaults, pos-nostem turns POS on and stemming off), and every stage off,
+# which keeps each folded token.
+TOKEN_CHECK_CONFIGS = {
+    "golden-default": default_pipeline_config(),
+    "golden-pos-nostem": default_pipeline_config(enable_pos=True, enable_stemming=False),
+    "all-off": default_pipeline_config(
+        enable_stopwords=False, enable_pos=False, enable_stemming=False
+    ),
+}
+# Letters whose case mappings are not one to one: dotted capital I lowers to
+# "i" and a combining dot, capital sigma lowers to a final sigma at a word's end.
+CASE_PIECES = ["İ", "ı", "Σ", "σ", "ς", "ΟΔΟΣ", "ß", "ẞ", "ǅ", "Ǆ", "ﬀ", "É", "é", "̇"]
+case_text = st.lists(
+    st.one_of(st.sampled_from(PIECES + CASE_PIECES), st.sampled_from([" ", "\n"]),
+              st.characters()),
+    max_size=30,
+).map("".join).filter(str.strip)
+
+
+class TestTokenCheck:
+    """``_tokens`` checks each computed word's tokens as ``Document`` would.
+
+    The commands build no ``Document``: ``_word_tokens`` runs its token
+    check once per word it computes, before the word is memoized.
+    """
+
+    @pytest.mark.parametrize("name", sorted(TOKEN_CHECK_CONFIGS))
+    @settings(max_examples=300, deadline=None)
+    @given(text=case_text)
+    def test_tokens_agree_with_oracle_and_pass_the_document_check(self, name, text):
+        config = fresh(TOKEN_CHECK_CONFIGS[name])
+        tokens = preprocess._tokens(text, config)
+        assert tokens == oracle.run_pipeline(Tweet("1", text), config).tokens
+        assert preprocess.Document(source_id="1", tokens=tokens).tokens == tokens
+        assert preprocess._tokens(text, config) == tokens  # now from the memo
+
+    BAD_STEMS = {"upper": str.upper, "empty": lambda token: "", "digit": lambda token: token + "1"}
+
+    @pytest.mark.parametrize("bad", sorted(BAD_STEMS))
+    def test_invalid_stem_raises_documents_error_and_is_not_memoized(self, bad, tmp_path):
+        config = fresh(CONFIGS[0])
+        object.__setattr__(config, "_stem", self.BAD_STEMS[bad])
+        word = "pemilihan"
+        with pytest.raises(ValueError) as refused:
+            preprocess.Document(source_id="1", tokens=(self.BAD_STEMS[bad](word),))
+        expected = str(refused.value)
+        assert expected.startswith("invalid document token ")
+        for run in (
+            lambda: run_pipeline(Tweet("1", f"{word} :)"), config),
+            lambda: preprocess._tokens(f"#{word}", config),
+        ):
+            with pytest.raises(ValueError) as raised:
+                run()
+            assert str(raised.value) == expected
+            assert config._word_memo == {}  # the failing word came first
+        # The command path: train reads a labeled row through _tokens.
+        from kicaumine import _train
+
+        labeled = tmp_path / "labeled.jsonl"
+        labeled.write_text(json.dumps({"id": "t1", "text": word, "label": "positive"}) + "\n")
+        with pytest.raises(ValueError) as raised:
+            list(_train._labeled_pairs(labeled, config))
+        assert str(raised.value) == expected
+        assert config._word_memo == {}
