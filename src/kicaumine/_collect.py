@@ -1,6 +1,5 @@
 """The collect command: ingest, filter and emoticon-label a tweet export."""
 
-import json
 import shutil
 from itertools import chain
 from json.encoder import encode_basestring
@@ -16,7 +15,7 @@ from .corpus import (
     _tweet_fields,
 )
 from .exceptions import ConfigError, EmptyCorpusError
-from .resources import _csv_writer, _effective_hashtags, _emit, _say, atomic_writer, load_wordlist
+from .resources import _effective_hashtags, _emit, _render, _say, atomic_writer, load_wordlist
 
 # The label members of a distantly labeled tweet's line, by outcome.
 _LABEL_MEMBERS = {
@@ -46,16 +45,11 @@ def _tweet_line(
 
 
 def _format_stats(stats, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(stats.as_dict(), sort_keys=True, indent=2)
-    rows = sorted(stats.as_dict().items())
-    if fmt == "csv":
-        buffer, writer = _csv_writer()
-        writer.writerow(["field", "value"])
-        writer.writerows(rows)
-        return buffer.getvalue()
+    value = stats.as_dict()
+    rows = sorted(value.items())
     width = max(len(key) for key, _ in rows)
-    return "\n".join(f"{key.ljust(width)}  {value}" for key, value in rows)
+    lines = [f"{key.ljust(width)}  {count}" for key, count in rows]
+    return _render(fmt, value, [("field", "value"), *rows], lines)
 
 
 def cmd_collect(config: RunConfig) -> int:

@@ -1,11 +1,11 @@
 """The eval command: score the classifier against manual gold labels."""
 
-import json
+from itertools import chain
 
 from .config import RunConfig
 from .corpus import _SENTIMENT_LABELS, CorpusStats, SentimentLabel, _tweet_fields
 from .exceptions import ConfigError, EmptyCorpusError, EvaluationError
-from .resources import _csv_writer, _emit, _pipeline_config, _say
+from .resources import _emit, _pipeline_config, _render, _say
 
 # Ids named in one warning line; the rest are only counted.
 _MAX_LOGGED_IDS = 10
@@ -54,57 +54,51 @@ def _read_gold_csv(path) -> dict[str, SentimentLabel]:
 
 
 def _format_metrics(metrics, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(metrics.as_dict(), sort_keys=True, indent=2)
     labels = list(metrics.confusion)
-    if fmt == "csv":
-        buffer, writer = _csv_writer()
-        writer.writerow(["label", "precision", "recall", "f1"])
-        for lab in labels:
-            m = metrics.per_class[lab]
-            writer.writerow([lab.value, f"{m.precision:.6f}", f"{m.recall:.6f}", f"{m.f1:.6f}"])
-        writer.writerow(["accuracy", f"{metrics.accuracy:.6f}", "", ""])
-        return buffer.getvalue()
+    scores = [(lab.value, metrics.per_class[lab]) for lab in labels]
+    rows = [
+        ("label", "precision", "recall", "f1"),
+        *((name, f"{m.precision:.6f}", f"{m.recall:.6f}", f"{m.f1:.6f}") for name, m in scores),
+        ("accuracy", f"{metrics.accuracy:.6f}", "", ""),
+    ]
     width = max(len(lab.value) for lab in labels) + 2
-    lines = ["confusion matrix (rows: gold, columns: predicted)"]
-    header = " " * width + "".join(lab.value.rjust(width) for lab in labels)
-    lines.append(header)
-    for gold_lab in labels:
-        row = metrics.confusion[gold_lab]
-        cells = "".join(str(row[pred]).rjust(width) for pred in labels)
-        lines.append(gold_lab.value.ljust(width) + cells)
-    lines.append("")
-    lines.append(f"{'label'.ljust(width)}{'precision':>10}{'recall':>10}{'f1':>10}")
-    for lab in labels:
-        m = metrics.per_class[lab]
-        lines.append(
-            f"{lab.value.ljust(width)}{m.precision:>10.4f}{m.recall:>10.4f}{m.f1:>10.4f}"
-        )
-    lines.append("")
-    lines.append(f"accuracy: {metrics.accuracy:.4f} ({metrics.n_test} documents)")
-    return "\n".join(lines)
+    lines = [
+        "confusion matrix (rows: gold, columns: predicted)",
+        " " * width + "".join(lab.value.rjust(width) for lab in labels),
+        *(
+            gold.value.ljust(width)
+            + "".join(str(metrics.confusion[gold][pred]).rjust(width) for pred in labels)
+            for gold in labels
+        ),
+        "",
+        f"{'label'.ljust(width)}{'precision':>10}{'recall':>10}{'f1':>10}",
+        *(
+            f"{name.ljust(width)}{m.precision:>10.4f}{m.recall:>10.4f}{m.f1:>10.4f}"
+            for name, m in scores
+        ),
+        "",
+        f"accuracy: {metrics.accuracy:.4f} ({metrics.n_test} documents)",
+    ]
+    return _render(fmt, metrics.as_dict(), rows, lines)
 
 
 def _format_kfold(result: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(result, sort_keys=True, indent=2)
-    if fmt == "csv":
-        buffer, writer = _csv_writer()
-        writer.writerow(["fold", "accuracy"])
-        for i, acc in enumerate(result["fold_accuracies"], start=1):
-            writer.writerow([i, f"{acc:.6f}"])
-        writer.writerow(["mean", f"{result['mean_accuracy']:.6f}"])
-        return buffer.getvalue()
-    lines = [
-        f"fold {i}: accuracy {acc:.4f}"
-        for i, acc in enumerate(result["fold_accuracies"], start=1)
-    ]
+    # Rows and lines are generators, as their number grows with k.
+    folds = result["fold_accuracies"]
     spread = (result["max_accuracy"] - result["min_accuracy"]) / 2
-    lines.append(
-        f"mean accuracy: {result['mean_accuracy']:.4f} "
-        f"± {spread:.4f} (min {result['min_accuracy']:.4f}, max {result['max_accuracy']:.4f})"
+    rows = chain(
+        [("fold", "accuracy")],
+        ((i, f"{acc:.6f}") for i, acc in enumerate(folds, start=1)),
+        [("mean", f"{result['mean_accuracy']:.6f}")],
     )
-    return "\n".join(lines)
+    lines = chain(
+        (f"fold {i}: accuracy {acc:.4f}" for i, acc in enumerate(folds, start=1)),
+        [
+            f"mean accuracy: {result['mean_accuracy']:.4f} ± {spread:.4f}"
+            f" (min {result['min_accuracy']:.4f}, max {result['max_accuracy']:.4f})"
+        ],
+    )
+    return _render(fmt, result, rows, lines)
 
 
 def _gold_pairs(config: RunConfig, pipeline) -> list[tuple]:

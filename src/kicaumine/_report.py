@@ -1,7 +1,5 @@
 """The report command: per-hashtag sentiment percentages of the predictions."""
 
-import json
-
 from .config import RunConfig
 from .corpus import (
     _SENTIMENT_LABELS,
@@ -12,7 +10,7 @@ from .corpus import (
     _read_strict_jsonl,
     _tweet_fields,
 )
-from .resources import _csv_writer, _effective_hashtags, _emit, _say
+from .resources import _effective_hashtags, _emit, _render, _say
 
 
 def _prediction_label(record: dict) -> SentimentLabel:
@@ -43,36 +41,32 @@ def _prediction_label(record: dict) -> SentimentLabel:
 def _format_reports(groups, fmt: str) -> str:
     """``corpus._hashtag_rollup``'s (key, counts, shares) groups in format ``fmt``."""
     labels = list(SentimentLabel)
-    if fmt == "json":
-        payload = [
-            {
-                "group": key,
-                "total": sum(counts.values()),
-                "counts": {lab.value: counts[lab] for lab in labels},
-                "percentages": {lab.value: shares[lab] for lab in shares},
-            }
-            for key, counts, shares in groups
-        ]
-        return json.dumps(payload, sort_keys=True, indent=2)
-    if fmt == "csv":
-        buffer, writer = _csv_writer()
-        writer.writerow(["group", "label", "count", "percentage"])
-        for key, counts, shares in groups:
-            for lab in labels:
-                pct = f"{shares[lab]:.6f}" if shares else ""
-                writer.writerow([key, lab.value, counts[lab], pct])
-        return buffer.getvalue()
+    value = [
+        {
+            "group": key,
+            "total": sum(counts.values()),
+            "counts": {lab.value: counts[lab] for lab in labels},
+            "percentages": {lab.value: shares[lab] for lab in shares},
+        }
+        for key, counts, shares in groups
+    ]
+    rows = [("group", "label", "count", "percentage")]
+    rows += (
+        (key, lab.value, counts[lab], f"{shares[lab]:.6f}" if shares else "")
+        for key, counts, shares in groups
+        for lab in labels
+    )
     width = max(len(key) for key, _, _ in groups) + 2
     lines = [f"{'group'.ljust(width)}{'total':>7}" + "".join(f"{lab.value:>18}" for lab in labels)]
-    for key, counts, shares in groups:
-        cells = ""
-        for lab in labels:
-            if shares:
-                cells += f"{counts[lab]:>8} ({shares[lab] * 100:5.1f}%)"
-            else:
-                cells += f"{counts[lab]:>8}         "
-        lines.append(f"{key.ljust(width)}{sum(counts.values()):>7}" + cells)
-    return "\n".join(lines)
+    lines += (
+        f"{key.ljust(width)}{sum(counts.values()):>7}"
+        + "".join(
+            f"{counts[lab]:>8}" + (f" ({shares[lab] * 100:5.1f}%)" if shares else " " * 9)
+            for lab in labels
+        )
+        for key, counts, shares in groups
+    )
+    return _render(fmt, value, rows, lines)
 
 
 def cmd_report(config: RunConfig) -> int:

@@ -18,9 +18,6 @@ from importlib import import_module
 
 from .config import (
     DEFAULT_K,
-    DEFAULT_LANG_THRESHOLD,
-    DEFAULT_SEED,
-    DEFAULT_TRAIN_FRACTION,
     FORMATS,
     OOV_MODES,
     RunConfig,
@@ -60,7 +57,8 @@ _COMMAND_FLAGS = {
     "report": ("per-hashtag sentiment percentage rollup", _COMMON + _HASHTAGS + ("predictions",)),
 }
 
-# One help text per setting.
+# One help text per setting; a stated default is read from RunConfig.
+_DEFAULT = RunConfig._defaults
 _FLAG_HELP = {
     "input": "input file for this command",
     "model": "model path: train writes it, classify reads it; eval without it "
@@ -77,17 +75,18 @@ _FLAG_HELP = {
     "hashtags_file": "hashtag set file, one tag per line",
     "hashtags": "comma-separated hashtags (without '#')",
     "lang_threshold": "minimum dictionary-word ratio to keep a tweet "
-    f"(default {DEFAULT_LANG_THRESHOLD})",
+    f"(default {_DEFAULT['lang_threshold']})",
     "enable_stopwords": "skip the stopword removal stage",
     "enable_pos": "enable the POS tag filter stage",
     "enable_stemming": "skip the stemming stage",
     "pos_keep_tags": "comma-separated tags kept by the POS filter (noun,verb,adj,other)",
-    "train_fraction": f"training share for the holdout mode (default {DEFAULT_TRAIN_FRACTION})",
-    "seed": f"shuffle seed (default {DEFAULT_SEED})",
+    "train_fraction": "training share for the holdout mode "
+    f"(default {_DEFAULT['train_fraction']})",
+    "seed": f"shuffle seed (default {_DEFAULT['seed']})",
     "k": "k-fold cross-validation, all folds scored from one count of the gold data "
     f"(default k={DEFAULT_K} when given)",
-    "format": f"output format: {', '.join(FORMATS)} (default table)",
-    "oov": f"unseen-token handling: {', '.join(OOV_MODES)} (default smooth)",
+    "format": f"output format: {', '.join(FORMATS)} (default {_DEFAULT['format']})",
+    "oov": f"unseen-token handling: {', '.join(OOV_MODES)} (default {_DEFAULT['oov']})",
 }
 
 
@@ -101,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         flags = sub.add_parser(command, help=summary)
         flags.add_argument("--config", help="key=value config file; flags override it")
         for key in keys:
-            default = RunConfig._defaults[key]
+            default = _DEFAULT[key]
             if isinstance(default, bool):
                 how = {"action": "store_const", "const": not default}
             elif key == "k":

@@ -10,7 +10,7 @@ resolved relative to the working directory.
 import os
 from enum import Enum
 
-from .corpus import DEFAULT_HASHTAGS, _Record
+from .corpus import DEFAULT_HASHTAGS, DEFAULT_LANG_THRESHOLD, _Record
 from .exceptions import ConfigError
 
 OOV_SMOOTH = "smooth"  # unseen tokens scored with count 0 under smoothing
@@ -36,10 +36,7 @@ class PosTag(Enum):
 # unknown words; only lexicon-known function words and adverbs drop out.
 DEFAULT_POS_KEEP_TAGS = frozenset({PosTag.NOUN, PosTag.VERB, PosTag.ADJ, PosTag.OTHER})
 
-DEFAULT_SEED = 42
-DEFAULT_TRAIN_FRACTION = 0.8
 DEFAULT_K = 10
-DEFAULT_LANG_THRESHOLD = 0.5
 
 FORMATS = ("table", "json", "csv")
 
@@ -69,8 +66,8 @@ _DEFAULTS = {
     "enable_stemming": True,
     "pos_keep_tags": DEFAULT_POS_KEEP_TAGS,
     # Split / validation parameters.
-    "train_fraction": DEFAULT_TRAIN_FRACTION,
-    "seed": DEFAULT_SEED,
+    "train_fraction": 0.8,
+    "seed": 42,
     "k": 0,
     # Output.
     "format": "table",

@@ -30,6 +30,7 @@ TWEET_CHAR_LIMIT = 140
 DEFAULT_HASHTAGS = frozenset(
     {"pilgubjabar", "ridwankamil", "deddymizwar", "dedimulyadi", "pilkadajabar"}
 )
+DEFAULT_LANG_THRESHOLD = 0.5
 
 # Spreadsheet tools may open an export with a UTF-8 byte-order mark.
 _UTF8_BOM = b"\xef\xbb\xbf"
@@ -511,7 +512,9 @@ def _language_test(wordlist: frozenset[str] | set[str], threshold: float):
 
 
 def filter_language(
-    tweets: list[Tweet], wordlist: frozenset[str] | set[str], threshold: float = 0.5
+    tweets: list[Tweet],
+    wordlist: frozenset[str] | set[str],
+    threshold: float = DEFAULT_LANG_THRESHOLD,
 ) -> tuple[list[Tweet], CorpusStats]:
     """Keep tweets that pass :func:`_language_test`.
 

@@ -18,7 +18,7 @@ from collections import namedtuple
 from collections.abc import Mapping
 from itertools import dropwhile
 
-from .config import DEFAULT_POS_KEEP_TAGS, PosTag
+from .config import _DEFAULTS, DEFAULT_POS_KEEP_TAGS, PosTag  # noqa: F401 (callers read it here)
 from .corpus import LabeledTweet, SentimentLabel, Tweet, _Record
 from .exceptions import ContractError
 
@@ -63,28 +63,19 @@ class Document(_Record):
 
 def _check_tokens(tokens) -> None:
     """Raise ValueError naming the first token that is not a non-empty lowercase letter string."""
-    # One pass over the joined tokens decides the common valid case;
-    # letters and lowercase-fixed points are per-character properties,
-    # so the join passes exactly when every token does.
-    try:
-        joined = "".join(tokens)
-    except TypeError:  # a non-string token; the loop below names it
-        joined = None
-    if joined is None or not (
-        all(tokens) and (joined.isalpha() or not joined) and joined == joined.lower()
-    ):
-        for token in tokens:
-            if not token or not token.isalpha() or token != token.lower():
-                raise ValueError(f"invalid document token {token!r}")
+    for token in tokens:
+        if not token or not token.isalpha() or token != token.lower():
+            raise ValueError(f"invalid document token {token!r}")
 
 
 class PipelineConfig(_Record):
     """Switches and word resources for the preprocessing chain.
 
-    The POS stage defaults to off so that the baseline feature set is
-    plain unigrams; when enabled it keeps only ``pos_keep_tags``. Word
-    resources default to empty; use :func:`default_pipeline_config` for a
-    configuration backed by the bundled data files.
+    The switches default to ``RunConfig``'s: the POS stage is off so that
+    the baseline feature set is plain unigrams, and when enabled it keeps
+    only ``pos_keep_tags``. Word resources default to empty; use
+    :func:`default_pipeline_config` for a configuration backed by the
+    bundled data files.
     """
 
     _fields = (
@@ -105,10 +96,10 @@ class PipelineConfig(_Record):
     def __init__(
         self,
         stopword_list: frozenset[str] = frozenset(),
-        enable_stopwords: bool = True,
-        enable_pos: bool = False,
-        pos_keep_tags: frozenset[PosTag] = DEFAULT_POS_KEEP_TAGS,
-        enable_stemming: bool = True,
+        enable_stopwords: bool = _DEFAULTS["enable_stopwords"],
+        enable_pos: bool = _DEFAULTS["enable_pos"],
+        pos_keep_tags: frozenset[PosTag] = _DEFAULTS["pos_keep_tags"],
+        enable_stemming: bool = _DEFAULTS["enable_stemming"],
         pos_lexicon: Mapping[str, PosTag] | None = None,
         root_words: frozenset[str] = frozenset(),
     ):

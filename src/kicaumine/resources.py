@@ -9,11 +9,11 @@ language-detection wordlist, and a six-tweet demo corpus so the whole
 pipeline runs offline out of the box.
 """
 
+import json
 import os
 import shutil
 import sys
 from contextlib import contextmanager, nullcontext, suppress
-from functools import lru_cache
 
 from .config import PosTag, RunConfig
 from .exceptions import ConfigError
@@ -126,31 +126,18 @@ def load_pos_lexicon(path=None) -> dict[str, PosTag]:
     return lexicon
 
 
-@lru_cache(maxsize=1)
-def _bundled_resources():
-    return (
-        load_stopwords(),
-        load_pos_lexicon(),
-        load_root_words(),
-    )
-
-
 def default_pipeline_config(
-    enable_stopwords: bool = True,
-    enable_pos: bool = False,
-    enable_stemming: bool = True,
+    enable_stopwords: bool = RunConfig._defaults["enable_stopwords"],
+    enable_pos: bool = RunConfig._defaults["enable_pos"],
+    enable_stemming: bool = RunConfig._defaults["enable_stemming"],
 ):
     """Pipeline configuration backed by the bundled word resources."""
-    from .preprocess import PipelineConfig
-
-    stopwords, lexicon, roots = _bundled_resources()
-    return PipelineConfig(
-        stopword_list=stopwords,
-        enable_stopwords=enable_stopwords,
-        enable_pos=enable_pos,
-        enable_stemming=enable_stemming,
-        pos_lexicon=lexicon,
-        root_words=roots,
+    return _pipeline_config(
+        RunConfig(
+            enable_stopwords=enable_stopwords,
+            enable_pos=enable_pos,
+            enable_stemming=enable_stemming,
+        )
     )
 
 
@@ -184,13 +171,22 @@ def _emit(text: str, out_path) -> None:
             handle.write("\n")
 
 
-def _csv_writer():
-    """A CSV writer with LF line ends and the text buffer it writes to."""
-    import csv
-    import io
+def _render(fmt: str, value, rows, lines) -> str:
+    """A command's summary in output format ``fmt``.
 
-    buffer = io.StringIO()
-    return buffer, csv.writer(buffer, lineterminator="\n")
+    ``value`` is its JSON value, ``rows`` its CSV rows (header first) and
+    ``lines`` its table lines; only the one ``fmt`` names is read.
+    """
+    if fmt == "json":
+        return json.dumps(value, sort_keys=True, indent=2)
+    if fmt == "csv":
+        import csv
+        import io
+
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
+        return buffer.getvalue()
+    return "\n".join(lines)
 
 
 def _pipeline_config(config: RunConfig):

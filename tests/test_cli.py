@@ -1031,6 +1031,11 @@ def noisy_text(rng, tokens, words):
     return " ".join(out)
 
 
+def bundled_words():
+    """The bundled stopwords, POS lexicon and root words."""
+    return resources.load_stopwords(), resources.load_pos_lexicon(), resources.load_root_words()
+
+
 def gold_corpus(tmp_path, seed):
     """A noisy export and a gold CSV over it, neither in id order.
 
@@ -1039,7 +1044,7 @@ def gold_corpus(tmp_path, seed):
     the export. Returns the paths and the gold labels by id.
     """
     rng = random.Random(seed)
-    stopwords, lexicon, roots = resources._bundled_resources()
+    stopwords, lexicon, roots = bundled_words()
     words = sorted(lexicon)[:300] + sorted(roots)[:300] + sorted(stopwords)[:50]
     export = tmp_path / "export.jsonl"
     gold = tmp_path / "gold.csv"
@@ -1171,7 +1176,7 @@ class TestTrainOracle:
     @staticmethod
     def rows(seed):
         rng = random.Random(seed)
-        stopwords, lexicon, roots = resources._bundled_resources()
+        stopwords, lexicon, roots = bundled_words()
         words = sorted(lexicon)[:300] + sorted(roots)[:300] + sorted(stopwords)[:50]
         rows = []
         for i, doc in enumerate(synthdata.two_class_corpus(n_docs=200, seed=seed)):

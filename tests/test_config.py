@@ -1,6 +1,7 @@
 """Run settings: config-file keys, their flags, the errors of both, and
 a leading byte-order mark in each file kind a run reads words or settings from."""
 
+import inspect
 import re
 from pathlib import Path
 
@@ -8,7 +9,10 @@ import pytest
 
 from kicaumine import cli, config
 from kicaumine.config import RunConfig, parse_config_file
+from kicaumine.corpus import filter_language
+from kicaumine.preprocess import PipelineConfig
 from kicaumine.resources import (
+    default_pipeline_config,
     load_hashtags,
     load_pos_lexicon,
     load_root_words,
@@ -75,6 +79,20 @@ def test_file_line_and_flag_build_equal_configs(field, tmp_path):
     assert by_file == by_flag
     assert getattr(by_flag, field) != getattr(RunConfig(), field)
     assert by_flag.replace(**{field: getattr(RunConfig(), field)}) == RunConfig()
+
+
+@pytest.mark.parametrize("build", [PipelineConfig, default_pipeline_config])
+def test_pipeline_toggles_default_to_run_settings(build):
+    keys = ("enable_stopwords", "enable_pos", "enable_stemming", "pos_keep_tags")
+    pipeline, run_settings = build(), RunConfig()
+    assert {key: getattr(pipeline, key) for key in keys} == {
+        key: getattr(run_settings, key) for key in keys
+    }
+
+
+def test_language_filter_defaults_to_run_setting():
+    threshold = inspect.signature(filter_language).parameters["threshold"].default
+    assert threshold == RunConfig().lang_threshold
 
 
 def test_bare_k_flag_means_ten_folds(tmp_path):

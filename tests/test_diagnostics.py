@@ -55,6 +55,7 @@ def work(tmp_path_factory):
     assert status == 0
     labeled = (work / "labeled.jsonl").read_text(encoding="utf-8")
     (work / "labeled_empty.jsonl").write_text(labeled + EMPTY_DOC, encoding="utf-8")
+    (work / "model_bad.json").write_bytes(b"\xff\xfe not UTF-8\n")
     predictions = (work / "predictions.jsonl").read_text(encoding="utf-8")
     (work / "predictions_ghost.jsonl").write_text(predictions + GHOST_PREDICTION, encoding="utf-8")
     (work / "gold.csv").write_text(
@@ -100,6 +101,14 @@ CASES = {
         0,
         "1 gold id(s) missing from the corpus and excluded: ghost\n"
         "skipping 1 gold doc(s) with labels absent from the model\n",
+    ),
+    # The gold join, with its missing-id line, runs before the model is read.
+    "eval-model-bad-model": (
+        ("eval", "--input", DEMO, "--gold", "gold.csv", "--model", "model_bad.json"),
+        1,
+        "1 gold id(s) missing from the corpus and excluded: ghost\n"
+        "error: model file is not valid JSON: 'utf-8' codec can't decode byte 0xff"
+        " in position 0: invalid start byte\n",
     ),
     "eval-k-skips": (
         ("eval", "--input", DEMO, "--gold", "gold6.csv", "--k", "2", "--seed", "4"),
