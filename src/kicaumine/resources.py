@@ -159,8 +159,15 @@ def _say(line: str) -> None:
 
 
 def _output(path):
-    """A context giving stdout when ``path`` is None, else an atomic writer to ``path``."""
-    return nullcontext(sys.stdout) if path is None else atomic_writer(path)
+    """A context giving stdout when ``path`` is None, else an atomic writer to ``path``.
+
+    A closed stdout (``>&-``, where ``sys.stdout`` is None) raises ``OSError``.
+    """
+    if path is not None:
+        return atomic_writer(path)
+    if sys.stdout is None:
+        raise OSError("stdout is closed")
+    return nullcontext(sys.stdout)
 
 
 def _emit(text: str, out_path) -> None:

@@ -88,8 +88,13 @@ status = main(sys.argv[1:])
 print(json.dumps([status, sorted(set(sys.modules) - before)]))
 """
 
+# The CLI ends its process by ``os._exit``, which would end this child
+# before it reports; here it raises ``SystemExit`` with the status instead.
 _RUN_AS_MAIN = """
-import json, runpy, sys
+import json, os, runpy, sys
+def _exit(status):
+    raise SystemExit(status)
+os._exit = _exit
 try:
     runpy.run_module("kicaumine.cli", run_name="__main__", alter_sys=True)
     status = 0

@@ -3,8 +3,13 @@
 The diagnostics are pinned byte for byte: their texts, their order, and
 where the ``error:`` line falls among them. A run with stderr closed must
 print the same data and exit with the same status as one with it open.
+So are the exits on a failing stdout: closed, full (``/dev/full``) or a
+pipe whose reader is gone. Each child runs with ``PYTHONUNBUFFERED``
+unset, so its stdout is buffered as by default and a failing final
+flush shows.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -26,14 +31,19 @@ GHOST_PREDICTION = (
 SKIP_LINE = "fold {}: skipping {} test doc(s) with labels absent from the fold model\n"
 
 
-def cli(*args, cwd, closed_stderr=False):
-    """Run ``python -m kicaumine.cli`` with ``args`` in ``cwd``; (status, stdout, stderr)."""
+def cli(*args, cwd, redirect="", stdout=subprocess.PIPE):
+    """Run ``python -m kicaumine.cli`` with ``args`` in ``cwd``; (status, stdout, stderr).
+
+    ``redirect`` is a shell redirection applied to the child, such as
+    ``2>&-``; ``stdout`` is passed to ``subprocess.run``.
+    """
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "kicaumine.cli", *args]
-    if closed_stderr:
-        argv = ["sh", "-c", 'exec "$0" "$@" 2>&-', *argv]
-    result = subprocess.run(argv, cwd=cwd, env=env, capture_output=True)
+    if redirect:
+        argv = ["sh", "-c", f'exec "$0" "$@" {redirect}', *argv]
+    result = subprocess.run(argv, cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE)
     return result.returncode, result.stdout, result.stderr
 
 
@@ -143,13 +153,83 @@ def test_stderr_bytes(work, case):
     assert (result[0], result[2]) == (status, stderr.encode())
 
 
-@pytest.mark.parametrize("case", ["collect", "train", "eval-k-skip-then-error", "missing-input"])
+@pytest.mark.parametrize(
+    "case", ["collect", "train", "report", "eval-model", "eval-k-skip-then-error", "missing-input"]
+)
 def test_closed_stderr_changes_no_result(work, case):
     # A diagnostic line that cannot be written is dropped; the data and the
     # exit status are those of a run whose stderr is open.
     argv, status, _ = CASES[case]
     open_run = cli(*argv, cwd=work)
-    closed_run = cli(*argv, cwd=work, closed_stderr=True)
+    closed_run = cli(*argv, cwd=work, redirect="2>&-")
     assert closed_run[:2] == open_run[:2]
     assert closed_run[0] == status
 
+
+# Each command that prints its data to stdout, and its diagnostics before
+# the one it cannot print.
+STDOUT_CASES = {
+    "collect": (COLLECT, "collected 3 labeled and 1 unlabeled tweets\n"),
+    "classify": (("classify", "--input", DEMO, "--model", "model.json"), ""),
+    "report": (("report", "--input", DEMO, "--predictions", "predictions.jsonl"), ""),
+    "eval": (
+        ("eval", "--input", DEMO, "--gold", "gold5.csv", "--model", "model.json"),
+        "skipping 1 gold doc(s) with labels absent from the model\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STDOUT_CASES))
+def test_closed_stdout_prints_one_error_line(work, case):
+    argv, before = STDOUT_CASES[case]
+    expected = before + "error: stdout is closed\n"
+    assert cli(*argv, cwd=work, redirect=">&-") == (1, b"", expected.encode())
+
+
+def _ignored_flush_error(error: str) -> str:
+    """The lines the interpreter prints when its final flush of stdout fails."""
+    return (
+        "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding='utf-8'>\n"
+        f"{error}\n"
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_reported_at_exit(work):
+    # The stats fit stdout's buffer, so the first write to /dev/full is the
+    # final flush: the interpreter reports it and exits 120.
+    argv, _, stderr = CASES["collect"]
+    expected = stderr + _ignored_flush_error("OSError: [Errno 28] No space left on device")
+    assert cli(*argv, cwd=work, redirect=">/dev/full") == (120, b"", expected.encode())
+
+
+def _cli_to_closed_pipe(*args, cwd):
+    """``cli`` with stdout a pipe that has no reader, so every write fails."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return cli(*args, cwd=cwd, stdout=write_end)
+    finally:
+        os.close(write_end)
+
+
+def test_broken_pipe_mid_run_is_an_error_line(work, tmp_path):
+    # Predictions past stdout's buffer: a write inside the command fails.
+    lines = Path(DEMO).read_text(encoding="utf-8").splitlines()
+    many = tmp_path / "many.jsonl"
+    with many.open("w", encoding="utf-8") as handle:
+        for n in range(400):
+            record = json.loads(lines[n % len(lines)])
+            record["id"] = f"m{n}"
+            handle.write(json.dumps(record) + "\n")
+    argv = ("classify", "--input", str(many), "--model", "model.json")
+    assert _cli_to_closed_pipe(*argv, cwd=work) == (1, None, b"error: [Errno 32] Broken pipe\n")
+
+
+def test_broken_pipe_at_exit_reported(work):
+    # Predictions that fit stdout's buffer: only the final flush fails.
+    argv = ("classify", "--input", DEMO, "--model", "model.json")
+    expected = "classified 6 tweet(s)\n" + _ignored_flush_error(
+        "BrokenPipeError: [Errno 32] Broken pipe"
+    )
+    assert _cli_to_closed_pipe(*argv, cwd=work) == (120, None, expected.encode())

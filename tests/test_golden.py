@@ -7,7 +7,8 @@ report -> eval (``--model``, holdout and ``--k``) in process, in every
 ``golden.json``. One corpus is also run in a child process under a fixed
 ``PYTHONHASHSEED``, so that the hashes are pinned under two string-hash
 seeds: no artifact may depend on the order in which sets, dicts or
-Counters keyed by strings were filled.
+Counters keyed by strings were filled. The same corpus also goes through
+``python -m kicaumine.cli`` children, one per command, as a user runs it.
 
 ``golden.json`` changes only with a change whose purpose is to change
 the output. Posteriors go through ``math.exp``, so the file records the
@@ -56,10 +57,34 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def corpus_hashes(name: str, work: Path) -> dict[str, str]:
-    """Run every command on corpus ``name`` in ``work``; hash each output."""
+def _in_process(argv: list[str]) -> tuple[int, bytes]:
+    """Run the command ``argv`` through ``main``; its status and stdout bytes."""
     from kicaumine.cli import main
 
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    return code, out.getvalue().encode("utf-8")
+
+
+def _in_child(argv: list[str]) -> tuple[int, bytes]:
+    """Run the command ``argv`` as ``python -m kicaumine.cli``; its status and stdout bytes.
+
+    ``PYTHONUNBUFFERED`` is unset, so stdout is buffered and reaches the
+    pipe only when flushed at the end.
+    """
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-m", "kicaumine.cli", *argv], env=env,
+                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    return child.returncode, child.stdout
+
+
+def corpus_hashes(name: str, work: Path, command=_in_process) -> dict[str, str]:
+    """Run every command on corpus ``name`` in ``work``; hash each output.
+
+    ``command`` runs one command line and returns its exit status and
+    stdout bytes.
+    """
     style, lines, seed, flags = CORPORA[name]
     export, gold = work / "export.jsonl", work / "gold.csv"
     _synth().CorpusGenerator(DATA, seed, style).write(lines, export, gold, "heldout")
@@ -68,10 +93,9 @@ def corpus_hashes(name: str, work: Path) -> dict[str, str]:
     hashes = {}
 
     def run(key, argv, files=()):
-        with redirect_stdout(io.StringIO()) as out:
-            code = main(argv)
+        code, out = command(argv)
         assert code == 0, f"{key} exited {code}"
-        hashes[f"{name}/{key}/stdout"] = _sha(out.getvalue().encode("utf-8"))
+        hashes[f"{name}/{key}/stdout"] = _sha(out)
         for path in files:
             hashes[f"{name}/{key}/{path.name}"] = _sha(path.read_bytes())
 
@@ -123,6 +147,14 @@ def test_artifacts_match_golden(name, tmp_path):
         f"{len(changed)} artifact hash(es) differ from golden.json (recorded on Python "
         f"{golden['python']}, running {platform.python_version()}): {changed}"
     )
+
+
+def test_artifacts_through_processes_match_golden(tmp_path):
+    # Each command in its own process, which ends without the interpreter's
+    # teardown: no byte of stdout or of an output file may be lost.
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["hashes"]
+    hashes = corpus_hashes("noisy", tmp_path, _in_child)
+    assert hashes == {key: value for key, value in golden.items() if key.startswith("noisy/")}
 
 
 def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
