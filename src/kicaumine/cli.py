@@ -12,9 +12,14 @@ module imports this one, since ``python -m kicaumine.cli`` runs it as
 ``__main__`` and an import would compile and run it a second time.
 ``run`` is the process entry of that command and of the ``kicaumine``
 script; ``main`` returns the exit status for in-process callers.
+
+``main`` reads argv with ``_table_args``, which takes only the forms
+that ``_COMMAND_FLAGS`` defines. Any other argv goes to the argparse
+parser that ``build_parser`` builds from the same table, which prints
+``--help`` and every usage error. So a run that prints neither imports
+no argparse and builds no parser.
 """
 
-import argparse
 import os
 import sys
 from importlib import import_module
@@ -93,7 +98,9 @@ _FLAG_HELP = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="kicaumine",
         description="Emoticon-supervised tweet sentiment mining pipeline.",
@@ -114,27 +121,74 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    """The run settings of ``args``, each string value parsed as its config-file line's."""
+def _table_args(argv) -> dict | None:
+    """``vars(build_parser().parse_args(argv))`` if ``argv`` holds only the
+    forms that ``_COMMAND_FLAGS`` defines, else None.
+
+    Those forms are the command name, then any sequence of ``--flag
+    value``, ``--flag=value``, a boolean flag alone and ``--k`` alone.
+    Everything else is None, for argparse to parse or refuse: ``-h``,
+    ``--help``, an unknown or abbreviated flag, a positional, a missing
+    value, a value starting with ``-`` (argparse takes ``--seed -1`` and
+    ``--input -``) and a boolean flag given ``=value``.
+    """
+    if not argv or argv[0] not in _COMMAND_FLAGS:
+        return None
+    dests = {flag_name(key): key for key in _COMMAND_FLAGS[argv[0]][1]}
+    dests["--config"] = "config"
+    args = {"command": argv[0], **dict.fromkeys(dests.values())}
+    at = 1
+    while at < len(argv):
+        flag, equals, value = argv[at].partition("=")
+        key = dests.get(flag)
+        at += 1
+        if key is None:
+            return None
+        default = _DEFAULT.get(key)
+        if isinstance(default, bool):
+            if equals:
+                return None
+            value = not default
+        elif not equals:
+            if at < len(argv) and not argv[at].startswith("-"):
+                value = argv[at]
+                at += 1
+            elif key == "k":
+                value = DEFAULT_K
+            else:
+                return None
+        elif value.startswith("-"):
+            return None
+        args[key] = value
+    return args
+
+
+def _config_from_args(args: dict) -> RunConfig:
+    """The run settings of the parsed argv ``args``, each string value parsed
+    as its config-file line's."""
     overrides = {}
     for key in RunConfig._fields:
-        value = getattr(args, key, None)
+        value = args.get(key)
         if isinstance(value, str):
             try:
                 value = parse_setting(key, value)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
         overrides[key] = value
-    return build_config(config_path=args.config, **overrides)
+    return build_config(config_path=args["config"], **overrides)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _table_args(argv)
+    if args is None:
+        args = vars(build_parser().parse_args(argv))
     try:
         config = _config_from_args(args)
-        command = import_module(f"._{args.command}", __package__)
-        return getattr(command, f"cmd_{args.command}")(config)
+        name = args["command"]
+        command = import_module(f"._{name}", __package__)
+        return getattr(command, f"cmd_{name}")(config)
     except ConfigError as exc:
         _say(f"error: {exc}")
         return 2

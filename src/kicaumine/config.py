@@ -119,21 +119,23 @@ class RunConfig(_Record):
             raise ConfigError("POS keep-tag set must not be empty")
 
     def require_files(self, *keys: str) -> None:
-        """Eagerly check that the named input paths are set and exist.
+        """Eagerly check that the named input paths are set, and that they and
+        the word-file paths that are set name something other than a directory.
 
-        All problems are reported together in one error so a bad
+        An input may be a pipe or a device, such as ``/dev/stdin`` or a
+        shell's ``<(cmd)``: each command opens each input once and only
+        reads it. All problems are reported together in one error so a bad
         invocation fails before any work starts.
         """
         problems = []
-        for key in keys:
+        for key in (*keys, "stopwords", "pos_lexicon", "stem_roots", "wordlist", "hashtags_file"):
             value = getattr(self, key)
             if value is None:
-                problems.append(f"{flag_name(key)} is required")
-            elif not os.path.isfile(value):
-                problems.append(f"{key}: no such file: {value}")
-        for key in ("stopwords", "pos_lexicon", "stem_roots", "wordlist", "hashtags_file"):
-            value = getattr(self, key)
-            if value is not None and not os.path.isfile(value):
+                if key in keys:
+                    problems.append(f"{flag_name(key)} is required")
+            elif os.path.isdir(value):
+                problems.append(f"{key}: is a directory: {value}")
+            elif not os.path.exists(value):
                 problems.append(f"{key}: no such file: {value}")
         if problems:
             raise ConfigError("; ".join(problems))

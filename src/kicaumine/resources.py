@@ -11,7 +11,7 @@ pipeline runs offline out of the box.
 
 import json
 import os
-import shutil
+import stat
 import sys
 from contextlib import contextmanager, nullcontext, suppress
 
@@ -67,7 +67,7 @@ def atomic_writer(path):
         with handle:
             yield handle
         with suppress(FileNotFoundError):
-            shutil.copymode(target, tmp)
+            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
         os.replace(tmp, target)
     except BaseException:
         with suppress(FileNotFoundError):

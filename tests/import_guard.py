@@ -10,15 +10,18 @@ command module. Each command, run on the bundled demo corpus, loads its
 own command module (``kicaumine._collect`` for ``collect``) and none of
 the other four, and may not load a module that
 ``COMMAND_FORBIDDEN`` names for it: no command loads ``logging``,
-``typing``, ``pathlib``, ``importlib.resources`` or ``zipfile``, only
-``collect`` loads ``tempfile``, ``collect`` and ``report`` load no
+``typing``, ``pathlib``, ``importlib.resources``, ``zipfile`` or
+argparse with the ``gettext`` and ``locale`` it loads, only ``collect``
+loads ``tempfile`` or ``shutil``, ``collect`` and ``report`` load no
 model, preprocessing, stemming or evaluation code, and ``train`` and
 ``classify`` load no evaluation code. Each command is also run as
-``python -m kicaumine.cli`` runs it, through ``runpy``; afterwards
-``kicaumine.cli`` must not be in ``sys.modules``, since a package
-module that imported it would compile and run the CLI a second time.
-``train``, ``classify`` and ``eval`` load ``kicaumine.stemming`` by
-default and not with ``--disable-stemming``.
+``python -m kicaumine.cli`` runs it, through ``runpy``, and the same
+rules hold; afterwards ``kicaumine.cli`` must not be in
+``sys.modules``, since a package module that imported it would compile
+and run the CLI a second time. ``train``, ``classify`` and ``eval`` load
+``kicaumine.stemming`` by default and not with ``--disable-stemming``.
+``eval --help`` exits 0 and loads argparse, which prints the help: so
+argparse left the commands' runs and not the CLI.
 The package's lazy re-exports must all resolve, bind under ``from
 kicaumine import *`` and show in ``dir()``. Nothing is timed.
 
@@ -38,15 +41,19 @@ DEMO = SRC / "kicaumine" / "data" / "demo_tweets.jsonl"
 
 _MODEL_CODE = ("kicaumine.model", "kicaumine.preprocess", "kicaumine.stemming")
 
-# Standard-library modules that no command needs.
-_UNUSED = ("logging", "typing", "pathlib", "importlib.resources", "zipfile")
+# Standard-library modules that no command needs: argparse, and the two
+# it loads, print only help and usage errors.
+_UNUSED = (
+    "logging", "typing", "pathlib", "importlib.resources", "zipfile", "argparse", "gettext",
+    "locale",
+)
 
 COMMAND_FORBIDDEN = {
     "collect": (*_UNUSED, "kicaumine.evaluation", *_MODEL_CODE),
-    "train": (*_UNUSED, "tempfile", "kicaumine.evaluation"),
-    "classify": (*_UNUSED, "tempfile", "kicaumine.evaluation"),
-    "report": (*_UNUSED, "tempfile", "kicaumine.evaluation", *_MODEL_CODE),
-    "eval": (*_UNUSED, "tempfile"),
+    "train": (*_UNUSED, "tempfile", "shutil", "kicaumine.evaluation"),
+    "classify": (*_UNUSED, "tempfile", "shutil", "kicaumine.evaluation"),
+    "report": (*_UNUSED, "tempfile", "shutil", "kicaumine.evaluation", *_MODEL_CODE),
+    "eval": (*_UNUSED, "tempfile", "shutil"),
 }
 
 # Each command's own module.
@@ -80,11 +87,18 @@ import {module}
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
+# A run that prints help ends by argparse's SystemExit, whose code is its
+# status; what a run prints is kept off stdout, which holds the report.
 _COMMAND_LOADS = """
-import json, sys
+import io, json, sys
 before = set(sys.modules)
 from kicaumine.cli import main
-status = main(sys.argv[1:])
+sys.stdout = io.StringIO()
+try:
+    status = main(sys.argv[1:])
+except SystemExit as exc:
+    status = exc.code
+sys.stdout = sys.__stdout__
 print(json.dumps([status, sorted(set(sys.modules) - before)]))
 """
 
@@ -95,12 +109,13 @@ import json, os, runpy, sys
 def _exit(status):
     raise SystemExit(status)
 os._exit = _exit
+before = set(sys.modules)
 try:
     runpy.run_module("kicaumine.cli", run_name="__main__", alter_sys=True)
     status = 0
 except SystemExit as exc:
     status = exc.code
-print(json.dumps([status, "kicaumine.cli" in sys.modules]))
+print(json.dumps([status, sorted(set(sys.modules) - before), "kicaumine.cli" in sys.modules]))
 """
 
 _EXPORTS = """
@@ -177,8 +192,13 @@ def command_loads() -> dict:
 
 def run_as_main() -> dict:
     """Each command's exit status when run as ``python -m kicaumine.cli`` runs it,
-    and whether ``kicaumine.cli`` was imported besides."""
+    the modules it adds, and whether ``kicaumine.cli`` was imported besides."""
     return _run_commands(_RUN_AS_MAIN)
+
+
+def help_loads() -> list:
+    """``eval --help``'s exit status and the modules it adds to a fresh interpreter."""
+    return _run(_COMMAND_LOADS, "eval", "--help")
 
 
 def stemming_loads() -> dict:
@@ -214,12 +234,22 @@ def command_problems(loads: dict) -> list[str]:
 
 def run_as_main_problems(runs: dict) -> list[str]:
     """What is wrong with the ``run_as_main()`` result ``runs``."""
-    found = []
-    for command, (status, imported) in runs.items():
-        if status != 0:
-            found.append(f"{command} run as __main__ exits {status}")
-        if imported:
-            found.append(f"{command} run as __main__ also imports kicaumine.cli")
+    loads = {command: [status, loaded] for command, (status, loaded, _) in runs.items()}
+    found = [f"{problem} run as __main__" for problem in command_problems(loads)]
+    found += [
+        f"{command} run as __main__ also imports kicaumine.cli"
+        for command, (_, _, imported) in runs.items()
+        if imported
+    ]
+    return found
+
+
+def help_problems(loads: list) -> list[str]:
+    """What is wrong with the ``help_loads()`` result ``loads``."""
+    status, loaded = loads
+    found = [] if status == 0 else [f"eval --help exits {status}"]
+    if "argparse" not in loaded:
+        found.append("eval --help does not load argparse")
     return found
 
 
@@ -242,7 +272,7 @@ def problems() -> list[str]:
         loaded = newly_loaded(module)
         found += [f"import {module} loads {name}" for name in FORBIDDEN if name in loaded]
     found += command_problems(command_loads()) + run_as_main_problems(run_as_main())
-    found += stemming_problems(stemming_loads())
+    found += stemming_problems(stemming_loads()) + help_problems(help_loads())
     return found + export_problems()
 
 

@@ -1794,6 +1794,67 @@ def test_strict_input_not_utf8_exits_2(kind, collected, toy_model_file, tmp_path
     assert not os.listdir(outputs)
 
 
+# Per command: its arguments, where each input in angle brackets is a
+# pipe in the piped run and the file it carries in the plain one.
+PIPED_INPUTS = {
+    "collect": "collect --input <demo> --out-labeled l.jsonl --out-unlabeled u.jsonl --format json",
+    "train": "train --input <labeled> --model m.json",
+    "classify": "classify --input <demo> --model {model} --out p.jsonl",
+    "report": "report --input <demo> --predictions <predictions> --format csv",
+    "eval": "eval --input <demo> --gold <gold> --model {model} --format json",
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("command", list(PIPED_INPUTS))
+def test_inputs_may_be_pipes(command, collected, toy_model_file, tmp_path, capsys):
+    # Each command opens each input once and only reads it, so a pipe gives
+    # the outputs, stdout and stderr of the file that it carries.
+    predictions = tmp_path / "predictions.jsonl"
+    assert main(["classify", "--input", demo_corpus_path(), "--model", str(toy_model_file),
+                 "--out", str(predictions)]) == 0
+    gold = tmp_path / "gold.csv"
+    gold.write_text("id,label\nt1,positive\nt2,positive\nt3,negative\n", encoding="utf-8")
+    sources = dict(demo=demo_corpus_path(), labeled=collected[0], predictions=predictions,
+                   gold=gold, model=toy_model_file)
+    # The children run in their own directories, so the package's own
+    # directory goes on their path.
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(resources.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    results = []
+    for run_name in ("plain", "piped"):
+        work = tmp_path / run_name
+        work.mkdir()
+        argv, feeders = [], []
+        for word in PIPED_INPUTS[command].split():
+            if word.startswith("<"):
+                name = word[1:-1]
+                word = str(sources[name])
+                if run_name == "piped":
+                    pipe = work / f"{name}.pipe"
+                    os.mkfifo(pipe)
+                    data = Path(word).read_bytes()
+                    feeders.append(threading.Thread(target=pipe.write_bytes, args=(data,),
+                                                    daemon=True))
+                    word = str(pipe)
+            argv.append(word.format(**sources))
+        for feeder in feeders:
+            feeder.start()
+        # A subprocess, so that a command blocked on a pipe fails the test by
+        # its timeout instead of hanging it.
+        child = subprocess.run([sys.executable, "-m", "kicaumine.cli", *argv], cwd=work,
+                               env=env, capture_output=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        for feeder in feeders:
+            feeder.join(timeout=10)
+            assert not feeder.is_alive()
+        outputs = {path.name: path.read_bytes() for path in work.iterdir() if path.is_file()}
+        results.append((child.stdout, child.stderr, outputs))
+    assert results[0] == results[1]
+    assert results[0][0] or results[0][2]
+
+
 PREVIOUS = "previous content\n"
 
 def classify_to(path, model):

@@ -52,7 +52,10 @@ SETTINGS = {
 
 
 def from_argv(argv):
-    return cli._config_from_args(cli.build_parser().parse_args(argv))
+    """The settings of ``argv``, which both argv parsers must read the same."""
+    args = vars(cli.build_parser().parse_args(argv))
+    assert cli._table_args(argv) == args
+    return cli._config_from_args(args)
 
 
 def from_file(tmp_path, command, text):

@@ -143,6 +143,11 @@ CASES = {
         2,
         "error: input: no such file: nope.jsonl\n",
     ),
+    "directory-input": (
+        ("train", "--input", ".", "--model", "m.json"),
+        2,
+        "error: input: is a directory: .\n",
+    ),
 }
 
 

@@ -23,7 +23,13 @@ def test_commands_load_no_forbidden_module():
 def test_commands_run_as_main_import_no_cli_module():
     runs = import_guard.run_as_main()
     assert list(runs) == list(import_guard.COMMAND_MODULES)
+    assert "kicaumine.model" in runs["eval"][1]
     assert import_guard.run_as_main_problems(runs) == []
+
+
+def test_help_still_loads_argparse():
+    # The guard sees argparse where it is still used: --help and usage errors.
+    assert import_guard.help_problems(import_guard.help_loads()) == []
 
 
 def test_stemming_loads_only_when_enabled():
