@@ -496,17 +496,25 @@ def _language_test(wordlist: frozenset[str] | set[str], threshold: float):
 
     The ratio is over the whitespace-separated, letter-only tokens: a tweet
     passes iff at least ``threshold`` of them are in ``wordlist``, and one
-    with no such token fails.
+    with no such token fails. Only the letter-only entries of ``wordlist``
+    can match a token, so the test keeps those alone.
     """
     if not wordlist:
         raise ConfigError("language wordlist must not be empty")
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"language threshold must be in [0, 1], got {threshold}")
-    in_wordlist = wordlist.__contains__
+    in_wordlist = frozenset(filter(str.isalpha, wordlist)).__contains__
 
     def in_language(lowered: str) -> bool:
-        tokens = [w for w in lowered.split() if w.isalpha()]
-        return bool(tokens) and sum(map(in_wordlist, tokens)) / len(tokens) >= threshold
+        words = lowered.split()
+        hits = sum(map(in_wordlist, words))
+        # Every hit is a letter-only token, so the token count lies between
+        # ``hits`` and ``len(words)``: a ratio over all the words that
+        # reaches the threshold decides the tweet without counting them.
+        if hits and hits / len(words) >= threshold:
+            return True
+        letter_tokens = sum(map(str.isalpha, words))
+        return bool(letter_tokens) and hits / letter_tokens >= threshold
 
     return in_language
 

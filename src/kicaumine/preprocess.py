@@ -18,7 +18,8 @@ from collections import namedtuple
 from collections.abc import Mapping
 from itertools import dropwhile
 
-from .config import _DEFAULTS, DEFAULT_POS_KEEP_TAGS, PosTag  # noqa: F401 (callers read it here)
+# perfbench/layers.py reads DEFAULT_POS_KEEP_TAGS here; the name belongs to config.
+from .config import _DEFAULTS, DEFAULT_POS_KEEP_TAGS, PosTag  # noqa: F401
 from .corpus import LabeledTweet, SentimentLabel, Tweet, _Record
 from .exceptions import ContractError
 
@@ -297,22 +298,20 @@ def _tokens(text: str, config: PipelineConfig) -> tuple[str, ...]:
 
 def _word_tokens(word: str, config: PipelineConfig) -> tuple[str, ...]:
     """Run the chain on one raw word; memoize its output tokens once Document's check passes."""
-    cleansed = _cleanse_word(word)
-    if not cleansed:
-        out = _CLEANSED_AWAY
+    if word.isalpha() and word != "RT":
+        # No cleansing rule changes a word of letters alone. Lowering can
+        # yield a non-letter ("İ" gives "i" and a combining dot), and then
+        # the word folds as the chain folds it, lowered once.
+        lowered = word.lower()
+        out = _kept_tokens((lowered,) if lowered.isalpha() else _fold_tokens(word), config)
     else:
-        stopwords = config.stopword_list if config.enable_stopwords else ()
-        lexicon, keep = config.pos_lexicon, config.pos_keep_tags
-        stem = config._stem
-        kept = []
-        for token in _fold_tokens(cleansed):
-            if token in stopwords:
-                continue
-            if config.enable_pos and lexicon.get(token, PosTag.OTHER) not in keep:
-                continue
-            kept.append(token if stem is None else stem(token))
-        _check_tokens(kept)
-        out = _Skippable(kept) if cleansed == "RT" else tuple(kept)
+        cleansed = _cleanse_word(word)
+        if not cleansed:
+            out = _CLEANSED_AWAY
+        elif cleansed == "RT":
+            out = _Skippable(_kept_tokens(_fold_tokens(cleansed), config))
+        else:
+            out = _kept_tokens(_fold_tokens(cleansed), config)
     memo = config._word_memo
     # A full memo skips the lock; the lock keeps the size check and the
     # insert together so the cap holds exactly under threads.
@@ -321,3 +320,19 @@ def _word_tokens(word: str, config: PipelineConfig) -> tuple[str, ...]:
             if len(memo) < _WORD_MEMO_MAX_ENTRIES:
                 memo[word] = out
     return out
+
+
+def _kept_tokens(folded, config: PipelineConfig) -> tuple[str, ...]:
+    """A word's ``folded`` tokens through stopwords, POS and stem, checked as Document does."""
+    stopwords = config.stopword_list if config.enable_stopwords else ()
+    lexicon, keep = config.pos_lexicon, config.pos_keep_tags
+    stem = config._stem
+    kept = []
+    for token in folded:
+        if token in stopwords:
+            continue
+        if config.enable_pos and lexicon.get(token, PosTag.OTHER) not in keep:
+            continue
+        kept.append(token if stem is None else stem(token))
+    _check_tokens(kept)
+    return tuple(kept)

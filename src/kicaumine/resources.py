@@ -89,11 +89,15 @@ def demo_corpus_path() -> str:
 
 
 def load_stopwords(path=None) -> frozenset[str]:
-    return frozenset(load_word_file(path or os.path.join(_DATA, STOPWORDS_FILE)))
+    """Stopword set, lowercased as the tokens it drops are."""
+    entries = load_word_file(path or os.path.join(_DATA, STOPWORDS_FILE))
+    return frozenset(entry.lower() for entry in entries)
 
 
 def load_wordlist(path=None) -> frozenset[str]:
-    return frozenset(load_word_file(path or os.path.join(_DATA, WORDLIST_FILE)))
+    """Language-test wordlist, lowercased as the text it is matched against is."""
+    entries = load_word_file(path or os.path.join(_DATA, WORDLIST_FILE))
+    return frozenset(entry.lower() for entry in entries)
 
 
 def load_root_words(path=None) -> frozenset[str]:
@@ -111,7 +115,11 @@ def load_hashtags(path) -> frozenset[str]:
 
 
 def load_pos_lexicon(path=None) -> dict[str, PosTag]:
-    """POS lexicon: `word<TAB>TAG` per line, TAG one of the PosTag names."""
+    """POS lexicon: `word<TAB>TAG` per line, TAG one of the PosTag names.
+
+    Words are lowercased, as the tokens they tag are; of two lines that
+    name one word, the later wins.
+    """
     entries = load_word_file(path or os.path.join(_DATA, POS_LEXICON_FILE))
     lexicon: dict[str, PosTag] = {}
     for entry in entries:
@@ -122,7 +130,7 @@ def load_pos_lexicon(path=None) -> dict[str, PosTag]:
             tag = PosTag[tag_name.strip().upper()]
         except KeyError:
             raise ConfigError(f"unknown POS tag {tag_name!r} for word {word!r}") from None
-        lexicon[word] = tag
+        lexicon[word.lower()] = tag
     return lexicon
 
 

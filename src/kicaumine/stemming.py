@@ -26,8 +26,12 @@ its first two letters, with its length precomputed and the longest-first
 order kept, so a word's possible prefixes take one dict lookup and a word
 that starts with none of them is done at once. Each ending set is tested
 with a single ``str.endswith`` on the whole tuple before the matching
-ending is looked for. At most three prefixes and one ending per stage are
-stripped, so the time per word is linear in its length.
+ending is looked for. A word is searched only in the stages it can enter:
+one that ends with none of the nine endings skips the three ending stages
+and goes straight to the prefix search, and one that also starts with no
+prefix is returned as it is after the dictionary lookup. At most three
+prefixes and one ending per stage are stripped, so the time per word is
+linear in its length.
 
 The stemmer keeps no memo of its own: ``preprocess._tokens``, which the
 commands and ``run_pipeline`` call, memoizes the checked output tokens
@@ -37,6 +41,8 @@ of whole words, so it stems only the words that miss there.
 _PARTICLES = ("lah", "kah", "pun")
 _POSSESSIVES = ("nya", "ku", "mu")
 _DERIV_SUFFIXES = ("kan", "an", "i")
+# Every ending of the three stages: a word ending in none of them skips them.
+_ENDINGS = _PARTICLES + _POSSESSIVES + _DERIV_SUFFIXES
 
 _VOWELS = frozenset("aeiou")
 
@@ -95,7 +101,14 @@ class ConfixStemmer:
         """Return the dictionary root of ``word``, or ``word`` itself."""
         if word in self._roots:
             return word
-        found = self._after_particle(word)
+        if word.endswith(_ENDINGS):
+            found = self._after_particle(word)
+        elif word[:2] in _PREFIX_TABLE:
+            # No ending stage can strip anything, so each hands the word
+            # on intact to the prefix search.
+            found = self._strip_prefixes(word, _MAX_PREFIX_STRIPS)
+        else:
+            return word
         return found if found is not None else word
 
     # Each ending stage tries the word with its ending stripped (a root,

@@ -7,16 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from kicaumine import cli, config
+from kicaumine import cli, config, resources
 from kicaumine.config import RunConfig, parse_config_file
 from kicaumine.corpus import filter_language
-from kicaumine.preprocess import PipelineConfig
+from kicaumine.preprocess import PipelineConfig, PosTag, _tokens
 from kicaumine.resources import (
+    _pipeline_config,
     default_pipeline_config,
     load_hashtags,
     load_pos_lexicon,
     load_root_words,
     load_stopwords,
+    load_word_file,
     load_wordlist,
 )
 
@@ -233,3 +235,52 @@ def test_leading_byte_order_mark_is_dropped(kind, tmp_path):
     marked.write_text(text, encoding="utf-8-sig")
     assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
     assert read(str(marked)) == read(str(plain))
+
+
+# Tokens and the language test's text are lowercase, so the word files are
+# lowercased as they are read and their entries match in any case.
+def test_word_file_entries_are_lowercased(tmp_path):
+    path = tmp_path / "words.txt"
+    path.write_text("BAGUS\nSekali\nkerja\nYANG\n", encoding="utf-8")
+    for read in (load_wordlist, load_stopwords):
+        assert read(str(path)) == {"bagus", "sekali", "kerja", "yang"}
+
+
+def test_pos_lexicon_words_are_lowercased_and_the_later_line_wins(tmp_path):
+    path = tmp_path / "lexicon.tsv"
+    path.write_text(
+        "BAGUS\tNOUN\nBuruk\tADJ\nbagus\tADJ\nburuk\tVERB\nBURUK\tFUNC\n", encoding="utf-8"
+    )
+    assert load_pos_lexicon(str(path)) == {"bagus": PosTag.ADJ, "buruk": PosTag.FUNC}
+
+
+def test_capital_stopwords_and_lexicon_words_take_effect(tmp_path):
+    stopwords, lexicon = tmp_path / "stopwords.txt", tmp_path / "lexicon.tsv"
+    stopwords.write_text("YANG\n", encoding="utf-8")
+    lexicon.write_text("SANGAT\tADV\n", encoding="utf-8")
+    pipeline = _pipeline_config(
+        RunConfig(
+            stopwords=str(stopwords),
+            pos_lexicon=str(lexicon),
+            enable_pos=True,
+            enable_stemming=False,
+        )
+    )
+    assert _tokens("yang sangat Bagus", pipeline) == ("bagus",)
+
+
+def test_bundled_word_files_are_lowercase_letters():
+    # So lowercasing them changes no bundled entry, and no output.
+    def bundled(name):
+        return load_word_file(str(Path(resources._DATA) / name))
+
+    for read, name in [
+        (load_wordlist, resources.WORDLIST_FILE),
+        (load_stopwords, resources.STOPWORDS_FILE),
+    ]:
+        entries = bundled(name)
+        assert all(entry.isalpha() and entry == entry.lower() for entry in entries), name
+        assert read() == frozenset(entries)
+    words = [entry.partition("\t")[0] for entry in bundled(resources.POS_LEXICON_FILE)]
+    assert all(word.isalpha() and word == word.lower() for word in words)
+    assert sorted(load_pos_lexicon()) == sorted(set(words))

@@ -5,6 +5,7 @@ import json
 import random
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,6 +104,85 @@ def test_every_whitespace_between_words():
     for ws in WHITESPACE:
         texts += [f"{ws}RT{ws}R#T{ws}bagus{ws}", f"@a{ws}RT{ws}b", f"RT{ws}{ws}:){ws}RT"]
     assert mismatch(texts, config) is None
+
+
+# Words of letters alone skip cleansing. Exactly "RT" must not, since a
+# leading one is dropped; its other casings are plain words. A stopword is
+# dropped, and "İ" lowers to "i" and a combining dot, which is no letter.
+LETTER_WORDS = ["RT", "Rt", "rT", "rt", "yang", "Yang", "İ", "İstanbul", "bagus", "memilih"]
+LETTER_TEXTS = [
+    text
+    for word in LETTER_WORDS
+    for text in (word, f"{word} bagus", f"bagus {word}", f"RT {word}", f"{word} RT", f"#a {word}")
+]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+def test_letter_words_agree_with_oracle(config):
+    config = fresh(config)
+    # Twice: the second pass reads every word from the memo.
+    assert mismatch(LETTER_TEXTS + LETTER_TEXTS, config) is None
+
+
+def test_letter_words_read_as_expected():
+    config = fresh(CONFIGS[-1])  # every optional stage off
+    expected = {
+        "RT Rt rT": ("rt", "rt"),
+        "Rt RT": ("rt", "rt"),
+        "İstanbul": ("i", "stanbul"),
+        "İ": ("i",),
+        "Yang": ("yang",),
+    }
+    for text, tokens in expected.items():
+        assert preprocess._tokens(text, config) == tokens, text
+    assert preprocess._tokens("Yang bagus", fresh(CONFIGS[0])) == ("bagus",)
+
+
+def test_letter_words_skip_cleansing_and_fold_unlowered(monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(preprocess, name)
+
+        def recorded(word):
+            calls.append((name, word))
+            return real(word)
+
+        monkeypatch.setattr(preprocess, name, recorded)
+
+    spy("_cleanse_word")
+    spy("_fold_tokens")
+    config = fresh(CONFIGS[-1])
+    assert preprocess._tokens("bagus Rt rT Yang", config) == ("bagus", "rt", "rt", "yang")
+    assert calls == []
+    # A word whose lowercase is not letters alone folds from the word as
+    # written, as the chain folds its cleansed text, lowered once.
+    assert preprocess._tokens("İstanbul", config) == ("i", "stanbul")
+    assert calls == [("_fold_tokens", "İstanbul")]
+    calls.clear()
+    assert preprocess._tokens("RT", config) == ()
+    assert calls == [("_cleanse_word", "RT"), ("_fold_tokens", "RT")]
+
+
+def _cold_tokens_time(text):
+    best = float("inf")
+    for _ in range(7):
+        config = fresh(CONFIGS[0])
+        start = time.perf_counter()
+        preprocess._tokens(text, config)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_letter_word_path_time_is_linear_in_word_count():
+    # Linear code takes about 4 times longer on the large record, quadratic
+    # code about 16 times. All words are distinct letter words, so every
+    # one takes the all-letter path and most miss the capped memo.
+    words = ["".join(letters) for letters in itertools.product("abdegikmnprstu", repeat=5)]
+    random.Random(5).shuffle(words)
+    n = 40_000
+    ratio = _cold_tokens_time(" ".join(words[: 4 * n])) / _cold_tokens_time(" ".join(words[:n]))
+    assert ratio < 8, ratio
 
 
 def test_label_and_id_carried_through():

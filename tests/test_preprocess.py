@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 import cleanse_oracle
 from kicaumine import preprocess
+from kicaumine.config import DEFAULT_POS_KEEP_TAGS
 from kicaumine.corpus import LabeledTweet, LabelSource, SentimentLabel, Tweet
 from kicaumine.exceptions import ContractError
 from kicaumine.preprocess import (
-    DEFAULT_POS_KEEP_TAGS,
     Document,
     PipelineConfig,
     PosTag,

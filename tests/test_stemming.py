@@ -317,6 +317,71 @@ class TestPrefixTable:
             stemming._prefix_table(stemming._PREFIXES + ((short, None),))
 
 
+class TestStagesEntered:
+    """``stem`` enters only the stages a word can take an affix in.
+
+    A word with none of the nine endings goes straight to the prefix
+    search, and one that also starts with no prefix key is done after the
+    dictionary lookup. Each route must agree with the oracle's full search.
+    """
+
+    # Per route: words that take it, roots and non-roots alike.
+    ROUTES = {
+        "ending": ["memilihnya", "bertanya", "pemilihan", "sekali", "rumahku", "makanan", "xyzlah"],
+        "prefix key only": ["memilih", "menulis", "bermain", "kemarin", "setuju", "dipukul"],
+        "neither": ["kotak", "xyzzy", "rumah", "gubernur", "a", "zz"],
+    }
+
+    @staticmethod
+    def route(word):
+        if word.endswith(stemming._ENDINGS):
+            return "ending"
+        return "prefix key only" if word[:2] in stemming._PREFIX_TABLE else "neither"
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_each_route_agrees_with_search(self, route, stemmer, oracle):
+        words = self.ROUTES[route]
+        assert [self.route(w) for w in words] == [route] * len(words)
+        assert first_mismatch(stemmer, oracle, words) is None
+
+    def test_routes_read_as_expected(self, stemmer):
+        assert [stemmer.stem(w) for w in ("memilihnya", "memilih", "kotak")] == [
+            "pilih", "pilih", "kotak"
+        ]
+
+    def spy(self, monkeypatch):
+        calls = []
+        strip_ending, strip_prefixes = stemming._strip_ending, ConfixStemmer._strip_prefixes
+
+        def ending_spy(word, endings):
+            calls.append(("ending", word))
+            return strip_ending(word, endings)
+
+        def prefixes_spy(stemmer, word, strips_left):
+            calls.append(("prefixes", word))
+            return strip_prefixes(stemmer, word, strips_left)
+
+        monkeypatch.setattr(stemming, "_strip_ending", ending_spy)
+        monkeypatch.setattr(ConfixStemmer, "_strip_prefixes", prefixes_spy)
+        return calls
+
+    def test_a_word_with_neither_does_no_affix_search(self, stemmer, monkeypatch):
+        calls = self.spy(monkeypatch)
+        assert [stemmer.stem(w) for w in ("kotak", "xyzzy")] == ["kotak", "xyzzy"]
+        assert calls == []
+
+    def test_a_word_with_a_prefix_key_only_skips_the_ending_stages(self, stemmer, monkeypatch):
+        calls = self.spy(monkeypatch)
+        assert stemmer.stem("memilih") == "pilih"
+        assert calls[0] == ("prefixes", "memilih")
+        assert all(kind == "prefixes" for kind, _ in calls)
+
+    def test_a_word_with_an_ending_enters_the_ending_stages(self, stemmer, monkeypatch):
+        calls = self.spy(monkeypatch)
+        assert stemmer.stem("memilihnya") == "pilih"
+        assert calls[0] == ("ending", "memilihnya")
+
+
 def _stem_time(word):
     stemmer = ConfixStemmer(load_root_words())
     return min(timeit.repeat(lambda: stemmer.stem(word), number=20, repeat=5))
