@@ -3,10 +3,11 @@ and the plumbing that the command modules share.
 
 All word resources share one line format: UTF-8 text (a leading
 byte-order mark is dropped), one entry per line, lines starting with '#'
-are comments, leading and trailing whitespace is trimmed. The package
-bundles an Indonesian stopword list, root-word dictionary, POS lexicon,
-language-detection wordlist, and a six-tweet demo corpus so the whole
-pipeline runs offline out of the box.
+are comments, leading and trailing whitespace is trimmed. Their words
+are lowercased as they are read, as the tokens and text they match are.
+The package bundles an Indonesian stopword list, root-word dictionary,
+POS lexicon, language-detection wordlist, and a six-tweet demo corpus
+so the whole pipeline runs offline out of the box.
 """
 
 import json
@@ -27,17 +28,6 @@ ROOT_WORDS_FILE = "root_words_id.txt"
 POS_LEXICON_FILE = "pos_lexicon_id.tsv"
 WORDLIST_FILE = "wordlist_id.txt"
 DEMO_CORPUS_FILE = "demo_tweets.jsonl"
-
-
-def parse_word_lines(lines) -> list[str]:
-    """Entries from word-file lines, trimmed at both ends; comments and blanks skipped."""
-    entries = []
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        entries.append(line)
-    return entries
 
 
 @contextmanager
@@ -76,11 +66,26 @@ def atomic_writer(path):
 
 
 def load_word_file(path) -> list[str]:
+    """A word file's entries, trimmed at both ends; comment and blank lines skipped."""
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
-            return parse_word_lines(handle)
+            return [line for line in map(str.strip, handle) if line and not line.startswith("#")]
     except UnicodeDecodeError:
         raise ConfigError(f"word file {path} is not UTF-8") from None
+
+
+def _word_set(path, letters_only_as=None) -> frozenset[str]:
+    """A word file's entries, lowercased as the tokens and text they match are.
+
+    With ``letters_only_as``, an entry that is not letters is refused,
+    named as written in the file and as that kind of word.
+    """
+    entries = load_word_file(path)
+    if letters_only_as is not None:
+        for entry in entries:
+            if not entry.isalpha():
+                raise ConfigError(f"{letters_only_as} {entry!r} is not letters")
+    return frozenset(entry.lower() for entry in entries)
 
 
 def demo_corpus_path() -> str:
@@ -89,29 +94,23 @@ def demo_corpus_path() -> str:
 
 
 def load_stopwords(path=None) -> frozenset[str]:
-    """Stopword set, lowercased as the tokens it drops are."""
-    entries = load_word_file(path or os.path.join(_DATA, STOPWORDS_FILE))
-    return frozenset(entry.lower() for entry in entries)
+    """Stopword set."""
+    return _word_set(path or os.path.join(_DATA, STOPWORDS_FILE))
 
 
 def load_wordlist(path=None) -> frozenset[str]:
-    """Language-test wordlist, lowercased as the text it is matched against is."""
-    entries = load_word_file(path or os.path.join(_DATA, WORDLIST_FILE))
-    return frozenset(entry.lower() for entry in entries)
+    """Language-test wordlist."""
+    return _word_set(path or os.path.join(_DATA, WORDLIST_FILE))
 
 
 def load_root_words(path=None) -> frozenset[str]:
-    """Stemmer root dictionary; entries must be lowercase letters only."""
-    entries = load_word_file(path or os.path.join(_DATA, ROOT_WORDS_FILE))
-    for entry in entries:
-        if not entry.isalpha() or entry != entry.lower():
-            raise ConfigError(f"root word {entry!r} is not lowercase letters")
-    return frozenset(entries)
+    """Stemmer root dictionary; every entry must be letters."""
+    return _word_set(path or os.path.join(_DATA, ROOT_WORDS_FILE), "root word")
 
 
 def load_hashtags(path) -> frozenset[str]:
     """Hashtag set file: one tag per line, stored without the '#' prefix."""
-    return frozenset(tag.lower() for tag in load_word_file(path))
+    return _word_set(path)
 
 
 def load_pos_lexicon(path=None) -> dict[str, PosTag]:

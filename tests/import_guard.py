@@ -25,8 +25,7 @@ argparse left the commands' runs and not the CLI.
 The package's lazy re-exports must all resolve, bind under ``from
 kicaumine import *`` and show in ``dir()``. Nothing is timed.
 
-Runs without pytest: ``python tests/import_guard.py`` prints each problem
-and exits 1 if there is one. ``tests/test_imports.py`` runs the same checks.
+``tests/test_imports.py`` runs these checks.
 """
 
 import json
@@ -265,19 +264,3 @@ def stemming_problems(loads: dict) -> list[str]:
                 found.append(f"{run} {'does not load' if want else 'loads'} kicaumine.stemming")
     return found
 
-
-def problems() -> list[str]:
-    found = []
-    for module in ("kicaumine.cli", "kicaumine"):
-        loaded = newly_loaded(module)
-        found += [f"import {module} loads {name}" for name in FORBIDDEN if name in loaded]
-    found += command_problems(command_loads()) + run_as_main_problems(run_as_main())
-    found += stemming_problems(stemming_loads()) + help_problems(help_loads())
-    return found + export_problems()
-
-
-if __name__ == "__main__":
-    found = problems()
-    for problem in found:
-        print(problem, file=sys.stderr)
-    sys.exit(1 if found else 0)

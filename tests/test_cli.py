@@ -338,6 +338,7 @@ class TestTrain:
             {"id": "a", "text": ["bagus"], "label": "positive"},
             {"id": 5, "text": "bagus", "label": "positive"},
             ["a", "bagus", "positive"],
+            {"id": "a", "text": "bagus", "label": "happy"},
         ],
     )
     def test_bad_record_types_rejected(self, tmp_path, capsys, record):
@@ -898,8 +899,12 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "row, message",
-        [(",positive", "empty gold id"), ("t2,happy", "unknown gold label 'happy' for id 't2'")],
-        ids=["empty-id", "unknown-label"],
+        [
+            (",positive", "empty gold id"),
+            ("t2,happy", "unknown gold label 'happy' for id 't2'"),
+            ("t2", "unknown gold label '' for id 't2'"),
+        ],
+        ids=["empty-id", "unknown-label", "one-cell"],
     )
     def test_bad_gold_row_names_line(self, row, message, toy_model_file, tmp_path, capsys):
         gold = tmp_path / "gold.csv"
@@ -1147,8 +1152,9 @@ class TestEvalModesOnPairs:
             )
         assert err == expected_err
 
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_k_fold(self, seed, tmp_path):
+    @pytest.mark.parametrize("seed, oov", [(1, "smooth"), (2, "smooth"), (3, "skip")],
+                             ids=["1", "2", "3-oov-skip"])
+    def test_k_fold(self, seed, oov, tmp_path):
         from kicaumine.evaluation import cross_validate
 
         export, gold, labels = gold_corpus(tmp_path, seed)
@@ -1158,10 +1164,11 @@ class TestEvalModesOnPairs:
         labels = {i: POS if lab is NEU else lab for i, lab in labels.items()}
         docs = former_gold_documents(export, labels, default_pipeline_config())
         code, out, _ = self.run_eval(
-            "--input", str(export), "--gold", str(gold), "--k", "5", "--seed", str(seed)
+            "--input", str(export), "--gold", str(gold), "--k", "5", "--seed", str(seed),
+            "--oov", oov,
         )
         assert code == 0
-        assert json.loads(out)["fold_accuracies"] == cross_validate(docs, 5, seed)
+        assert json.loads(out)["fold_accuracies"] == cross_validate(docs, 5, seed, oov)
 
 
 class TestTrainOracle:

@@ -76,14 +76,19 @@ def test_every_field_has_a_case():
     assert sorted(SETTINGS) == sorted(RunConfig._fields)
 
 
-@pytest.mark.parametrize("field", sorted(SETTINGS))
-def test_file_line_and_flag_build_equal_configs(field, tmp_path):
-    command, flag_args, line = SETTINGS[field]
+# Each field alone, and fields that one file sets together (run by the
+# first field's command).
+@pytest.mark.parametrize("fields", [*sorted(SETTINGS), "k,seed,enable_pos,format"])
+def test_file_line_and_flag_build_equal_configs(fields, tmp_path):
+    fields = fields.split(",")
+    command = SETTINGS[fields[0]][0]
+    flag_args = [arg for field in fields for arg in SETTINGS[field][1]]
+    lines = "".join(f"# {field}\n{SETTINGS[field][2]}\n" for field in fields)
     by_flag = from_argv([command, *flag_args])
-    by_file = from_file(tmp_path, command, f"# {field}\n{line}\n")
-    assert by_file == by_flag
-    assert getattr(by_flag, field) != getattr(RunConfig(), field)
-    assert by_flag.replace(**{field: getattr(RunConfig(), field)}) == RunConfig()
+    assert from_file(tmp_path, command, lines) == by_flag
+    defaults = {field: getattr(RunConfig(), field) for field in fields}
+    assert all(getattr(by_flag, field) != default for field, default in defaults.items())
+    assert by_flag.replace(**defaults) == RunConfig()
 
 
 @pytest.mark.parametrize("build", [PipelineConfig, default_pipeline_config])
@@ -242,8 +247,31 @@ def test_leading_byte_order_mark_is_dropped(kind, tmp_path):
 def test_word_file_entries_are_lowercased(tmp_path):
     path = tmp_path / "words.txt"
     path.write_text("BAGUS\nSekali\nkerja\nYANG\n", encoding="utf-8")
-    for read in (load_wordlist, load_stopwords):
+    for read in (load_wordlist, load_stopwords, load_root_words, load_hashtags):
         assert read(str(path)) == {"bagus", "sekali", "kerja", "yang"}
+
+
+def test_root_words_match_in_any_case_and_must_be_letters(tmp_path, capsys):
+    corpus = tmp_path / "labeled.jsonl"
+    corpus.write_text(
+        '{"id": "1", "text": "kebagusan", "label": "positive"}\n'
+        '{"id": "2", "text": "buruk", "label": "negative"}\n',
+        encoding="utf-8",
+    )
+
+    def train(root):
+        roots, model = tmp_path / "roots.txt", tmp_path / f"model-{root}.json"
+        roots.write_text(f"{root}\n", encoding="utf-8")
+        result = run(["train", "--input", str(corpus), "--model", str(model),
+                      "--stem-roots", str(roots)], capsys)
+        return result, model.read_bytes() if model.exists() else None
+
+    # "kebagusan" stems to the root "bagus" only when the file holds it.
+    (status, _, _), model = train("Bagus")
+    assert status == 0 and b'"bagus"' in model and b"kebagusan" not in model
+    assert train("bagus")[1] == model
+    assert train("kerja")[1] != model
+    assert train("ab1") == ((2, "", "error: root word 'ab1' is not letters\n"), None)
 
 
 def test_pos_lexicon_words_are_lowercased_and_the_later_line_wins(tmp_path):
@@ -277,6 +305,7 @@ def test_bundled_word_files_are_lowercase_letters():
     for read, name in [
         (load_wordlist, resources.WORDLIST_FILE),
         (load_stopwords, resources.STOPWORDS_FILE),
+        (load_root_words, resources.ROOT_WORDS_FILE),
     ]:
         entries = bundled(name)
         assert all(entry.isalpha() and entry == entry.lower() for entry in entries), name
