@@ -5,7 +5,9 @@
 unchanged but for their names. The model now runs the same checks as set,
 ``all`` and ``min`` operations in C, and walks the counts only to name a
 bad one. ``tests/test_model.py`` checks that every table is refused, or
-accepted, exactly as these loops do it.
+accepted, exactly as these loops do it. It stays because no command
+writes a malformed table, so ``tests/reference.py``, which runs the
+commands on exports, never reaches ``load_model``'s refusals.
 """
 
 from kicaumine.exceptions import ModelFormatError

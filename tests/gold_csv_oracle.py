@@ -5,6 +5,9 @@ padded each row with two empty cells, stripped the first two through a
 generator and looked the label up with a ``SentimentLabel(...)`` call. It
 is kept unchanged apart from this docstring, its name and its imports, and
 it is the oracle that ``tests/test_cli.py`` checks the gold reader against.
+It stays because ``tests/reference.py`` models a refusal by its exit
+status only, so it cannot pin the text, ``path:line`` included, of each
+of the gold reader's errors.
 """
 
 from kicaumine.corpus import SentimentLabel

@@ -1,16 +1,16 @@
-"""``report``'s former prediction parser and hashtag rollup.
+"""``report``'s former prediction parser.
 
 ``prediction`` is the former ``kicaumine.cli._prediction``, which built a
-``Prediction`` from each predictions record, and ``sentiment_report`` is
-the former body of ``kicaumine.evaluation.sentiment_report``, both
-unchanged but for their names and imports. ``report`` now keeps only each
-record's label once ``_report._prediction_label`` has checked the whole
-record, and counts groups in ``corpus._hashtag_rollup``. ``tests/test_cli.py``
-and ``tests/test_evaluation.py`` check the new code against these.
+``Prediction`` from each predictions record, unchanged but for its name
+and imports. ``report`` now keeps only each record's label once
+``_report._prediction_label`` has checked the whole record, and
+``tests/test_cli.py`` checks that it refuses each bad record with the
+error, and the text, that building the ``Prediction`` raised. It stays
+because ``tests/reference.py`` models refusals by exit status only, so it
+cannot pin the text of a strict reader's error.
 """
 
-from kicaumine.corpus import ALL_GROUP, SentimentLabel, _hashtag_needles
-from kicaumine.evaluation import SentimentReport
+from kicaumine.corpus import SentimentLabel
 from kicaumine.model import Prediction
 
 
@@ -23,28 +23,3 @@ def prediction(record: dict) -> Prediction:
         posteriors={SentimentLabel(name): float(p) for name, p in posteriors.items()},
         oov_tokens=int(record.get("oov_tokens", 0)),
     )
-
-
-def sentiment_report(predictions, group_by):
-    tags, needles = _hashtag_needles(group_by, reserved=ALL_GROUP)
-    group_counts: dict[str, dict[SentimentLabel, int]] = {
-        ALL_GROUP: {lab: 0 for lab in SentimentLabel}
-    }
-    if predictions:
-        for tag in tags:
-            group_counts[tag] = {lab: 0 for lab in SentimentLabel}
-    for tweet, prediction in predictions:
-        group_counts[ALL_GROUP][prediction.label] += 1
-        lowered = tweet.text.lower()
-        for tag, needle in zip(tags, needles):
-            if needle in lowered:
-                group_counts[tag][prediction.label] += 1
-    reports = []
-    for key in [ALL_GROUP] + (tags if predictions else []):
-        counts = group_counts[key]
-        total = sum(counts.values())
-        percentages = (
-            {lab: counts[lab] / total for lab in SentimentLabel} if total else {}
-        )
-        reports.append(SentimentReport(group_key=key, counts=counts, percentages=percentages))
-    return reports

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import random
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import NEG, NEU, POS
 import gold_csv_oracle
+import reference
 import report_oracle
 import synthdata
 import train_oracle
@@ -1170,13 +1172,31 @@ class TestEvalModesOnPairs:
         assert code == 0
         assert json.loads(out)["fold_accuracies"] == cross_validate(docs, 5, seed, oov)
 
+    def test_oov_skip_changes_every_mode(self, tmp_path):
+        # Positive training documents hold many tokens, so each unseen token
+        # costs the positive class more: under smooth the test documents,
+        # "bagus" and three unseen words, go negative; under skip, positive.
+        unseen = ("".join(letters) for letters in itertools.product("zqxv", repeat=4))
+        rows = [(f"p{i}", "bagus mantap hebat sukses menang", "positive") for i in range(10)]
+        rows += [(f"n{i}", "buruk", "negative") for i in range(10)]
+        rows += [(f"u{i}", " ".join(["bagus", *itertools.islice(unseen, 3)]), "positive")
+                 for i in range(10)]
+        export, gold, labeled = (tmp_path / name for name in ("in.jsonl", "gold.csv", "l.jsonl"))
+        export.write_text("".join(json.dumps({"id": i, "text": t}) + "\n" for i, t, _ in rows))
+        gold.write_text("id,label\n" + "".join(f"{i},{label}\n" for i, _, label in rows))
+        labeled.write_text("".join(json.dumps({"id": i, "text": t, "label": label}) + "\n"
+                                   for i, t, label in rows if i[0] != "u"))
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--input", str(labeled), "--model", str(model_path)]) == 0
+        for mode in (["--model", str(model_path)], [], ["--k", "2"]):
+            argv = ["--input", str(export), "--gold", str(gold), *mode]
+            smooth, skip = (self.run_eval(*argv, *oov) for oov in ([], ["--oov", "skip"]))
+            assert smooth[0] == skip[0] == 0
+            assert smooth[1] != skip[1], mode
+
 
 class TestTrainOracle:
-    """``train`` writes what the former two-pass path wrote.
-
-    ``train_oracle.cmd_train`` read every labeled row into a list, then
-    preprocessed the list into a second one, then counted that.
-    """
+    """``train`` writes the reference's model and its exact stderr lines."""
 
     EMPTY_ROW = {"id": "e", "text": "123 :) http://t.co/x", "label": "negative"}
 
@@ -1196,45 +1216,50 @@ class TestTrainOracle:
                 rows.append({**TestTrainOracle.EMPTY_ROW, "id": f"e{i}"})
         return rows
 
-    # name: (rows of the corpus from rows(seed), exit status)
+    TRAINED = "{dropped}trained on {docs} documents over negative/positive; model written to {model}\n"
+    BAD_ROW = "error: {corpus}:{rows}: bad labeled-corpus record: "
+    # name: (rows of the corpus from rows(seed), exit status, stderr)
     CASES = {
-        "valid": (lambda rows: rows, 0),
+        "valid": (lambda rows: rows, 0, TRAINED),
         "one empty row, last": (lambda rows: [r for r in rows if r["id"][0] != "e"]
-                                + [TestTrainOracle.EMPTY_ROW], 0),
-        "unknown last label": (lambda rows: rows + [{**rows[0], "id": "z", "label": "happy"}], 2),
+                                + [TestTrainOracle.EMPTY_ROW], 0, TRAINED),
+        "unknown last label": (lambda rows: rows + [{**rows[0], "id": "z", "label": "happy"}], 2,
+                               BAD_ROW + "'happy' is not a valid SentimentLabel\n"),
         "distant neutral last": (
             lambda rows: rows + [{**rows[0], "id": "z", "label": "neutral",
-                                  "label_source": "distant"}], 2),
-        "duplicate last id": (lambda rows: rows + [rows[1]], 2),
-        "no rows": (lambda rows: [], 1),
+                                  "label_source": "distant"}], 2,
+            BAD_ROW + "distant supervision cannot produce neutral labels\n"),
+        "duplicate last id": (lambda rows: rows + [rows[1]], 2,
+                              "error: {corpus}:{rows}: duplicate labeled-corpus id 'e0'\n"),
+        "no rows": (lambda rows: [], 1, "error: no labeled tweets in {corpus}\n"),
         "every row empty": (lambda rows: [{**TestTrainOracle.EMPTY_ROW, "id": r["id"]}
-                                          for r in rows[:5]], 1),
-        "one class": (lambda rows: [r for r in rows if r["label"] == "positive"], 1),
+                                          for r in rows[:5]], 1,
+                            "{dropped}error: no documents to train on\n"),
+        "one class": (lambda rows: [r for r in rows if r["label"] == "positive"], 1,
+                      "{dropped}error: training needs at least two classes, got ['positive']\n"),
     }
-
-    def outcome(self, argv, model_path, capsys):
-        code, out, err = run(argv, capsys)
-        written = model_path.read_bytes() if model_path.exists() else None
-        model_path.unlink(missing_ok=True)
-        return code, out, err, written
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("enable_pos", [False, True])
     @pytest.mark.parametrize("enable_stemming", [False, True])
-    def test_same_model_and_messages(
-        self, case, enable_pos, enable_stemming, tmp_path, capsys, monkeypatch
-    ):
-        build, status = self.CASES[case]
+    def test_same_model_and_messages(self, case, enable_pos, enable_stemming, tmp_path, capsys):
+        build, status, stderr = self.CASES[case]
         corpus, model_path = tmp_path / "labeled.jsonl", tmp_path / "model.json"
         rows = build(self.rows(1 + enable_pos + 2 * enable_stemming))
         corpus.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
         argv = ["train", "--input", str(corpus), "--model", str(model_path)]
         argv += ["--enable-pos"] * enable_pos + ["--disable-stemming"] * (not enable_stemming)
-        with monkeypatch.context() as patch:
-            patch.setattr(_train, "cmd_train", train_oracle.cmd_train)
-            expected = self.outcome(argv, model_path, capsys)
-        assert expected[0] == status and (expected[3] is not None) == (status == 0)
-        assert self.outcome(argv, model_path, capsys) == expected
+        tokens = [reference.tokens(r["text"], True, enable_pos, enable_stemming) for r in rows]
+        dropped = sum(not t for t in tokens)
+        stderr = stderr.format(
+            corpus=corpus, rows=len(rows), model=model_path, docs=len(rows) - dropped,
+            dropped=f"dropped {dropped} document(s) that preprocessed to empty\n" * bool(dropped),
+        )
+        pairs = ((r["label"], t) for r, t in zip(rows, tokens))
+        model_bytes = reference.model_bytes(reference.nb_model(pairs)) if status == 0 else None
+        code, out, err = run(argv, capsys)
+        written = model_path.read_bytes() if model_path.exists() else None
+        assert (code, out, err, written) == (status, "", stderr, model_bytes)
 
 
 class TestReport:

@@ -1,9 +1,9 @@
-"""The ``collect`` command against ``collect_oracle``, the chain it replaced.
+"""The ``collect`` command against ``reference.collect``.
 
 Each example writes a generated export, runs ``collect`` through
-``cli.main`` and runs the oracle on the same file: the exit status, the
-bytes of both output files and the stats must agree. When the oracle
-raises, ``collect`` must exit with that error's status and leave both
+``cli.main`` and runs the reference on the same bytes: the exit status,
+the bytes of both output files and the stats must agree. When the
+reference refuses, ``collect`` must exit with that status and leave both
 targets as they were.
 """
 
@@ -18,11 +18,10 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-import collect_oracle
+import reference
 from kicaumine import corpus
 from kicaumine.cli import main
-from kicaumine.corpus import Tweet
-from kicaumine.exceptions import ConfigError, EmptyCorpusError
+from kicaumine.corpus import CorpusStats, Tweet
 
 WORDLIST = ["calon", "bagus", "menang", "kerja", "gubernur"]
 # Dictionary words (one capitalized), other letter words (some not ASCII)
@@ -128,16 +127,11 @@ def test_collect_matches_oracle(export, tags, wordlist, threshold):
             "--format", "json",
         ]
         try:
-            expected = collect_oracle.collect(
-                export_path,
-                frozenset(tags),
-                frozenset(w for w in wordlist if not w.startswith("#")),
-                threshold,
+            expected = reference.collect(
+                export, tags, threshold, frozenset(w for w in wordlist if not w.startswith("#"))
             )
-        except EmptyCorpusError:
-            expected = 1
-        except ConfigError:
-            expected = 2
+        except reference.Refused as refusal:
+            expected = refusal.status
         with redirect_stderr(io.StringIO()):
             code = main(argv)
         if isinstance(expected, int):
@@ -151,13 +145,13 @@ def test_collect_matches_oracle(export, tags, wordlist, threshold):
         assert code == 0
         assert outputs[0].read_bytes() == labeled
         assert outputs[1].read_bytes() == unlabeled
-        assert json.loads(outputs[2].read_text(encoding="utf-8")) == stats.as_dict()
+        assert json.loads(outputs[2].read_text(encoding="utf-8")) == stats
 
 
 # The language test's cases: every tweet at every threshold, against the
-# oracle's filter. The wordlist stays lowercase, since the oracle matches
-# entries as written and the loaders now lowercase them; its entries that
-# are not letters can never match a letter-only token.
+# reference's test. The wordlist stays lowercase, since the reference
+# matches entries as written and the loaders lowercase them; its entries
+# that are not letters can never match a letter-only token.
 LANGUAGE_WORDLIST = frozenset(WORDLIST + ["x1", "2018", "...", "kata-kata", ":)", "#pilgubjabar"])
 LANGUAGE_THRESHOLDS = [0.0, 1 / 3, 0.5, 2 / 3, 1.0]
 LANGUAGE_TEXTS = [
@@ -175,12 +169,18 @@ LANGUAGE_TEXTS = [
 ]
 
 
+def assert_language_filter_agrees(texts, wordlist, threshold):
+    tweets = [Tweet(str(i), text) for i, text in enumerate(texts)]
+    kept, delta = corpus.filter_language(tweets, wordlist, threshold)
+    expected = [t for t in tweets if reference.in_language(t.text, wordlist, threshold)]
+    assert kept == expected, threshold
+    rejected = len(tweets) - len(expected)
+    assert delta.as_dict() == {**CorpusStats().as_dict(), "rejected_language": rejected}
+
+
 def test_language_cases_agree_with_oracle():
-    tweets = [Tweet(str(i), text) for i, text in enumerate(LANGUAGE_TEXTS)]
     for threshold in LANGUAGE_THRESHOLDS:
-        kept, delta = corpus.filter_language(tweets, LANGUAGE_WORDLIST, threshold)
-        expected = collect_oracle.filter_language(tweets, LANGUAGE_WORDLIST, threshold)
-        assert (kept, delta.as_dict()) == (expected[0], expected[1].as_dict()), threshold
+        assert_language_filter_agrees(LANGUAGE_TEXTS, LANGUAGE_WORDLIST, threshold)
 
 
 def test_language_cases_read_as_expected():
@@ -208,10 +208,7 @@ language_words = st.sampled_from(
     threshold=st.one_of(st.sampled_from(LANGUAGE_THRESHOLDS), st.floats(0.0, 1.0)),
 )
 def test_language_filter_agrees_with_oracle(texts, wordlist, threshold):
-    tweets = [Tweet(str(i), text) for i, text in enumerate(texts)]
-    kept, delta = corpus.filter_language(tweets, wordlist, threshold)
-    expected = collect_oracle.filter_language(tweets, wordlist, threshold)
-    assert (kept, delta.as_dict()) == (expected[0], expected[1].as_dict())
+    assert_language_filter_agrees(texts, wordlist, threshold)
 
 
 class _CountedWords(list):

@@ -6,8 +6,8 @@ line ends and a line of about 100 kB. Every hostile line is one that the
 tweet reader must count as ``rejected_malformed``. Commands run in process
 through ``cli.main``; an exception escaping it is the traceback a user
 would see. The same lines, with other odd ones, go through the commands'
-field scan and ``iter_tweets``, which must agree with the former
-``iter_tweets`` kept in ``tests/ingest_oracle.py``.
+field scan and ``iter_tweets``, which must agree with
+``reference.read_export``.
 """
 
 import io
@@ -19,7 +19,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import NEG, POS
-import ingest_oracle
+import reference
 from kicaumine.cli import main
 from kicaumine.corpus import CorpusStats, _tweet_fields, iter_tweets
 from kicaumine.model import save_model, train
@@ -174,22 +174,23 @@ def test_field_scan_agrees_with_former_reader(data, tweet_texts, odd, not_utf8, 
     blob = b"\xef\xbb\xbf" * bom + b"".join(
         line + data.draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for line in lines
     )
-    sources = [lambda: io.BytesIO(blob)]
+    # (source, the same lines as bytes split at LF only)
+    sources = [(lambda: io.BytesIO(blob), blob)]
     try:
         text = blob.decode()
     except UnicodeDecodeError:
         pass
     else:
         # A text stream ends lines at CR as well as LF.
-        sources.append(lambda: io.StringIO(text, newline=""))
+        text_lines = io.StringIO(text, newline="").readlines()
+        sources.append((lambda: io.StringIO(text, newline=""), "\n".join(text_lines).encode()))
 
     def read(reader, source):
         stats = CorpusStats()
-        return list(reader(source(), stats)), stats
+        return list(reader(source(), stats)), stats.as_dict()
 
-    for source in sources:
-        expected, expected_stats = read(ingest_oracle.iter_tweets, source)
-        fields, stats = read(_tweet_fields, source)
-        assert fields == [(t.id, t.text, t.created_at, t.declared_lang) for t in expected]
-        assert stats == expected_stats
-        assert read(iter_tweets, source) == (expected, expected_stats)
+    for source, as_bytes in sources:
+        expected = reference.read_export(as_bytes)
+        assert read(_tweet_fields, source) == expected
+        tweets, stats = read(iter_tweets, source)
+        assert ([(t.id, t.text, t.created_at, t.declared_lang) for t in tweets], stats) == expected

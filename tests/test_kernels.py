@@ -1,16 +1,14 @@
-"""Case folding and scoring agree exactly with the reference kernels."""
+"""Case folding and scoring agree exactly with the reference's."""
 
-import math
 import random
 import sys
 import threading
 from array import array
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import kernel_oracle as oracle
+import reference
 from conftest import NEG, NEU, POS
 from kicaumine import preprocess
 from kicaumine.model import OOV_SKIP, OOV_SMOOTH, NbModel, _doc_scores, _ScoreTable, classify
@@ -19,12 +17,8 @@ from kicaumine.preprocess import Document, case_fold, tokenize
 ALL_CHARS = [chr(c) for c in range(sys.maxunicode + 1)]
 
 
-def oracle_fold(text):
-    return oracle.strip_non_letters(text.lower())
-
-
 def first_mismatch(texts):
-    return next((t for t in texts if case_fold(t) != oracle_fold(t)), None)
+    return next((t for t in texts if case_fold(t) != reference.case_fold(t)), None)
 
 
 class TestCaseFold:
@@ -50,7 +44,7 @@ class TestCaseFold:
         )
     )
     def test_agrees_on_text(self, text):
-        expected = oracle_fold(text)
+        expected = reference.case_fold(text)
         assert case_fold(text) == expected
         assert preprocess._fold_tokens(text) == tokenize(expected)
 
@@ -67,10 +61,10 @@ class TestLetterTable:
         texts = ["x" + "".join(junk[i : i + 64]) + "y" for i in range(0, len(junk), 64)]
         texts += ["1" + c + "!" + c.upper() for c in letters]
         for text in texts:
-            assert case_fold(text) == oracle_fold(text)
+            assert case_fold(text) == reference.case_fold(text)
         assert len(table) == cap
         for text in texts:
-            assert case_fold(text) == oracle_fold(text)
+            assert case_fold(text) == reference.case_fold(text)
         assert len(table) == cap
 
     def test_cap_holds_under_threads(self, monkeypatch):
@@ -84,7 +78,7 @@ class TestLetterTable:
 
         def fold(start):
             text = "x" + "".join(junk[start : start + chunk])
-            if case_fold(text) != oracle_fold(text):
+            if case_fold(text) != reference.case_fold(text):
                 errors.append(start)
 
         threads = [threading.Thread(target=fold, args=(i * chunk,)) for i in range(8)]
@@ -102,42 +96,16 @@ class TestLetterTable:
         assert len(table) == cap
 
 
-def oracle_scores(model, tokens, oov_mode):
-    """Scores laid out and summed as the reference kernel's caller did."""
-    vocab = sorted(model.vocabulary)
-    index = {token: i for i, token in enumerate(vocab)}
-    n_classes = len(model.labels)
-    log_priors = array(
-        "d", (math.log(model.docs_per_class[lab] / model.total_docs) for lab in model.labels)
-    )
-    log_lik = array("d", bytes(8 * n_classes * len(vocab)))
-    oov_log_lik = array("d", bytes(8 * n_classes))
-    for j, lab in enumerate(model.labels):
-        counts = model.token_counts[lab]
-        denom = model.tokens_per_class[lab] + len(vocab)
-        for i, token in enumerate(vocab):
-            log_lik[j * len(vocab) + i] = math.log((counts.get(token, 0) + 1) / denom)
-        oov_log_lik[j] = math.log(1 / denom)
-    ids, counts, oov = [], [], 0
-    for token, count in Counter(tokens).items():
-        if token in index:
-            ids.append(index[token])
-            counts.append(float(count))
-        else:
-            oov += count
-    out = array("d", bytes(8 * n_classes))
-    oracle.score_document(
-        log_priors, log_lik, oov_log_lik, array("q", ids), array("d", counts),
-        float(oov), oov_mode == OOV_SKIP, out,
-    )
-    return list(out), oov
+def columns(model):
+    """``model``'s per-label documents, token totals and counts, and its vocabulary size."""
+    labels = model.labels
+    docs = [model.docs_per_class[lab] for lab in labels]
+    tokens = [model.tokens_per_class[lab] for lab in labels]
+    return docs, tokens, len(model.vocabulary), [model.token_counts[lab] for lab in labels]
 
 
-def oracle_posteriors(scores):
-    best = max(range(len(scores)), key=scores.__getitem__)
-    weights = [math.exp(s - scores[best]) for s in scores]
-    total = sum(weights)
-    return best, [w / total for w in weights]
+def reference_scores(model, tokens, oov_mode):
+    return reference.class_scores(*columns(model), model.vocabulary, tokens, oov_mode == OOV_SKIP)
 
 
 def random_case(rng):
@@ -164,23 +132,23 @@ class TestScores:
     @given(seed=st.integers(0, 10**9))
     def test_bit_identical_to_oracle(self, oov_mode, seed):
         model, doc = random_case(random.Random(seed))
-        expected, oov = oracle_scores(model, doc.tokens, oov_mode)
+        expected, oov = reference_scores(model, doc.tokens, oov_mode)
         table = model._score_table()
         table.build(doc.tokens)
         got, got_oov = _doc_scores(table, doc.tokens, oov_mode)
         assert (got, got_oov) == (expected, oov)
-        best, posteriors = oracle_posteriors(expected)
         prediction = classify(model, doc, oov_mode=oov_mode)
-        assert prediction.label == model.labels[best]
-        assert list(prediction.posteriors.values()) == posteriors
+        assert prediction.label == model.labels[reference.best(expected)]
+        assert list(prediction.posteriors.values()) == reference.posteriors(expected)
         assert list(prediction.posteriors) == list(model.labels)
         assert prediction.oov_tokens == oov
 
     def test_empty_document_is_priors(self):
         model, _ = random_case(random.Random(7))
         empty = Document(source_id="e", tokens=())
-        scores, _ = oracle_scores(model, (), OOV_SMOOTH)
-        expected = [math.log(model.docs_per_class[lab] / model.total_docs) for lab in model.labels]
+        scores, _ = reference_scores(model, (), OOV_SMOOTH)
+        expected = [reference.log_prior(model.docs_per_class[lab], model.total_docs)
+                    for lab in model.labels]
         assert scores == expected
         assert _doc_scores(model._score_table(), empty.tokens, OOV_SMOOTH) == (expected, 0)
 
@@ -189,8 +157,22 @@ def bits(floats):
     return array("d", floats).tobytes()
 
 
+def reference_rows(docs, class_tokens, vocabulary_size, counts, vocab):
+    """Each ``vocab`` token's log likelihood per class, and the priors and OOV terms."""
+    rows = {
+        token: tuple(
+            reference.log_likelihood(class_counts.get(token, 0), n, vocabulary_size)
+            for class_counts, n in zip(counts, class_tokens)
+        )
+        for token in vocab
+    }
+    priors = [reference.log_prior(n, sum(docs)) for n in docs]
+    oov = [reference.log_likelihood(0, n, vocabulary_size) for n in class_tokens]
+    return rows, priors, oov
+
+
 class TestRows:
-    """Rows exist for the built vocabulary tokens only, bit for bit the eager table's."""
+    """Rows exist for the built vocabulary tokens only, bit for bit the reference's."""
 
     @settings(max_examples=150)
     @given(seed=st.integers(0, 10**9))
@@ -211,7 +193,7 @@ class TestRows:
             counts,
         )
         table = _ScoreTable(*args, frozenset(vocab))
-        eager = oracle._ScoreTable(*args, vocab)
+        rows, priors, oov = reference_rows(*args, vocab)
         mode = rng.choice([OOV_SMOOTH, OOV_SKIP])
         built = rng.choices(pool, k=rng.randint(0, 20))
         table.build(built)
@@ -222,24 +204,27 @@ class TestRows:
         tokens = rng.choices(pool, k=rng.randint(0, 40))
         table.build(tokens)
         assert table.rows.keys() == (set(built) | set(tokens)) & set(vocab)
-        assert _doc_scores(table, tokens, mode) == _doc_scores(eager, tokens, mode)
-        assert bits(table.log_priors) == bits(eager.log_priors)
-        assert bits(table.oov_log_lik) == bits(eager.oov_log_lik)
+        assert _doc_scores(table, tokens, mode) == reference.class_scores(
+            *args, set(vocab), tokens, mode == OOV_SKIP
+        )
+        assert bits(table.log_priors) == bits(priors)
+        assert bits(table.oov_log_lik) == bits(oov)
         table.build(pool)
-        assert table.rows.keys() == eager.rows.keys()
+        assert table.rows.keys() == rows.keys()
         for token in vocab:
-            assert bits(table.rows[token]) == bits(eager.rows[token])
+            assert bits(table.rows[token]) == bits(rows[token])
 
     @settings(max_examples=100)
     @given(seed=st.integers(0, 10**9))
     def test_model_table_matches_eager_oracle(self, seed):
         model, doc = random_case(random.Random(seed))
-        table, eager = model._score_table(), oracle.model_table(model)
+        table = model._score_table()
         assert table.vocab == model.vocabulary
         table.build(doc.tokens)
         for mode in (OOV_SMOOTH, OOV_SKIP):
-            assert _doc_scores(table, doc.tokens, mode) == _doc_scores(eager, doc.tokens, mode)
+            assert _doc_scores(table, doc.tokens, mode) == reference_scores(model, doc.tokens, mode)
         assert table.rows.keys() == set(doc.tokens) & model.vocabulary
         table.build(model.vocabulary)
+        rows, _, _ = reference_rows(*columns(model), model.vocabulary)
         for token in model.vocabulary:
-            assert bits(table.rows[token]) == bits(eager.rows[token])
+            assert bits(table.rows[token]) == bits(rows[token])

@@ -1,6 +1,5 @@
 import itertools
 import json
-import logging
 import math
 import random
 from collections import Counter
@@ -11,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import NEG, NEU, POS, make_doc
 import count_check_oracle
-import kfold_oracle
+import reference
 import synthdata
 import train_oracle
 from kicaumine import evaluation
@@ -146,21 +145,19 @@ class TestTrain:
         )
     )
     def test_matches_former_counting_loop(self, spec):
-        # kfold_oracle keeps train's former loop; without ``labels=`` its
-        # label set was the observed labels.
         docs = [make_doc(f"d{i}", tokens, label) for i, (label, tokens) in enumerate(spec)]
-        observed = {d.label for d in docs} - {None}
-
-        def outcome(build):
-            try:
-                return build()
-            except TrainingError as exc:
-                return type(exc), str(exc)
-
-        expected = outcome(
-            lambda: kfold_oracle._model_from_counts(observed, kfold_oracle._count(docs, observed))
-        )
-        assert outcome(lambda: train(docs)) == expected
+        got = outcome(lambda: train(docs))
+        if any(doc.label is None or not doc.tokens for doc in docs):
+            assert got == outcome(lambda: train_oracle.train(docs))
+            return
+        try:
+            payload = reference.nb_model((doc.label.value, doc.tokens) for doc in docs)
+        except reference.Refused:
+            assert got[0] is DegenerateTrainingError
+        else:
+            assert [lab.value for lab in got.labels] == payload["labels"]
+            assert {lab.value: n for lab, n in got.docs_per_class.items()} == payload["docs_per_class"]
+            assert {lab.value: c for lab, c in got.token_counts.items()} == payload["token_counts"]
 
 
 class TestTrainOracle:
@@ -613,25 +610,23 @@ class TestSaveLoad:
             load_payload(payload, tmp_path)
 
 
-class _ReportSkips(logging.Handler):
-    """Passes each of the oracle's fold-skip warnings on as (fold, skipped)."""
+def reference_outcome(docs, k, seed, oov):
+    """``reference.fold_accuracies`` of ``docs`` (or "refused"), its per-fold skip
+    counts, and every score, as :func:`kfold_outcome` records them."""
+    pairs = [(doc.label.value, doc.tokens) for doc in sorted(docs, key=lambda d: d.source_id)]
+    skips, scored = [], []
 
-    def __init__(self, on_skip):
-        super().__init__()
-        self.on_skip = on_skip
+    def on_fold(fold, labels, fold_scored, skipped):
+        if skipped:
+            skips.append((fold, skipped))
+        if fold_scored:
+            scored.append((labels, fold_scored))
 
-    def emit(self, record):
-        self.on_skip(*record.args)
-
-
-def oracle_fold_accuracies(docs, k, seed, oov, on_skip):
-    """``kfold_oracle.fold_accuracies``, its skip warnings passed to ``on_skip``."""
-    handler = _ReportSkips(on_skip)
-    kfold_oracle.logger.addHandler(handler)
     try:
-        return kfold_oracle.fold_accuracies(docs, k, seed, oov)
-    finally:
-        kfold_oracle.logger.removeHandler(handler)
+        result = reference.fold_accuracies(pairs, k, seed, oov, on_fold)
+    except reference.Refused:
+        result = "refused"
+    return result, skips, scored
 
 
 def kfold_outcome(run, monkeypatch):
@@ -647,9 +642,10 @@ def kfold_outcome(run, monkeypatch):
     confusion = evaluation._confusion
 
     def recording(table, labels, gold, oov_mode):
-        scored.append(
-            (labels, [(label, tokens, _doc_scores(table, tokens, oov_mode)) for label, tokens in gold])
-        )
+        scored.append((
+            tuple(lab.value for lab in labels),
+            [(label.value, tokens, _doc_scores(table, tokens, oov_mode)) for label, tokens in gold],
+        ))
         return confusion(table, labels, gold, oov_mode)
 
     with monkeypatch.context() as patch:
@@ -671,12 +667,12 @@ def gold_like_corpus(rng, n_docs, labels, empty_share):
 
 
 class TestTrainWithout:
-    """Each fold scored without its test documents, against the former loop.
+    """Each fold scored without its test documents, against a retrain per fold.
 
     ``evaluation.cross_validate`` scores each fold from the counts without
-    building a model; ``kfold_oracle.fold_accuracies`` is the loop it
-    replaced, which built each fold's model by count subtraction. Both
-    must give the same accuracies, scores, warnings and errors, under
+    building a model; ``reference.fold_accuracies`` trains each fold's
+    model on the other folds' documents. Both must give the same
+    accuracies, scores and skip counts, and refuse the same folds, under
     either OOV mode.
     """
 
@@ -684,14 +680,13 @@ class TestTrainWithout:
         # eval --k passes its gold documents as (label, tokens) pairs in id order.
         pairs = [(doc.label, doc.tokens) for doc in sorted(docs, key=lambda d: d.source_id)]
         for oov in (OOV_SMOOTH, OOV_SKIP):
-            expected = kfold_outcome(
-                lambda on_skip: oracle_fold_accuracies(docs, k, seed, oov, on_skip), monkeypatch
-            )
+            expected = reference_outcome(docs, k, seed, oov)
             got = kfold_outcome(
                 lambda on_skip: evaluation._fold_accuracies(pairs, k, seed, oov, on_skip),
                 monkeypatch,
             )
-            assert got == expected
+            assert got[1:] == expected[1:]
+            assert (got[0] if isinstance(got[0], list) else "refused") == expected[0]
             if isinstance(got[0], list):
                 assert evaluation.cross_validate(docs, k, seed, oov) == got[0]
         return got
@@ -737,11 +732,12 @@ class TestTrainWithout:
         docs[0] = make_doc(docs[0].source_id, ())  # unlabeled and empty: not counted
         for i in (1, 5):
             docs[i] = make_doc(docs[i].source_id, docs[i].tokens)
-        expected = outcome(lambda: kfold_oracle.fold_accuracies(docs, k, 0, OOV_SMOOTH))
-        assert expected[0] is (TrainingError if k == 3 else SplitError)
-        assert outcome(lambda: evaluation.cross_validate(docs, k, 0)) == expected
-        if k == 3:
-            assert repr(docs[1].source_id) in expected[1]
+        expected = {
+            1: (SplitError, "k must be at least 2, got 1"),
+            3: (TrainingError, f"document {docs[1].source_id!r} is unlabeled"),
+            9: (SplitError, "k=9 exceeds the 8 available documents"),
+        }
+        assert outcome(lambda: evaluation.cross_validate(docs, k, 0)) == expected[k]
 
     def test_log_calls_bounded_by_test_tokens(self, monkeypatch):
         # A vocabulary far larger than any fold's test tokens: the former
@@ -761,11 +757,10 @@ class TestTrainWithout:
             calls.append(x)
             return log(x)
 
+        expected = reference_outcome(docs, k, 3, OOV_SMOOTH)[0]
         monkeypatch.setattr(math, "log", counting_log)
-        expected = kfold_oracle.fold_accuracies(docs, k, 3, OOV_SMOOTH)
-        oracle_calls = len(calls)
-        del calls[:]
         assert evaluation.cross_validate(docs, k, 3, OOV_SMOOTH) == expected
         assert len(calls) <= bound
+        # One log per vocabulary word, class and fold would break the bound.
         corpus_vocab = {t for d in docs for t in d.tokens}
-        assert oracle_calls > k * len(corpus_vocab) * n_labels // 2 > 2 * bound
+        assert k * len(corpus_vocab) * n_labels // 2 > 2 * bound
