@@ -117,7 +117,7 @@ def _gold_pairs(config: RunConfig, pipeline) -> list[tuple]:
         raise EmptyCorpusError(f"no valid tweets in {config.input}")
     missing = sorted(tweet_id for tweet_id in gold if tweet_id not in texts)
     if missing:
-        shown = ", ".join(missing[:_MAX_LOGGED_IDS])
+        shown = ", ".join(map(repr, missing[:_MAX_LOGGED_IDS]))
         if len(missing) > _MAX_LOGGED_IDS:
             shown += f", ... and {len(missing) - _MAX_LOGGED_IDS} more"
         _say(f"{len(missing)} gold id(s) missing from the corpus and excluded: {shown}")

@@ -1,18 +1,23 @@
-"""A plain, slow reference of every command's data outputs, written from README.md.
+"""A plain, slow reference of every command, written from README.md.
 
 It imports nothing from ``kicaumine`` and reads the bundled word files
 itself. Each rule is spelled out the simplest way README states it: no
-memo, no lookup tables, no shortcut, no streaming. ``expected_outputs``
-runs a whole export through collect -> train -> classify -> report ->
-eval and returns the exit status and the exact bytes of every file and
-of every ``--format json`` stdout; ``tests/test_reference.py`` compares
-the package's runs with it. The per-layer functions (``read_export``,
-``in_language``, ``cleanse``, ``case_fold``, ``tokens``, ``stem``,
-``nb_model``, ``class_scores``, ``fold_accuracies``, ``rollup``) are
-also the expected values of the other tests' hand-picked cases.
+memo, no lookup tables, no shortcut, no streaming. ``run`` takes one
+command line and the bytes of the files it names, and returns its exit
+status and the exact bytes of its stdout and stderr, storing the files
+it writes; ``tests/test_reference.py`` runs the same command lines
+through the package and compares. The per-layer functions
+(``read_export``, ``in_language``, ``cleanse``, ``case_fold``,
+``tokens``, ``stem``, ``class_counts``, ``nb_model``, ``class_scores``,
+``fold_accuracies``, ``rollup``, and the strict readers ``labeled_row``,
+``prediction_label``, ``read_gold``, ``int_counts`` and
+``table_problem``) are also the expected values of the other tests'
+hand-picked cases.
 
-A refusal is ``Refused(status)``: only the exit status is modelled here.
-The diagnostics' texts are pinned by ``tests/test_diagnostics.py``.
+A refusal is ``Refused(status, message)``: the command prints
+``error: <message>`` and exits with ``status``. Where README gives a
+reason as a standard-library exception's text, the reference makes the
+call README names and passes its text on.
 """
 
 import csv
@@ -20,6 +25,7 @@ import io
 import json
 import math
 import random
+from enum import Enum
 from functools import cache
 from pathlib import Path
 
@@ -50,11 +56,26 @@ MAX_PREFIXES = 3
 
 
 class Refused(Exception):
-    """A command stops with exit status ``status`` and writes nothing more."""
+    """A command stops with ``error: <message>`` and exit status ``status``,
+    and writes nothing more."""
 
-    def __init__(self, status):
-        super().__init__(status)
-        self.status = status
+    def __init__(self, status, message):
+        super().__init__(status, message)
+        self.status, self.message = status, message
+
+
+class SentimentLabel(Enum):
+    """The label names. A lookup of any other value raises Enum's ValueError,
+    whose text README's strict readers pass on."""
+
+    NEGATIVE = "negative"
+    POSITIVE = "positive"
+    NEUTRAL = "neutral"
+
+
+class LabelSource(Enum):
+    DISTANT = "distant"
+    MANUAL = "manual"
 
 
 # -- word files -----------------------------------------------------------
@@ -128,10 +149,12 @@ def _tweet_row(line):
 
 
 def hashtags(tags, reserved=None):
-    """Tracked tags, lowercased without '#', sorted; ``Refused(2)`` on an empty or reserved one."""
+    """Tracked tags, lowercased without '#', sorted; a reserved, then an empty one is refused."""
     normalized = sorted({tag.lstrip("#").lower() for tag in tags})
-    if "" in normalized or reserved in normalized:
-        raise Refused(2)
+    if reserved in normalized:
+        raise Refused(2, f"hashtag {reserved!r} collides with the total group")
+    if "" in normalized:
+        raise Refused(2, "hashtag entries must be non-empty")
     return normalized
 
 
@@ -156,18 +179,19 @@ def json_line(record):
     return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def collect(export: bytes, tags, threshold, words=None):
-    """The labeled and unlabeled files' bytes and the stats dict of ``collect``.
+def collect(export: bytes, path, tags, threshold, words=None):
+    """The labeled and unlabeled files' bytes and the stats dict of ``collect``
+    on the export ``export`` read from ``path``.
 
     ``words`` is the language test's wordlist, the bundled one by default.
     """
     rows, stats = read_export(export)
     if not rows:
-        raise Refused(1)
+        raise Refused(1, f"no valid tweets in {path}")
     needles = ["#" + tag for tag in hashtags(tags)]
     words = word_set("wordlist_id.txt") if words is None else words
     if not words:
-        raise Refused(2)
+        raise Refused(2, "language wordlist must not be empty")
     labeled, unlabeled = [], []
     for row in rows:
         text = row[1]
@@ -289,26 +313,35 @@ def _after_prefix(word, strips, roots):
 # -- Naive Bayes --------------------------------------------------------------
 
 
-def nb_model(pairs):
-    """The model payload counted from ``(label, tokens)`` pairs; empty ones skipped."""
+def class_counts(pairs):
+    """Per label of the non-empty ``(label, tokens)`` pairs: documents, tokens, and
+    each token's count; labels and tokens in the order they are first seen."""
     docs, counts = {}, {}
     for label, doc_tokens in pairs:
         if not doc_tokens:
             continue
         docs[label] = docs.get(label, 0) + 1
-        class_counts = counts.setdefault(label, {})
+        label_counts = counts.setdefault(label, {})
         for token in doc_tokens:
-            class_counts[token] = class_counts.get(token, 0) + 1
+            label_counts[token] = label_counts.get(token, 0) + 1
+    return docs, {label: sum(n.values()) for label, n in counts.items()}, counts
+
+
+def nb_model(pairs):
+    """The model payload counted from ``(label, tokens)`` pairs; empty ones skipped."""
+    docs, tokens_per_class, counts = class_counts(pairs)
+    if not docs:
+        raise Refused(1, "no documents to train on")
     labels = [label for label in LABELS if label in docs]
     if len(labels) < 2:
-        raise Refused(1)
+        raise Refused(1, f"training needs at least two classes, got {labels}")
     return {
         "alpha": 1,
         "docs_per_class": {label: docs[label] for label in labels},
         "labels": labels,
         "schema_version": 1,
         "token_counts": {label: counts[label] for label in labels},
-        "tokens_per_class": {label: sum(counts[label].values()) for label in labels},
+        "tokens_per_class": {label: tokens_per_class[label] for label in labels},
     }
 
 
@@ -409,8 +442,10 @@ def fold_accuracies(pairs, k, seed, oov_mode, on_fold=None):
     ``pairs`` are in id order. ``on_fold(number, labels, test pairs with
     their scores, skipped)`` is called for each fold before it is scored.
     """
-    if not 2 <= k <= len(pairs):
-        raise Refused(1)
+    if k < 2:
+        raise Refused(1, f"k must be at least 2, got {k}")
+    if k > len(pairs):
+        raise Refused(1, f"k={k} exceeds the {len(pairs)} available documents")
     ordered = shuffled(pairs, seed)
     accuracies = []
     start = 0
@@ -423,7 +458,7 @@ def fold_accuracies(pairs, k, seed, oov_mode, on_fold=None):
             scored = [(label, doc, model_scores(model, doc, oov_mode)) for label, doc in usable]
             on_fold(i + 1, tuple(model["labels"]), scored, len(test) - len(usable))
         if not usable:
-            raise Refused(1)
+            raise Refused(1, f"fold {i + 1} has no evaluable test documents")
         correct = sum(predict(model, doc, oov_mode) == label for label, doc in usable)
         accuracies.append(correct / len(usable))
         start = stop
@@ -451,129 +486,352 @@ def rollup(labeled_texts, tags):
     return value
 
 
-# -- the commands, end to end ---------------------------------------------------
+# -- the strict readers ----------------------------------------------------------
 
 
-def read_gold(data: bytes):
+def decode_json(line):
+    """The JSON value of ``line``: ``json.JSONDecoder().raw_decode``, which must
+    end at the line's end; nesting past the recursion limit is a ValueError."""
     try:
-        text = data.decode("utf-8-sig")
-    except UnicodeDecodeError:
-        raise Refused(2) from None
-    rows = list(csv.reader(io.StringIO(text, newline="")))
-    if not rows or [cell.strip() for cell in rows[0]] != ["id", "label"]:
-        raise Refused(2)
+        value, end = json.JSONDecoder().raw_decode(line)
+    except RecursionError:
+        raise ValueError("JSON value nested too deeply") from None
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    return value
+
+
+def read_strict(data: bytes, path, kind, parse):
+    """``{id: parse(record)}`` of a labeled-corpus or predictions file, in file order.
+
+    A bad line is refused with status 2 naming ``path:line``: the text of
+    the KeyError, TypeError, ValueError or OverflowError that reading it
+    raises, or its id's repetition.
+    """
+    parsed = {}
+    for number, raw in enumerate(data.split(b"\n"), start=1):
+        if number == 1:
+            raw = raw.removeprefix(b"\xef\xbb\xbf")
+        try:
+            line = raw.decode("utf-8").strip()
+            if not line:
+                continue
+            record = decode_json(line)
+            if not isinstance(record, dict):
+                raise TypeError("record is not a JSON object")
+            if not isinstance(record.get("id"), str):
+                raise TypeError("id must be a string")
+            if record["id"] in parsed:
+                raise Refused(2, f"{path}:{number}: duplicate {kind} id {record['id']!r}")
+            parsed[record["id"]] = parse(record)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise Refused(2, f"{path}:{number}: bad {kind} record: {exc}") from None
+    return parsed
+
+
+def labeled_row(record):
+    """``(text, label)`` of a labeled-corpus record, checked in README's order."""
+    tweet_id, text = record["id"], record["text"]
+    if not isinstance(text, str):
+        raise TypeError(f"tweet text must be a str, got {type(text).__name__}")
+    if not tweet_id:
+        raise ValueError("tweet id must be non-empty")
+    if not text.strip():
+        raise ValueError(f"tweet {tweet_id!r} has empty text")
+    label = SentimentLabel(record["label"]).value
+    source = LabelSource(record.get("label_source", "manual")).value
+    if (source, label) == ("distant", "neutral"):
+        raise ValueError("distant supervision cannot produce neutral labels")
+    return text, label
+
+
+def prediction_label(record):
+    """The label of a predictions record, once each field converts as README states."""
+    shares = record.get("posteriors", {})
+    if not isinstance(shares, dict):
+        raise TypeError("posteriors must be a JSON object")
+    label = SentimentLabel(record["label"]).value
+    for name, share in shares.items():
+        SentimentLabel(name)
+        float(share)
+    int(record.get("oov_tokens", 0))
+    return label
+
+
+def read_gold(data: bytes, path):
+    """``{id: label}`` of a gold CSV, read by ``csv.reader`` from the file opened
+    with ``encoding="utf-8-sig", newline=""``."""
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+
+    def refusal(problem):
+        return Refused(2, f"{path}:{reader.line_num}: {problem}")
+
     gold = {}
-    for row in rows[1:]:
-        if not row:
-            continue
-        tweet_id = row[0].strip()
-        label = row[1].strip().lower() if len(row) > 1 else ""
-        if not tweet_id or tweet_id in gold or label not in LABELS:
-            raise Refused(2)
-        gold[tweet_id] = label
+    try:
+        header = next(reader, None)
+        if header is None or [name.strip() for name in header] != ["id", "label"]:
+            raise Refused(2, f"gold file {path} must have the header 'id,label'")
+        for row in reader:
+            if not row:
+                continue
+            tweet_id = row[0].strip()
+            label = row[1].strip().lower() if len(row) > 1 else ""
+            if not tweet_id:
+                raise refusal("empty gold id")
+            if tweet_id in gold:
+                raise refusal(f"duplicate gold id {tweet_id!r}")
+            if label not in LABELS:
+                raise refusal(f"unknown gold label {label!r} for id {tweet_id!r}")
+            gold[tweet_id] = label
+    except UnicodeDecodeError:
+        raise Refused(2, f"gold file {path} is not UTF-8") from None
+    except csv.Error as exc:
+        raise refusal(f"bad gold CSV: {exc}") from None
     if not gold:
-        raise Refused(1)
+        raise Refused(1, f"gold file {path} has no rows")
     return gold
 
 
-def summary(value):
-    """A command's ``--format json`` stdout."""
+def load_model(data: bytes):
+    """The payload of a model file, checked in README's order; a fault is refused with status 1."""
+    try:
+        payload = decode_json(data.decode("utf-8").strip(" \t\n\r"))
+    except ValueError as exc:
+        raise Refused(1, f"model file is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise Refused(1, "model file must hold a JSON object")
+    version = payload.get("schema_version")
+    if version != 1:
+        raise Refused(1, f"unsupported model schema version {version!r} (expected 1)")
+    try:
+        labels = [SentimentLabel(name).value for name in payload["labels"]]
+        docs = {SentimentLabel(name).value: n
+                for name, n in int_counts(payload["docs_per_class"], "docs_per_class").items()}
+        counts = {SentimentLabel(name).value: int_counts(table, "token_counts")
+                  for name, table in payload["token_counts"].items()}
+        totals = {SentimentLabel(name).value: n for name, n
+                  in int_counts(payload["tokens_per_class"], "tokens_per_class").items()}
+        alpha = payload.get("alpha", 1)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise Refused(1, f"model file is malformed: {exc}") from None
+    if type(alpha) is not int:
+        raise Refused(1, f"alpha must be an integer, got {alpha!r}")
+    if alpha != 1:
+        raise Refused(1, "model file is inconsistent: smoothing constant is fixed at 1")
+    problem = table_problem(labels, docs, counts)
+    if problem:
+        raise Refused(1, f"model file is inconsistent: {problem}")
+    if totals != {label: sum(counts[label].values()) for label in labels}:
+        raise Refused(1, "stored per-class token totals do not match token counts")
+    return {"labels": labels, "docs_per_class": docs, "token_counts": counts,
+            "tokens_per_class": totals}
+
+
+def int_counts(counts, field):
+    """``counts`` once each of its values is exactly an int (JSON ``true`` is not)."""
+    for count in counts.values():
+        if type(count) is not int:
+            raise Refused(1, f"{field} holds a non-integer count {count!r}")
+    return counts
+
+
+def table_problem(labels, docs, counts):
+    """The first fault README lists for a model's labels and count tables, or None."""
+    if len(labels) < 2:
+        return "a model needs at least two labels"
+    if len(set(labels)) != len(labels):
+        return "duplicate labels"
+    if set(docs) != set(labels):
+        return "docs_per_class must cover exactly the model labels"
+    if set(counts) != set(labels):
+        return "token_counts must cover exactly the model labels"
+    for label in labels:
+        if docs[label] < 1:
+            return f"label {label} has no documents"
+        for token, count in counts[label].items():
+            if not token or count < 1:
+                return f"bad count for token {token!r} in class {label}"
+    if not any(counts[label] for label in labels):
+        return "empty vocabulary"
+    return None
+
+
+# -- the commands ------------------------------------------------------------------
+
+DEFAULT_FLAGS = {
+    "--hashtags": "pilgubjabar,ridwankamil,deddymizwar,dedimulyadi,pilkadajabar",
+    "--lang-threshold": "0.5", "--oov": "smooth", "--seed": "42", "--train-fraction": "0.8",
+    "--k": "0", "--format": "table",
+}
+TOGGLES = ("--disable-stopwords", "--enable-pos", "--disable-stemming")
+MAX_SHOWN_IDS = 10
+
+
+def run(argv, files: dict):
+    """The exit status, stdout and stderr bytes of the command line ``argv``.
+
+    ``files`` maps each path to the bytes it holds: the command reads its
+    inputs from it and stores the files it writes in it. Flags are read as
+    ``--flag value``, the toggles alone; ``--out`` is read by ``classify``
+    only. stdout is modelled for ``--format json`` and for predictions
+    printed without ``--out``; for another format it is None.
+    """
+    command, args = argv[0], list(argv[1:])
+    flags = dict(DEFAULT_FLAGS)
+    while args:
+        flag = args.pop(0)
+        flags[flag] = True if flag in TOGGLES else args.pop(0)
+    lines = []
+    try:
+        missing = [f"{flag[2:]}: no such file: {flags[flag]}"
+                   for flag in _inputs(command, flags) if flags[flag] not in files]
+        if missing:
+            raise Refused(2, "; ".join(missing))
+        status, stdout = 0, COMMANDS[command](flags, files, lines.append)
+    except Refused as refusal:
+        status, stdout = refusal.status, b""
+        lines.append(f"error: {refusal.message}")
+    return status, stdout, "".join(line + "\n" for line in lines).encode()
+
+
+def _inputs(command, flags):
+    """The flags naming the files ``command`` reads, in the order a missing one is reported."""
+    if command == "eval":
+        by_model = "--model" in flags and not int(flags["--k"])
+        return ("--input", "--gold", "--model") if by_model else ("--input", "--gold")
+    return {"classify": ("--input", "--model"), "report": ("--input", "--predictions")}.get(
+        command, ("--input",))
+
+
+def summary(value, flags):
+    """A command's stdout for ``value``: its JSON under ``--format json``."""
+    if flags["--format"] != "json":
+        return None
     return (json.dumps(value, sort_keys=True, indent=2) + "\n").encode()
 
 
-def _status(step, outputs, key):
-    """Run ``step`` for the command ``key``: its status goes to ``outputs``."""
-    try:
-        result = step()
-    except Refused as refusal:
-        outputs[key] = refusal.status
-        return None
-    outputs[key] = 0
-    return result
+def _use(flags):
+    """The stopword, POS and stemming toggles of ``tokens``."""
+    return ("--disable-stopwords" not in flags, "--enable-pos" in flags,
+            "--disable-stemming" not in flags)
 
 
-def expected_outputs(export: bytes, gold: bytes, flags: dict) -> dict:
-    """The exit status and output bytes of each command on ``export`` and ``gold``.
+def collect_command(flags, files, say):
+    path = flags["--input"]
+    labeled, unlabeled, stats = collect(
+        files[path], path, flags["--hashtags"].split(","), float(flags["--lang-threshold"])
+    )
+    files[flags["--out-labeled"]], files[flags["--out-unlabeled"]] = labeled, unlabeled
+    n_labeled = stats["labeled_positive"] + stats["labeled_negative"]
+    say(f"collected {n_labeled} labeled and {stats['unlabeled']} unlabeled tweets")
+    return summary(stats, flags)
 
-    ``flags`` holds ``tags``, ``threshold``, ``stopwords``, ``pos``,
-    ``stemming``, ``oov``, ``seed``, ``train_fraction`` and ``k``. Keys
-    are those of ``tests/test_reference.py``'s runs; a command that a
-    failed one feeds is not run, and a file it would write is None.
-    """
-    out = {}
-    use = (flags["stopwords"], flags["pos"], flags["stemming"])
-    oov = flags["oov"]
-    collected = _status(lambda: collect(export, flags["tags"], flags["threshold"]), out, "collect")
-    out["labeled"], out["unlabeled"], stats = collected or (None, None, None)
-    out["collect.stdout"] = summary(stats) if collected else b""
-    if not collected:
-        return out
 
-    def train():
-        rows = [json.loads(line) for line in out["labeled"].decode().split("\n") if line]
-        if not rows:
-            raise Refused(1)
-        return nb_model((row["label"], tokens(row["text"], *use)) for row in rows)
+def train_command(flags, files, say):
+    path = flags["--input"]
+    rows = read_strict(files[path], path, "labeled-corpus", labeled_row)
+    if not rows:
+        raise Refused(1, f"no labeled tweets in {path}")
+    pairs = [(label, tokens(text, *_use(flags))) for text, label in rows.values()]
+    dropped = sum(1 for _, doc_tokens in pairs if not doc_tokens)
+    if dropped:
+        say(f"dropped {dropped} document(s) that preprocessed to empty")
+    model = nb_model(pairs)
+    files[flags["--model"]] = model_bytes(model)
+    say(f"trained on {len(pairs) - dropped} documents over {'/'.join(model['labels'])};"
+        f" model written to {flags['--model']}")
+    return b""
 
-    model = _status(train, out, "train")
-    out["train.stdout"], out["model"] = b"", model_bytes(model) if model else None
-    if model:
-        predicted = {}
-        lines = []
-        for tweet_id, text, _, _ in read_export(out["unlabeled"])[0]:
-            scores, n_oov = model_scores(model, tokens(text, *use), oov)
-            label = model["labels"][best(scores)]
-            predicted[tweet_id] = (text, label)
-            shares = dict(zip(model["labels"], posteriors(scores)))
-            lines.append(
-                json_line({"id": tweet_id, "label": label, "oov_tokens": n_oov, "posteriors": shares})
-            )
-        out["classify"], out["classify.stdout"] = 0, b""
-        out["predictions"] = "".join(lines).encode()
-        value = _status(lambda: rollup(list(predicted.values()), flags["tags"]), out, "report")
-        out["report.stdout"] = summary(value) if value is not None else b""
 
-    def gold_pairs():
-        labels = read_gold(gold)
-        rows, stats = read_export(export)
-        if stats["total_ingested"] == stats["rejected_malformed"]:
-            raise Refused(1)
-        texts = {tweet_id: text for tweet_id, text, _, _ in rows if tweet_id in labels}
-        if not texts:
-            raise Refused(1)
-        return [(labels[tweet_id], tokens(texts[tweet_id], *use)) for tweet_id in sorted(texts)]
+def classify_command(flags, files, say):
+    model = load_model(files[flags["--model"]])
+    lines = []
+    rows = read_export(files[flags["--input"]])[0]
+    for tweet_id, text, _, _ in rows:
+        scores, n_oov = model_scores(model, tokens(text, *_use(flags)), flags["--oov"])
+        shares = dict(zip(model["labels"], posteriors(scores)))
+        label = model["labels"][best(scores)]
+        lines.append(json_line({"id": tweet_id, "label": label, "oov_tokens": n_oov,
+                                "posteriors": shares}))
+    say(f"classified {len(rows)} tweet(s)")
+    predictions = "".join(lines).encode()
+    if "--out" not in flags:
+        return predictions
+    files[flags["--out"]] = predictions
+    return b""
 
-    def by_model():
-        test = [pair for pair in gold_pairs() if pair[0] in model["labels"]]
+
+def report_command(flags, files, say):
+    path = flags["--predictions"]
+    labels = read_strict(files[path], path, "prediction", prediction_label)
+    tweets = read_export(files[flags["--input"]])[0]
+    matched = [(text, labels[tweet_id]) for tweet_id, text, _, _ in tweets if tweet_id in labels]
+    value = rollup(matched, flags["--hashtags"].split(","))
+    if len(labels) > len(matched):
+        say(f"{len(labels) - len(matched)} prediction(s) reference ids missing from the corpus")
+    return summary(value, flags)
+
+
+def gold_pairs(flags, files, say):
+    """``(label, tokens)`` of each gold id found in the export, in id order."""
+    labels = read_gold(files[flags["--gold"]], flags["--gold"])
+    rows, stats = read_export(files[flags["--input"]])
+    if stats["total_ingested"] == stats["rejected_malformed"]:
+        raise Refused(1, f"no valid tweets in {flags['--input']}")
+    texts = {tweet_id: text for tweet_id, text, _, _ in rows if tweet_id in labels}
+    missing = sorted(set(labels) - set(texts))
+    if missing:
+        shown = ", ".join(map(repr, missing[:MAX_SHOWN_IDS]))
+        if len(missing) > MAX_SHOWN_IDS:
+            shown += f", ... and {len(missing) - MAX_SHOWN_IDS} more"
+        say(f"{len(missing)} gold id(s) missing from the corpus and excluded: {shown}")
+    if not texts:
+        raise Refused(1, "no gold ids matched the corpus")
+    return [(labels[tweet_id], tokens(texts[tweet_id], *_use(flags))) for tweet_id in sorted(texts)]
+
+
+def known(pairs, model, say, what, model_name):
+    """The ``pairs`` whose label ``model`` has; the others are counted in one line."""
+    usable = [pair for pair in pairs if pair[0] in model["labels"]]
+    if len(usable) < len(pairs):
+        say(f"skipping {len(pairs) - len(usable)} {what} with labels absent from the {model_name}")
+    return usable
+
+
+def eval_command(flags, files, say):
+    pairs = gold_pairs(flags, files, say)
+    oov, seed, k = flags["--oov"], int(flags["--seed"]), int(flags["--k"])
+    if k:
+        def on_fold(number, labels, scored, skipped):
+            if skipped:
+                say(f"fold {number}: skipping {skipped} test doc(s)"
+                    " with labels absent from the fold model")
+
+        accuracies = fold_accuracies(pairs, k, seed, oov, on_fold)
+        return summary({"k": k, "seed": seed, "fold_accuracies": accuracies,
+                        "mean_accuracy": sum(accuracies) / k,
+                        "min_accuracy": min(accuracies), "max_accuracy": max(accuracies)}, flags)
+    if "--model" in flags:
+        model = load_model(files[flags["--model"]])
+        test = known(pairs, model, say, "gold doc(s)", "model")
         if not test:
-            raise Refused(1)
-        return metrics(model, test, oov)
+            raise Refused(1, "no gold documents with labels the model knows")
+        return summary(metrics(model, test, oov), flags)
+    usable = [pair for pair in pairs if pair[1]]
+    if len(usable) < 2:
+        raise Refused(1, f"need at least 2 documents to split, got {len(usable)}")
+    fraction = float(flags["--train-fraction"])
+    ordered = shuffled(usable, seed)
+    cut = round(fraction * len(ordered))
+    if cut < 1 or cut >= len(ordered):
+        raise Refused(1, f"train_fraction {fraction} leaves an empty side"
+                         f" for {len(usable)} documents")
+    model = nb_model(ordered[:cut])
+    test = known(ordered[cut:], model, say, "test doc(s)", "holdout model")
+    if not test:
+        raise Refused(1, "holdout test side has no evaluable documents")
+    return summary(metrics(model, test, oov), flags)
 
-    def holdout():
-        usable = [pair for pair in gold_pairs() if pair[1]]
-        if len(usable) < 2:
-            raise Refused(1)
-        ordered = shuffled(usable, flags["seed"])
-        cut = round(flags["train_fraction"] * len(ordered))
-        if cut < 1 or cut >= len(ordered):
-            raise Refused(1)
-        holdout_model = nb_model(ordered[:cut])
-        test = [pair for pair in ordered[cut:] if pair[0] in holdout_model["labels"]]
-        if not test:
-            raise Refused(1)
-        return metrics(holdout_model, test, oov)
 
-    def k_fold():
-        k, seed = flags["k"], flags["seed"]
-        accuracies = fold_accuracies(gold_pairs(), k, seed, oov)
-        return {"k": k, "seed": seed, "fold_accuracies": accuracies,
-                "mean_accuracy": sum(accuracies) / k,
-                "min_accuracy": min(accuracies), "max_accuracy": max(accuracies)}
-
-    modes = {"eval-holdout": holdout, "eval-k": k_fold}
-    if model:
-        modes = {"eval-model": by_model, **modes}
-    for key, mode in modes.items():
-        value = _status(mode, out, key)
-        out[f"{key}.stdout"] = summary(value) if value is not None else b""
-    return out
+COMMANDS = {"collect": collect_command, "train": train_command, "classify": classify_command,
+            "report": report_command, "eval": eval_command}

@@ -13,14 +13,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import NEG, NEU, POS
-import gold_csv_oracle
 import reference
-import report_oracle
 import synthdata
-import train_oracle
 from kicaumine import _classify, _eval, _report, _train, model, resources
 from kicaumine.cli import main
 from kicaumine.config import FORMATS, RunConfig
@@ -717,7 +714,7 @@ class TestEval:
             capsys,
         )
         assert code == 0
-        assert err == "1 gold id(s) missing from the corpus and excluded: ghost\n"
+        assert err == "1 gold id(s) missing from the corpus and excluded: 'ghost'\n"
         assert json.loads(out)["n_test"] == 1
 
     def test_missing_gold_ids_log_line_is_bounded(self, toy_model_file, tmp_path, capsys):
@@ -735,7 +732,7 @@ class TestEval:
         assert code == 0
         assert err == (
             "25 gold id(s) missing from the corpus and excluded: "
-            + ", ".join(ghosts[:10])
+            + ", ".join(map(repr, ghosts[:10]))
             + ", ... and 15 more\n"
         )
 
@@ -929,12 +926,13 @@ class TestEval:
         assert run(argv + ["--config", str(config)], capsys)[0] == 2
 
 
-def gold_outcome(read, path):
-    """What ``read(path)`` returned, as (id, label) pairs in order, or the class and text it raised."""
+def gold_outcome(path):
+    """``_eval._read_gold_csv(path)`` as (id, label) pairs in order, or the
+    exit status and text of the error it raised."""
     try:
-        return list(read(path).items())
+        return [(tweet_id, label.value) for tweet_id, label in _eval._read_gold_csv(path).items()]
     except KicaumineError as exc:
-        return (type(exc), str(exc))
+        return (2 if isinstance(exc, ConfigError) else 1, str(exc))
 
 
 # Gold-file bodies after a standard header, by case.
@@ -968,15 +966,18 @@ GOLD_BODIES = {
 
 
 class TestGoldReader:
-    """``_eval._read_gold_csv`` against ``gold_csv_oracle``, the reader it replaced.
+    """``_eval._read_gold_csv`` against ``reference.read_gold``.
 
     Each file must give the same (id, label) pairs in the same order, or
-    the same exception class with the same text, ``path:line`` included.
+    the same exit status with the same text, ``path:line`` included.
     """
 
     def assert_same(self, path):
-        expected = gold_outcome(gold_csv_oracle.read_gold_csv, path)
-        assert gold_outcome(_eval._read_gold_csv, path) == expected
+        try:
+            expected = list(reference.read_gold(path.read_bytes(), path).items())
+        except reference.Refused as refusal:
+            expected = (refusal.status, refusal.message)
+        assert gold_outcome(path) == expected
         return expected
 
     @pytest.mark.parametrize("case", list(GOLD_BODIES))
@@ -1006,9 +1007,9 @@ class TestGoldReader:
         }
         for case, message in expected.items():
             path.write_bytes(b"id,label\n" + GOLD_BODIES[case])
-            assert self.assert_same(path) == (ConfigError, message), case
+            assert self.assert_same(path) == (2, message), case
         path.write_bytes(b"id,label\n" + GOLD_BODIES["padded-upper-case-labels"])
-        assert self.assert_same(path) == [("t1", POS), ("t2", NEG), ("t3", NEU)]
+        assert self.assert_same(path) == [("t1", "positive"), ("t2", "negative"), ("t3", "neutral")]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1147,7 +1148,7 @@ class TestEvalModesOnPairs:
         code, out, err = self.run_eval("--input", str(export), "--gold", str(gold), "--seed", str(seed))
         assert code == 0
         assert out == _eval._format_metrics(evaluate(holdout_model, known), "json") + "\n"
-        expected_err = "1 gold id(s) missing from the corpus and excluded: ghost\n"
+        expected_err = "1 gold id(s) missing from the corpus and excluded: 'ghost'\n"
         if skipped:
             expected_err += (
                 f"skipping {skipped} test doc(s) with labels absent from the holdout model\n"
@@ -1196,7 +1197,7 @@ class TestEvalModesOnPairs:
 
 
 class TestTrainOracle:
-    """``train`` writes the reference's model and its exact stderr lines."""
+    """``train`` writes the reference's model and its exact stderr lines (``reference.run``)."""
 
     EMPTY_ROW = {"id": "e", "text": "123 :) http://t.co/x", "label": "negative"}
 
@@ -1216,50 +1217,38 @@ class TestTrainOracle:
                 rows.append({**TestTrainOracle.EMPTY_ROW, "id": f"e{i}"})
         return rows
 
-    TRAINED = "{dropped}trained on {docs} documents over negative/positive; model written to {model}\n"
-    BAD_ROW = "error: {corpus}:{rows}: bad labeled-corpus record: "
-    # name: (rows of the corpus from rows(seed), exit status, stderr)
+    # name: (rows of the corpus from rows(seed), exit status)
     CASES = {
-        "valid": (lambda rows: rows, 0, TRAINED),
+        "valid": (lambda rows: rows, 0),
         "one empty row, last": (lambda rows: [r for r in rows if r["id"][0] != "e"]
-                                + [TestTrainOracle.EMPTY_ROW], 0, TRAINED),
-        "unknown last label": (lambda rows: rows + [{**rows[0], "id": "z", "label": "happy"}], 2,
-                               BAD_ROW + "'happy' is not a valid SentimentLabel\n"),
-        "distant neutral last": (
-            lambda rows: rows + [{**rows[0], "id": "z", "label": "neutral",
-                                  "label_source": "distant"}], 2,
-            BAD_ROW + "distant supervision cannot produce neutral labels\n"),
-        "duplicate last id": (lambda rows: rows + [rows[1]], 2,
-                              "error: {corpus}:{rows}: duplicate labeled-corpus id 'e0'\n"),
-        "no rows": (lambda rows: [], 1, "error: no labeled tweets in {corpus}\n"),
+                                + [TestTrainOracle.EMPTY_ROW], 0),
+        "unknown last label": (lambda rows: rows + [{**rows[0], "id": "z", "label": "happy"}], 2),
+        "distant neutral last": (lambda rows: rows + [{**rows[0], "id": "z", "label": "neutral",
+                                                       "label_source": "distant"}], 2),
+        "duplicate last id": (lambda rows: rows + [rows[1]], 2),
+        "no rows": (lambda rows: [], 1),
         "every row empty": (lambda rows: [{**TestTrainOracle.EMPTY_ROW, "id": r["id"]}
-                                          for r in rows[:5]], 1,
-                            "{dropped}error: no documents to train on\n"),
-        "one class": (lambda rows: [r for r in rows if r["label"] == "positive"], 1,
-                      "{dropped}error: training needs at least two classes, got ['positive']\n"),
+                                          for r in rows[:5]], 1),
+        "one class": (lambda rows: [r for r in rows if r["label"] == "positive"], 1),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("enable_pos", [False, True])
     @pytest.mark.parametrize("enable_stemming", [False, True])
     def test_same_model_and_messages(self, case, enable_pos, enable_stemming, tmp_path, capsys):
-        build, status, stderr = self.CASES[case]
+        build, status = self.CASES[case]
         corpus, model_path = tmp_path / "labeled.jsonl", tmp_path / "model.json"
         rows = build(self.rows(1 + enable_pos + 2 * enable_stemming))
         corpus.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
         argv = ["train", "--input", str(corpus), "--model", str(model_path)]
         argv += ["--enable-pos"] * enable_pos + ["--disable-stemming"] * (not enable_stemming)
-        tokens = [reference.tokens(r["text"], True, enable_pos, enable_stemming) for r in rows]
-        dropped = sum(not t for t in tokens)
-        stderr = stderr.format(
-            corpus=corpus, rows=len(rows), model=model_path, docs=len(rows) - dropped,
-            dropped=f"dropped {dropped} document(s) that preprocessed to empty\n" * bool(dropped),
-        )
-        pairs = ((r["label"], t) for r, t in zip(rows, tokens))
-        model_bytes = reference.model_bytes(reference.nb_model(pairs)) if status == 0 else None
+        files = {str(corpus): corpus.read_bytes()}
+        expected = reference.run(argv, files)
         code, out, err = run(argv, capsys)
         written = model_path.read_bytes() if model_path.exists() else None
-        assert (code, out, err, written) == (status, "", stderr, model_bytes)
+        assert expected[0] == status
+        expected_model = files.get(str(model_path))
+        assert (code, out.encode(), err.encode(), written) == (*expected, expected_model)
 
 
 class TestReport:
@@ -1580,10 +1569,8 @@ class TestPredictionLabel:
     ]
 
     def check(self, record):
-        expected = parse_outcome(report_oracle.prediction, record)
-        if not isinstance(expected, tuple):
-            expected = expected.label
-        assert parse_outcome(_report._prediction_label, record) == expected
+        expected = parse_outcome(reference.prediction_label, record)
+        assert parse_outcome(lambda r: _report._prediction_label(r).value, record) == expected
 
     @settings(max_examples=500, deadline=None)
     @given(prediction_records())
@@ -1614,20 +1601,23 @@ def labeled_rows(draw):
     return record
 
 
+def labeled_row(record):
+    text, label = _train._labeled_row(record)
+    return text, label.value
+
+
 class TestLabeledTweet:
-    """``train`` reads a labeled row as the former ``_labeled_tweet`` did.
+    """``train`` reads a labeled row as ``reference.labeled_row`` does.
 
     ``_train._labeled_row`` builds no record: it must raise the same error,
-    or give the text and label of the ``LabeledTweet`` the former reader built.
+    or give the same text and label.
     """
 
     @settings(max_examples=300, deadline=None)
     @given(labeled_rows())
     def test_agrees_with_former_reader(self, record):
-        expected = parse_outcome(train_oracle.labeled_tweet, record)
-        if isinstance(expected, LabeledTweet):
-            expected = (expected.tweet.text, expected.label)
-        assert parse_outcome(_train._labeled_row, record) == expected
+        assume(isinstance(record.get("id"), str))  # the strict reader refuses any other id first
+        assert parse_outcome(labeled_row, record) == parse_outcome(reference.labeled_row, record)
 
 
 # JSON that json.loads fails on with other errors than a JSONDecodeError:

@@ -105,7 +105,7 @@ EVERY_OUTCOME = "\n".join(
     wordlist=st.sampled_from([WORDLIST, ["# comments only"]]),
     threshold=st.sampled_from([0.0, 0.5, 1.0]),
 )
-def test_collect_matches_oracle(export, tags, wordlist, threshold):
+def test_collect_matches_reference(export, tags, wordlist, threshold):
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         export_path = work / "export.jsonl"
@@ -128,7 +128,8 @@ def test_collect_matches_oracle(export, tags, wordlist, threshold):
         ]
         try:
             expected = reference.collect(
-                export, tags, threshold, frozenset(w for w in wordlist if not w.startswith("#"))
+                export, str(export_path), tags, threshold,
+                frozenset(w for w in wordlist if not w.startswith("#")),
             )
         except reference.Refused as refusal:
             expected = refusal.status
@@ -178,7 +179,7 @@ def assert_language_filter_agrees(texts, wordlist, threshold):
     assert delta.as_dict() == {**CorpusStats().as_dict(), "rejected_language": rejected}
 
 
-def test_language_cases_agree_with_oracle():
+def test_language_cases_agree_with_reference():
     for threshold in LANGUAGE_THRESHOLDS:
         assert_language_filter_agrees(LANGUAGE_TEXTS, LANGUAGE_WORDLIST, threshold)
 
@@ -207,7 +208,7 @@ language_words = st.sampled_from(
     wordlist=st.sets(st.sampled_from(sorted(LANGUAGE_WORDLIST)), min_size=1),
     threshold=st.one_of(st.sampled_from(LANGUAGE_THRESHOLDS), st.floats(0.0, 1.0)),
 )
-def test_language_filter_agrees_with_oracle(texts, wordlist, threshold):
+def test_language_filter_agrees_with_reference(texts, wordlist, threshold):
     assert_language_filter_agrees(texts, wordlist, threshold)
 
 

@@ -1,12 +1,12 @@
 """Each command's stderr bytes on the demo corpus, run as a real process.
 
-The diagnostics are pinned byte for byte: their texts, their order, and
-where the ``error:`` line falls among them. A run with stderr closed must
-print the same data and exit with the same status as one with it open.
-So are the exits on a failing stdout: closed, full (``/dev/full``) or a
-pipe whose reader is gone. Each child runs with ``PYTHONUNBUFFERED``
-unset, so its stdout is buffered as by default and a failing final
-flush shows.
+The diagnostics are checked byte for byte against ``reference.run``'s:
+their texts, their order, and where the ``error:`` line falls among
+them. A run with stderr closed must print the same data and exit with
+the same status as one with it open. The exits on a failing stdout are
+pinned by hand: closed, full (``/dev/full``) or a pipe whose reader is
+gone. Each child runs with ``PYTHONUNBUFFERED`` unset, so its stdout is
+buffered as by default and a failing final flush shows.
 """
 
 import json
@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import reference
 from kicaumine.resources import demo_corpus_path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -28,7 +29,6 @@ GHOST_PREDICTION = (
     '{"id": "ghost", "label": "positive", "oov_tokens": 0, '
     '"posteriors": {"negative": 0.5, "positive": 0.5}}\n'
 )
-SKIP_LINE = "fold {}: skipping {} test doc(s) with labels absent from the fold model\n"
 
 
 def cli(*args, cwd, redirect="", stdout=subprocess.PIPE):
@@ -88,74 +88,51 @@ COLLECT = (
     "--format", "json",
 )
 
+# Per case: its argv, run in the work directory, and its exit status. The
+# reference predicts each case's stderr from the files its argv names; it
+# does not model an input that is a directory, so that case pins its own.
 CASES = {
-    "collect": (COLLECT, 0, "collected 3 labeled and 1 unlabeled tweets\n"),
-    "train": (
-        ("train", "--input", "labeled_empty.jsonl", "--model", "m.json"),
-        0,
-        "dropped 1 document(s) that preprocessed to empty\n"
-        "trained on 3 documents over negative/positive; model written to m.json\n",
-    ),
-    "classify": (
-        ("classify", "--input", DEMO, "--model", "model.json", "--out", "p.jsonl"),
-        0,
-        "classified 6 tweet(s)\n",
-    ),
-    "report": (
-        ("report", "--input", DEMO, "--predictions", "predictions_ghost.jsonl"),
-        0,
-        "1 prediction(s) reference ids missing from the corpus\n",
-    ),
-    "eval-model": (
-        ("eval", "--input", DEMO, "--gold", "gold.csv", "--model", "model.json"),
-        0,
-        "1 gold id(s) missing from the corpus and excluded: ghost\n"
-        "skipping 1 gold doc(s) with labels absent from the model\n",
-    ),
+    "collect": (COLLECT, 0),
+    "train": (("train", "--input", "labeled_empty.jsonl", "--model", "m.json"), 0),
+    "classify": (("classify", "--input", DEMO, "--model", "model.json", "--out", "p.jsonl"), 0),
+    "report": (("report", "--input", DEMO, "--predictions", "predictions_ghost.jsonl"), 0),
+    "eval-model": (("eval", "--input", DEMO, "--gold", "gold.csv", "--model", "model.json"), 0),
     # The gold join, with its missing-id line, runs before the model is read.
     "eval-model-bad-model": (
-        ("eval", "--input", DEMO, "--gold", "gold.csv", "--model", "model_bad.json"),
-        1,
-        "1 gold id(s) missing from the corpus and excluded: ghost\n"
-        "error: model file is not valid JSON: 'utf-8' codec can't decode byte 0xff"
-        " in position 0: invalid start byte\n",
+        ("eval", "--input", DEMO, "--gold", "gold.csv", "--model", "model_bad.json"), 1
     ),
     "eval-k-skips": (
-        ("eval", "--input", DEMO, "--gold", "gold6.csv", "--k", "2", "--seed", "4"),
-        0,
-        SKIP_LINE.format(1, 1) + SKIP_LINE.format(2, 2),
+        ("eval", "--input", DEMO, "--gold", "gold6.csv", "--k", "2", "--seed", "4"), 0
     ),
     "eval-k-skip-then-error": (
-        ("eval", "--input", DEMO, "--gold", "gold6.csv", "--k", "4", "--seed", "1"),
-        1,
-        SKIP_LINE.format(3, 1) + "error: fold 3 has no evaluable test documents\n",
+        ("eval", "--input", DEMO, "--gold", "gold6.csv", "--k", "4", "--seed", "1"), 1
     ),
     # The holdout model of seed 5 trains on two classes, and its test side
     # holds only the neutral document.
     "eval-holdout-skip-then-error": (
-        ("eval", "--input", DEMO, "--gold", "gold5.csv", "--seed", "5"),
-        1,
-        "skipping 1 test doc(s) with labels absent from the holdout model\n"
-        "error: holdout test side has no evaluable documents\n",
+        ("eval", "--input", DEMO, "--gold", "gold5.csv", "--seed", "5"), 1
     ),
-    "missing-input": (
-        ("report", "--input", "nope.jsonl", "--predictions", "predictions.jsonl"),
-        2,
-        "error: input: no such file: nope.jsonl\n",
-    ),
+    "missing-input": (("report", "--input", "nope.jsonl", "--predictions", "predictions.jsonl"), 2),
     "directory-input": (
-        ("train", "--input", ".", "--model", "m.json"),
-        2,
-        "error: input: is a directory: .\n",
+        ("train", "--input", ".", "--model", "m.json"), 2, "error: input: is a directory: .\n"
     ),
 }
 
 
+def expected_stderr(work, case):
+    """The case's pinned stderr, or the reference's for the files its argv names."""
+    argv, _, *pinned = CASES[case]
+    if pinned:
+        return pinned[0].encode()
+    files = {arg: (work / arg).read_bytes() for arg in argv if (work / arg).is_file()}
+    return reference.run(argv, files)[2]
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stderr_bytes(work, case):
-    argv, status, stderr = CASES[case]
+    argv, status, *_ = CASES[case]
     result = cli(*argv, cwd=work)
-    assert (result[0], result[2]) == (status, stderr.encode())
+    assert (result[0], result[2]) == (status, expected_stderr(work, case))
 
 
 @pytest.mark.parametrize(
@@ -164,7 +141,7 @@ def test_stderr_bytes(work, case):
 def test_closed_stderr_changes_no_result(work, case):
     # A diagnostic line that cannot be written is dropped; the data and the
     # exit status are those of a run whose stderr is open.
-    argv, status, _ = CASES[case]
+    argv, status, *_ = CASES[case]
     open_run = cli(*argv, cwd=work)
     closed_run = cli(*argv, cwd=work, redirect="2>&-")
     assert closed_run[:2] == open_run[:2]
@@ -203,9 +180,11 @@ def _ignored_flush_error(error: str) -> str:
 def test_full_stdout_reported_at_exit(work):
     # The stats fit stdout's buffer, so the first write to /dev/full is the
     # final flush: the interpreter reports it and exits 120.
-    argv, _, stderr = CASES["collect"]
-    expected = stderr + _ignored_flush_error("OSError: [Errno 28] No space left on device")
-    assert cli(*argv, cwd=work, redirect=">/dev/full") == (120, b"", expected.encode())
+    argv, _ = CASES["collect"]
+    expected = expected_stderr(work, "collect") + _ignored_flush_error(
+        "OSError: [Errno 28] No space left on device"
+    ).encode()
+    assert cli(*argv, cwd=work, redirect=">/dev/full") == (120, b"", expected)
 
 
 def _cli_to_closed_pipe(*args, cwd):

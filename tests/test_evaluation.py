@@ -315,7 +315,7 @@ class TestSentimentReport:
         ),
         st.sets(st.sampled_from(["a", "#a", "A", "b", "ab", "é", "all", "", "#", "c"]), max_size=4),
     )
-    def test_agrees_with_former_rollup(self, rows, tags):
+    def test_agrees_with_reference_rollup(self, rows, tags):
         texts = [(" ".join(words) or "x", label) for words, label in rows]
         try:
             reports = sentiment_report(self.predictions(texts), tags)

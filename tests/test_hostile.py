@@ -168,7 +168,7 @@ NOT_UTF8 = [b'{"id": "b1", "text": "bagus \xff"}', b"\xc3", b'{"id": "t1", "text
     st.lists(st.sampled_from(NOT_UTF8), max_size=2),
     st.booleans(),
 )
-def test_field_scan_agrees_with_former_reader(data, tweet_texts, odd, not_utf8, bom):
+def test_field_scan_agrees_with_reference_reader(data, tweet_texts, odd, not_utf8, bom):
     valid = [json.dumps({"id": f"t{i}", "text": t}) for i, t in enumerate(tweet_texts)]
     lines = mixed(data, [line.encode() for line in mixed(data, valid, odd)], not_utf8)
     blob = b"\xef\xbb\xbf" * bom + b"".join(

@@ -9,10 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import NEG, NEU, POS, make_doc
-import count_check_oracle
 import reference
 import synthdata
-import train_oracle
 from kicaumine import evaluation
 from kicaumine.corpus import SentimentLabel
 from kicaumine.exceptions import (
@@ -98,6 +96,38 @@ def random_count_model(rng):
     )
 
 
+def payload(model):
+    """``model`` as ``reference.nb_model``'s payload."""
+    return {
+        "alpha": 1,
+        "docs_per_class": {lab.value: n for lab, n in model.docs_per_class.items()},
+        "labels": [lab.value for lab in model.labels],
+        "schema_version": 1,
+        "token_counts": {lab.value: counts for lab, counts in model.token_counts.items()},
+        "tokens_per_class": {lab.value: n for lab, n in model.tokens_per_class.items()},
+    }
+
+
+def trained(docs):
+    """``payload(train(docs))``, or the class and text of the error it raises."""
+    got = outcome(lambda: train(docs))
+    return payload(got) if isinstance(got, NbModel) else got
+
+
+def expected_training(docs):
+    """What ``trained(docs)`` must be: the error naming the first unlabeled or
+    empty document, else the reference's model or refusal."""
+    bad = next((doc for doc in docs if doc.label is None or not doc.tokens), None)
+    if bad is not None:
+        problem = "is unlabeled" if bad.label is None else "has no tokens"
+        return (TrainingError, f"document {bad.source_id!r} {problem}")
+    try:
+        return reference.nb_model((doc.label.value, doc.tokens) for doc in docs)
+    except reference.Refused as refusal:
+        degenerate = refusal.message.startswith("training needs")
+        return (DegenerateTrainingError if degenerate else TrainingError, refusal.message)
+
+
 class TestTrain:
     def test_hand_counted_fixture(self, toy_docs, toy_model):
         assert toy_model.total_docs == 3
@@ -146,27 +176,12 @@ class TestTrain:
     )
     def test_matches_former_counting_loop(self, spec):
         docs = [make_doc(f"d{i}", tokens, label) for i, (label, tokens) in enumerate(spec)]
-        got = outcome(lambda: train(docs))
-        if any(doc.label is None or not doc.tokens for doc in docs):
-            assert got == outcome(lambda: train_oracle.train(docs))
-            return
-        try:
-            payload = reference.nb_model((doc.label.value, doc.tokens) for doc in docs)
-        except reference.Refused:
-            assert got[0] is DegenerateTrainingError
-        else:
-            assert [lab.value for lab in got.labels] == payload["labels"]
-            assert {lab.value: n for lab, n in got.docs_per_class.items()} == payload["docs_per_class"]
-            assert {lab.value: c for lab, c in got.token_counts.items()} == payload["token_counts"]
+        assert trained(docs) == expected_training(docs)
 
 
 class TestTrainOracle:
-    """``train`` and ``_class_counts`` read their documents once.
-
-    ``train_oracle`` keeps the former ``train`` and ``_class_counts``, which
-    took a list, grouped each label's token tuples before counting them and
-    scanned the list again to name a bad document.
-    """
+    """``train`` and ``_class_counts`` read their documents once, and count
+    what ``reference.class_counts`` and ``reference.nb_model`` count."""
 
     BAD = {
         "unlabeled": lambda doc: make_doc(doc.source_id, doc.tokens),
@@ -182,26 +197,20 @@ class TestTrainOracle:
         docs[position] = self.BAD[kind](docs[position])
         if position != 39:
             docs[-1] = self.BAD["unlabeled"](docs[-1])  # a later bad document is not named
-        expected = outcome(lambda: train_oracle.train(docs))
-        assert expected[0] is TrainingError and repr(docs[position].source_id) in expected[1]
+        problem = "has no tokens" if kind == "empty" else "is unlabeled"
+        expected = (TrainingError, f"document {docs[position].source_id!r} {problem}")
         assert outcome(lambda: train(container(docs))) == expected
 
     @pytest.mark.parametrize("container", [list, iter])
     def test_empty_collection_refused_as_before(self, container):
-        expected = outcome(lambda: train_oracle.train([]))
+        expected = (TrainingError, "no documents to train on")
         assert outcome(lambda: train(container([]))) == expected
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("container", [list, iter])
     def test_same_model_as_before(self, seed, container, tmp_path):
         docs = synthdata.two_class_corpus(n_docs=300, seed=seed)
-        expected = train_oracle.train(docs)
-        got = train(container(docs))
-        assert got == expected
-        assert list(got.docs_per_class) == list(expected.docs_per_class)
-        save_model(expected, tmp_path / "expected.json")
-        save_model(got, tmp_path / "got.json")
-        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+        assert_same_model(train(container(docs)), docs, tmp_path)
 
     @settings(max_examples=300)
     @given(
@@ -215,35 +224,40 @@ class TestTrainOracle:
     )
     def test_matches_former_code(self, spec):
         docs = [make_doc(f"d{i}", tokens, label) for i, (label, tokens) in enumerate(spec)]
-        expected = outcome(lambda: train_oracle.train(docs))
-        assert outcome(lambda: train(docs)) == expected
-        assert outcome(lambda: train(iter(docs))) == expected
-        counts = train_oracle.class_counts(docs)
+        expected = expected_training(docs)
+        assert trained(docs) == trained(iter(docs)) == expected
         pairs = [(label, tuple(tokens)) for label, tokens in spec]
+        counts = reference.class_counts(pairs)
         for got in (_class_counts(pairs), _class_counts(iter(pairs))):
             assert got == counts
             assert [list(table) for table in got] == [list(table) for table in counts]
             assert [list(c) for c in got[2].values()] == [list(c) for c in counts[2].values()]
 
 
+def assert_same_model(got, docs, tmp_path):
+    """``got`` is the reference's model of ``docs``: counts, order and saved bytes."""
+    expected = reference.nb_model((doc.label.value, doc.tokens) for doc in docs)
+    assert payload(got) == expected
+    first_seen = reference.class_counts((doc.label, doc.tokens) for doc in docs)[0]
+    assert list(got.docs_per_class) == list(first_seen)
+    assert [list(c) for c in got.token_counts.values()] == [
+        list(c) for c in expected["token_counts"].values()
+    ]
+    save_model(got, tmp_path / "got.json")
+    assert (tmp_path / "got.json").read_bytes() == reference.model_bytes(expected)
+
+
 class TestModelOfPairs:
-    """``_model``, which ``train`` and the commands count through, against the former ``train``.
+    """``_model``, which ``train`` and the commands count through, against the reference.
 
     The commands pass ``(label, tokens)`` pairs, each labeled and non-empty,
-    with no ``Document``; the model must be the one the oracle builds from
-    the same documents.
+    with no ``Document``; the model must be the reference's.
     """
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_same_model_and_bytes(self, seed, tmp_path):
         docs = synthdata.two_class_corpus(n_docs=300, seed=seed)
-        expected = train_oracle.train(docs)
-        got = _model((doc.label, doc.tokens) for doc in docs)
-        assert got == expected
-        assert list(got.docs_per_class) == list(expected.docs_per_class)
-        save_model(expected, tmp_path / "expected.json")
-        save_model(got, tmp_path / "got.json")
-        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+        assert_same_model(_model((doc.label, doc.tokens) for doc in docs), docs, tmp_path)
 
     @settings(max_examples=300)
     @given(
@@ -257,12 +271,13 @@ class TestModelOfPairs:
     )
     def test_matches_former_train(self, spec):
         docs = [make_doc(f"d{i}", tokens, label) for i, (label, tokens) in enumerate(spec)]
-        expected = outcome(lambda: train_oracle.train(docs))
+        expected = expected_training(docs)
         pairs = [(label, tuple(tokens)) for label, tokens in spec]
-        assert outcome(lambda: _model(iter(pairs))) == expected
-        if isinstance(expected, NbModel):
-            assert [list(c) for c in _model(pairs).token_counts.values()] == [
-                list(c) for c in expected.token_counts.values()
+        got = outcome(lambda: _model(iter(pairs)))
+        assert (payload(got) if isinstance(got, NbModel) else got) == expected
+        if isinstance(got, NbModel):
+            assert [list(c) for c in got.token_counts.values()] == [
+                list(c) for c in expected["token_counts"].values()
             ]
 
 
@@ -454,14 +469,19 @@ LISTED_TABLES = [
 
 
 class TestCountChecks:
-    """``_int_counts`` and ``NbModel`` against the loops they replaced.
+    """``_int_counts`` and ``NbModel`` against ``reference.int_counts`` and
+    ``reference.table_problem``.
 
-    Every table is refused with the same error, or accepted, as by
-    ``count_check_oracle``.
+    Every table is refused with the same error, or accepted. The tables
+    reach past what a model file can hold (tokens that are not strings,
+    counts that are not integers), as a library caller can pass them.
     """
 
     def assert_int_counts_agree(self, counts):
-        expected = outcome(lambda: count_check_oracle.int_counts(counts, "token_counts"))
+        try:
+            expected = reference.int_counts(counts, "token_counts")
+        except reference.Refused as refusal:
+            expected = (ModelFormatError, refusal.message)
         got = outcome(lambda: _int_counts(counts, "token_counts"))
         if expected is counts:
             assert got is counts
@@ -470,17 +490,15 @@ class TestCountChecks:
 
     def assert_tables_agree(self, tables, docs):
         labels = (NEG, POS)
-        docs_per_class = dict(zip(labels, docs))
-        token_counts = dict(zip(labels, tables))
-        expected = outcome(
-            lambda: count_check_oracle.check_tables(labels, docs_per_class, token_counts)
+        got = outcome(lambda: NbModel(labels, dict(zip(labels, docs)), dict(zip(labels, tables))))
+        names = [lab.value for lab in labels]
+        problem = outcome(
+            lambda: reference.table_problem(names, dict(zip(names, docs)), dict(zip(names, tables)))
         )
-        got = outcome(lambda: NbModel(labels, docs_per_class, token_counts))
-        if expected is None:
-            # The loop passed; the vocabulary check comes after it.
-            assert isinstance(got, NbModel) or got == (ValueError, "empty vocabulary")
+        if problem is None:
+            assert isinstance(got, NbModel)
         else:
-            assert got == expected
+            assert got == (problem if isinstance(problem, tuple) else (ValueError, problem))
 
     @pytest.mark.parametrize("counts", LISTED_TABLES, ids=repr)
     def test_listed_tables(self, counts):
