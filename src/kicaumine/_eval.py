@@ -1,11 +1,13 @@
 """The eval command: score the classifier against manual gold labels."""
 
+from functools import reduce
 from itertools import chain
+from operator import add
 
 from .config import RunConfig
 from .corpus import _SENTIMENT_LABELS, CorpusStats, SentimentLabel, _tweet_fields
 from .exceptions import ConfigError, EmptyCorpusError, EvaluationError
-from .resources import _emit, _pipeline_config, _render, _say
+from .resources import _emit, _nonempty_pairs, _pipeline_config, _render, _say
 
 # Ids named in one warning line; the rest are only counted.
 _MAX_LOGGED_IDS = 10
@@ -14,38 +16,42 @@ _MAX_LOGGED_IDS = 10
 def _read_gold_csv(path) -> dict[str, SentimentLabel]:
     """Gold file: CSV with header `id,label`, labels negative/positive/neutral.
 
-    Once the header matches with its names trimmed, columns are read by
-    position, so `id, label` works too. A leading UTF-8 byte-order mark is
-    dropped.
+    The whole file is decoded before any row is read, so a file that is
+    not UTF-8 is refused as such at any size. Once the header matches with
+    its names trimmed, columns are read by position, so `id, label` works
+    too. A leading UTF-8 byte-order mark is dropped.
     """
     import csv
+    import io
 
     def refusal(problem: str) -> ConfigError:
         # The location is formatted only for a bad row, not for every row.
         return ConfigError(f"{path}:{reader.line_num}: {problem}")
 
-    gold = {}
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or [f.strip() for f in header] != ["id", "label"]:
-                raise ConfigError(f"gold file {path} must have the header 'id,label'")
-            for row in reader:
-                if not row:
-                    continue
-                tweet_id = row[0].strip()
-                label_name = row[1].strip().lower() if len(row) > 1 else ""
-                if not tweet_id:
-                    raise refusal("empty gold id")
-                if tweet_id in gold:
-                    raise refusal(f"duplicate gold id {tweet_id!r}")
-                label = _SENTIMENT_LABELS.get(label_name)
-                if label is None:
-                    raise refusal(f"unknown gold label {label_name!r} for id {tweet_id!r}")
-                gold[tweet_id] = label
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8-sig")
     except UnicodeDecodeError:
         raise ConfigError(f"gold file {path} is not UTF-8") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    gold = {}
+    try:
+        header = next(reader, None)
+        if header is None or [f.strip() for f in header] != ["id", "label"]:
+            raise ConfigError(f"gold file {path} must have the header 'id,label'")
+        for row in reader:
+            if not row:
+                continue
+            tweet_id = row[0].strip()
+            label_name = row[1].strip().lower() if len(row) > 1 else ""
+            if not tweet_id:
+                raise refusal("empty gold id")
+            if tweet_id in gold:
+                raise refusal(f"duplicate gold id {tweet_id!r}")
+            label = _SENTIMENT_LABELS.get(label_name)
+            if label is None:
+                raise refusal(f"unknown gold label {label_name!r} for id {tweet_id!r}")
+            gold[tweet_id] = label
     except csv.Error as exc:
         raise refusal(f"bad gold CSV: {exc}") from None
     if not gold:
@@ -102,9 +108,11 @@ def _format_kfold(result: dict, fmt: str) -> str:
 
 
 def _gold_pairs(config: RunConfig, pipeline) -> list[tuple]:
-    """Join the gold CSV against the input tweets: ``(label, tokens)`` per gold tweet, by id."""
-    from .preprocess import _tokens
+    """Join the gold CSV against the input tweets: ``(label, tokens)`` per gold tweet, by id.
 
+    Gold tweets that preprocess to no tokens are dropped and counted by
+    ``_nonempty_pairs``, after the join and before any mode sees them.
+    """
     gold = _read_gold_csv(config.gold)
     stats = CorpusStats()
     with open(config.input, "rb") as handle:
@@ -121,10 +129,10 @@ def _gold_pairs(config: RunConfig, pipeline) -> list[tuple]:
         if len(missing) > _MAX_LOGGED_IDS:
             shown += f", ... and {len(missing) - _MAX_LOGGED_IDS} more"
         _say(f"{len(missing)} gold id(s) missing from the corpus and excluded: {shown}")
-    pairs = [(gold[tweet_id], _tokens(texts[tweet_id], pipeline)) for tweet_id in sorted(texts)]
-    if not pairs:
+    if not texts:
         raise EvaluationError("no gold ids matched the corpus")
-    return pairs
+    labeled_texts = ((gold[tweet_id], texts[tweet_id]) for tweet_id in sorted(texts))
+    return list(_nonempty_pairs(labeled_texts, pipeline))
 
 
 def _known(pairs: list[tuple], model, what: str, model_name: str) -> list[tuple]:
@@ -160,7 +168,8 @@ def cmd_eval(config: RunConfig) -> int:
             "k": config.k,
             "seed": config.seed,
             "fold_accuracies": accuracies,
-            "mean_accuracy": sum(accuracies) / len(accuracies),
+            # Added left to right: from Python 3.12, sum() rounds floats otherwise.
+            "mean_accuracy": reduce(add, accuracies) / len(accuracies),
             "min_accuracy": min(accuracies),
             "max_accuracy": max(accuracies),
         }
@@ -174,9 +183,7 @@ def cmd_eval(config: RunConfig) -> int:
             raise EvaluationError("no gold documents with labels the model knows")
     else:
         # Self-contained holdout: train on a split of the gold data itself.
-        train_pairs, test_pairs = _split(
-            [pair for pair in pairs if pair[1]], config.train_fraction, config.seed
-        )
+        train_pairs, test_pairs = _split(pairs, config.train_fraction, config.seed)
         model = _model(train_pairs)
         test = _known(test_pairs, model, "test doc(s)", "holdout model")
         if not test:

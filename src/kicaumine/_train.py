@@ -1,5 +1,7 @@
 """The train command: preprocess a labeled corpus and write the model."""
 
+from itertools import chain
+
 from .config import RunConfig
 from .corpus import (
     _LABEL_SOURCES,
@@ -12,7 +14,7 @@ from .corpus import (
     _read_strict_jsonl,
 )
 from .exceptions import ConfigError, EmptyCorpusError
-from .resources import _pipeline_config, _say
+from .resources import _nonempty_pairs, _pipeline_config, _say
 
 
 def _labeled_row(record: dict) -> tuple[str, SentimentLabel]:
@@ -32,24 +34,16 @@ def _labeled_row(record: dict) -> tuple[str, SentimentLabel]:
 def _labeled_pairs(path, pipeline):
     """Yield ``(label, tokens)`` of each row of the labeled-corpus JSONL at ``path``.
 
-    Each row is preprocessed as it is read, and none is kept; a row that
-    preprocesses to no tokens is not yielded. Once the file is read, those
-    rows are reported, and a file with no row raises EmptyCorpusError.
+    Each row is preprocessed as it is read, and none is kept; rows that
+    preprocess to no tokens are dropped and counted by ``_nonempty_pairs``.
+    A file with no row raises EmptyCorpusError.
     """
-    from .preprocess import _tokens
-
-    rows = dropped = 0
-    for _, (text, label) in _read_strict_jsonl(path, "labeled-corpus", _labeled_row):
-        rows += 1
-        tokens = _tokens(text, pipeline)
-        if tokens:
-            yield label, tokens
-        else:
-            dropped += 1
-    if not rows:
+    rows = _read_strict_jsonl(path, "labeled-corpus", _labeled_row)
+    first = next(rows, None)
+    if first is None:
         raise EmptyCorpusError(f"no labeled tweets in {path}")
-    if dropped:
-        _say(f"dropped {dropped} document(s) that preprocessed to empty")
+    labeled_texts = ((label, text) for _, (text, label) in chain([first], rows))
+    yield from _nonempty_pairs(labeled_texts, pipeline)
 
 
 def cmd_train(config: RunConfig) -> int:

@@ -17,7 +17,9 @@ import json
 import math
 from collections import Counter, _count_elements, defaultdict
 from collections.abc import Iterable, Mapping
+from functools import reduce
 from itertools import repeat
+from operator import add
 
 from .config import OOV_MODES, OOV_SKIP, OOV_SMOOTH
 from .corpus import SentimentLabel, _Record, decode_json
@@ -260,7 +262,8 @@ def _posteriors(
     best = _best(scores)
     top = scores[best]
     weights = [math.exp(s - top) for s in scores]
-    total = sum(weights)
+    # Added left to right: from Python 3.12, sum() rounds floats otherwise.
+    total = reduce(add, weights)
     return best, [w / total for w in weights], oov
 
 
@@ -352,7 +355,7 @@ def load_model(path) -> NbModel:
     if not isinstance(payload, dict):
         raise ModelFormatError("model file must hold a JSON object")
     version = payload.get("schema_version")
-    if version != MODEL_SCHEMA_VERSION:
+    if type(version) is not int or version != MODEL_SCHEMA_VERSION:
         raise ModelFormatError(
             f"unsupported model schema version {version!r} (expected {MODEL_SCHEMA_VERSION})"
         )

@@ -165,6 +165,26 @@ def _say(line: str) -> None:
         pass
 
 
+def _nonempty_pairs(labeled_texts, pipeline):
+    """Yield ``(label, tokens)`` of each ``(label, text)`` that preprocesses to tokens.
+
+    The one rule of ``train`` and ``eval``: a text that preprocesses to no
+    tokens is dropped, and once all are read the dropped ones are counted
+    in one line.
+    """
+    from .preprocess import _tokens
+
+    dropped = 0
+    for label, text in labeled_texts:
+        tokens = _tokens(text, pipeline)
+        if tokens:
+            yield label, tokens
+        else:
+            dropped += 1
+    if dropped:
+        _say(f"dropped {dropped} document(s) that preprocessed to empty")
+
+
 def _output(path):
     """A context giving stdout when ``path`` is None, else an atomic writer to ``path``.
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from kicaumine.corpus import SentimentLabel
@@ -30,3 +32,26 @@ def toy_docs():
 @pytest.fixture
 def toy_model(toy_docs):
     return train(toy_docs)
+
+
+# Ten gold tweets of words, five positive and five negative, and four
+# gold-positive tweets that preprocess to no tokens, as (id, text, label).
+WORD_GOLD = [
+    *((f"p{i}", text, "positive") for i, text in enumerate([
+        "calon bagus menang", "kerja bagus mantap", "hebat sukses menang", "bagus calon hebat",
+        "menang mantap kerja",
+    ])),
+    *((f"n{i}", text, "negative") for i, text in enumerate([
+        "calon buruk gagal", "kerja buruk jelek", "gagal kalah buruk", "jelek calon kalah",
+        "buruk gagal bagus",
+    ])),
+]
+EMPTY_GOLD = [(f"e{i}", "123 :) http://t.co/x", "positive") for i in range(4)]
+
+
+def write_gold_export(export, gold, rows):
+    """Write ``rows`` as a tweet export at ``export`` and their labels as a gold CSV at ``gold``."""
+    export.write_text("".join(json.dumps({"id": i, "text": t}) + "\n" for i, t, _ in rows),
+                      encoding="utf-8")
+    gold.write_text("id,label\n" + "".join(f"{i},{label}\n" for i, _, label in rows),
+                    encoding="utf-8")

@@ -26,7 +26,8 @@ import json
 import math
 import random
 from enum import Enum
-from functools import cache
+from functools import cache, reduce
+from operator import add
 from pathlib import Path
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "kicaumine" / "data"
@@ -403,7 +404,7 @@ def best(scores):
 
 def posteriors(scores):
     weights = [math.exp(score - scores[best(scores)]) for score in scores]
-    return [weight / sum(weights) for weight in weights]
+    return [weight / reduce(add, weights) for weight in weights]
 
 
 def predict(model, doc_tokens, oov_mode):
@@ -559,9 +560,13 @@ def prediction_label(record):
 
 
 def read_gold(data: bytes, path):
-    """``{id: label}`` of a gold CSV, read by ``csv.reader`` from the file opened
-    with ``encoding="utf-8-sig", newline=""``."""
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+    """``{id: label}`` of a gold CSV: the whole file decoded as ``utf-8-sig``, then
+    read by ``csv.reader`` over ``io.StringIO(text, newline="")``."""
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        raise Refused(2, f"gold file {path} is not UTF-8") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
 
     def refusal(problem):
         return Refused(2, f"{path}:{reader.line_num}: {problem}")
@@ -583,8 +588,6 @@ def read_gold(data: bytes, path):
             if label not in LABELS:
                 raise refusal(f"unknown gold label {label!r} for id {tweet_id!r}")
             gold[tweet_id] = label
-    except UnicodeDecodeError:
-        raise Refused(2, f"gold file {path} is not UTF-8") from None
     except csv.Error as exc:
         raise refusal(f"bad gold CSV: {exc}") from None
     if not gold:
@@ -601,7 +604,7 @@ def load_model(data: bytes):
     if not isinstance(payload, dict):
         raise Refused(1, "model file must hold a JSON object")
     version = payload.get("schema_version")
-    if version != 1:
+    if type(version) is not int or version != 1:
         raise Refused(1, f"unsupported model schema version {version!r} (expected 1)")
     try:
         labels = [SentimentLabel(name).value for name in payload["labels"]]
@@ -732,13 +735,10 @@ def train_command(flags, files, say):
     rows = read_strict(files[path], path, "labeled-corpus", labeled_row)
     if not rows:
         raise Refused(1, f"no labeled tweets in {path}")
-    pairs = [(label, tokens(text, *_use(flags))) for text, label in rows.values()]
-    dropped = sum(1 for _, doc_tokens in pairs if not doc_tokens)
-    if dropped:
-        say(f"dropped {dropped} document(s) that preprocessed to empty")
+    pairs = nonempty([(label, text) for text, label in rows.values()], flags, say)
     model = nb_model(pairs)
     files[flags["--model"]] = model_bytes(model)
-    say(f"trained on {len(pairs) - dropped} documents over {'/'.join(model['labels'])};"
+    say(f"trained on {len(pairs)} documents over {'/'.join(model['labels'])};"
         f" model written to {flags['--model']}")
     return b""
 
@@ -772,8 +772,19 @@ def report_command(flags, files, say):
     return summary(value, flags)
 
 
+def nonempty(labeled_texts, flags, say):
+    """``(label, tokens)`` of each ``(label, text)`` whose tokens are not empty;
+    the others are dropped and counted in one line."""
+    pairs = [(label, tokens(text, *_use(flags))) for label, text in labeled_texts]
+    kept = [pair for pair in pairs if pair[1]]
+    if len(kept) < len(pairs):
+        say(f"dropped {len(pairs) - len(kept)} document(s) that preprocessed to empty")
+    return kept
+
+
 def gold_pairs(flags, files, say):
-    """``(label, tokens)`` of each gold id found in the export, in id order."""
+    """``(label, tokens)`` of each gold id found in the export whose tokens are
+    not empty, in id order."""
     labels = read_gold(files[flags["--gold"]], flags["--gold"])
     rows, stats = read_export(files[flags["--input"]])
     if stats["total_ingested"] == stats["rejected_malformed"]:
@@ -787,7 +798,7 @@ def gold_pairs(flags, files, say):
         say(f"{len(missing)} gold id(s) missing from the corpus and excluded: {shown}")
     if not texts:
         raise Refused(1, "no gold ids matched the corpus")
-    return [(labels[tweet_id], tokens(texts[tweet_id], *_use(flags))) for tweet_id in sorted(texts)]
+    return nonempty([(labels[tweet_id], texts[tweet_id]) for tweet_id in sorted(texts)], flags, say)
 
 
 def known(pairs, model, say, what, model_name):
@@ -809,7 +820,7 @@ def eval_command(flags, files, say):
 
         accuracies = fold_accuracies(pairs, k, seed, oov, on_fold)
         return summary({"k": k, "seed": seed, "fold_accuracies": accuracies,
-                        "mean_accuracy": sum(accuracies) / k,
+                        "mean_accuracy": reduce(add, accuracies) / k,
                         "min_accuracy": min(accuracies), "max_accuracy": max(accuracies)}, flags)
     if "--model" in flags:
         model = load_model(files[flags["--model"]])
@@ -817,15 +828,14 @@ def eval_command(flags, files, say):
         if not test:
             raise Refused(1, "no gold documents with labels the model knows")
         return summary(metrics(model, test, oov), flags)
-    usable = [pair for pair in pairs if pair[1]]
-    if len(usable) < 2:
-        raise Refused(1, f"need at least 2 documents to split, got {len(usable)}")
+    if len(pairs) < 2:
+        raise Refused(1, f"need at least 2 documents to split, got {len(pairs)}")
     fraction = float(flags["--train-fraction"])
-    ordered = shuffled(usable, seed)
+    ordered = shuffled(pairs, seed)
     cut = round(fraction * len(ordered))
     if cut < 1 or cut >= len(ordered):
         raise Refused(1, f"train_fraction {fraction} leaves an empty side"
-                         f" for {len(usable)} documents")
+                         f" for {len(pairs)} documents")
     model = nb_model(ordered[:cut])
     test = known(ordered[cut:], model, say, "test doc(s)", "holdout model")
     if not test:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import NEG, NEU, POS
+from conftest import EMPTY_GOLD, NEG, NEU, POS, WORD_GOLD, write_gold_export
 import reference
 import synthdata
 from kicaumine import _classify, _eval, _report, _train, model, resources
@@ -914,6 +914,19 @@ class TestEval:
         assert out == ""
         assert f"{gold}:3: {message}" in err
 
+    @pytest.mark.parametrize("padding_rows", [0, 800])
+    def test_not_utf8_refused_before_any_row_at_any_size(self, padding_rows, toy_model_file,
+                                                         tmp_path, capsys):
+        # A duplicate id on line 3 and a byte that is not UTF-8 at the end,
+        # in a file smaller and one larger than a text stream's 8 KB chunk.
+        gold = tmp_path / "g.csv"
+        padding = b"".join(b"x%d,positive\n" % n for n in range(padding_rows))
+        gold.write_bytes(b"id,label\nt1,positive\nt1,negative\n" + padding + b"t2,positive\xff\n")
+        assert (gold.stat().st_size > 8192) == (padding_rows > 0)
+        argv = ["eval", "--input", demo_corpus_path(), "--gold", str(gold)]
+        code, out, err = run(argv + ["--model", str(toy_model_file)], capsys)
+        assert (code, out, err) == (2, "", f"error: gold file {gold} is not UTF-8\n")
+
     def test_k_of_one_rejected(self, tmp_path, capsys):
         gold = self.write_gold(tmp_path, [("t1", "positive"), ("t2", "negative")])
         argv = ["eval", "--input", demo_corpus_path(), "--gold", str(gold)]
@@ -1089,10 +1102,11 @@ def former_gold_documents(export, labels, pipeline):
 
 
 class TestGoldDocuments:
-    """``_eval._gold_pairs`` gives the labels and tokens of the former path's documents.
+    """``_eval._gold_pairs`` gives the labels and tokens of the former path's non-empty documents.
 
     That path made a manual ``LabeledTweet`` of each gold tweet and ran it
-    through ``run_pipeline``, in id order.
+    through ``run_pipeline``, in id order; the empty ones are dropped and
+    counted in one line.
     """
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -1103,12 +1117,13 @@ class TestGoldDocuments:
         config = RunConfig(
             input=str(export), gold=str(gold), enable_pos=enable_pos, enable_stemming=enable_stemming
         )
-        with redirect_stderr(io.StringIO()):
+        with redirect_stderr(io.StringIO()) as err:
             got = _eval._gold_pairs(config, resources._pipeline_config(config))
         expected = former_gold_documents(export, labels, resources._pipeline_config(config))
-        assert got == [(doc.label, doc.tokens) for doc in expected]
-        assert len(got) == len(labels) - 1 and any(tokens for _, tokens in got)
-        assert not all(tokens for _, tokens in got)
+        assert got == [(doc.label, doc.tokens) for doc in expected if not doc.empty]
+        dropped = len(labels) - 1 - len(got)
+        assert dropped > 0 and got
+        assert err.getvalue().endswith(f"\ndropped {dropped} document(s) that preprocessed to empty\n")
 
 
 class TestEvalModesOnPairs:
@@ -1148,7 +1163,10 @@ class TestEvalModesOnPairs:
         code, out, err = self.run_eval("--input", str(export), "--gold", str(gold), "--seed", str(seed))
         assert code == 0
         assert out == _eval._format_metrics(evaluate(holdout_model, known), "json") + "\n"
-        expected_err = "1 gold id(s) missing from the corpus and excluded: 'ghost'\n"
+        expected_err = (
+            "1 gold id(s) missing from the corpus and excluded: 'ghost'\n"
+            f"dropped {sum(d.empty for d in docs)} document(s) that preprocessed to empty\n"
+        )
         if skipped:
             expected_err += (
                 f"skipping {skipped} test doc(s) with labels absent from the holdout model\n"
@@ -1171,7 +1189,8 @@ class TestEvalModesOnPairs:
             "--oov", oov,
         )
         assert code == 0
-        assert json.loads(out)["fold_accuracies"] == cross_validate(docs, 5, seed, oov)
+        expected = cross_validate([d for d in docs if not d.empty], 5, seed, oov)
+        assert json.loads(out)["fold_accuracies"] == expected
 
     def test_oov_skip_changes_every_mode(self, tmp_path):
         # Positive training documents hold many tokens, so each unseen token
@@ -1194,6 +1213,46 @@ class TestEvalModesOnPairs:
             smooth, skip = (self.run_eval(*argv, *oov) for oov in ([], ["--oov", "skip"]))
             assert smooth[0] == skip[0] == 0
             assert smooth[1] != skip[1], mode
+
+
+class TestEmptyGoldDocuments:
+    """Every ``eval`` mode drops the gold tweets that preprocess to no tokens.
+
+    On an export of ten word tweets and four that preprocess to nothing,
+    ``--model``, the holdout and ``--k`` each print the stdout they print
+    on the ten alone, and stderr says once that four were dropped. The
+    reference gives the same bytes.
+    """
+
+    MODES = {
+        "model": (["--model", "model.json"], {"n_test": 10}),
+        "holdout": (["--train-fraction", "0.5"], {"n_test": 5}),
+        "k": (["--k", "2"], {"fold_accuracies": [0.8, 1.0]}),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_each_mode_prints_what_it_prints_without_them(self, mode, tmp_path, monkeypatch,
+                                                          capsys):
+        monkeypatch.chdir(tmp_path)
+        write_gold_export(tmp_path / "words.jsonl", tmp_path / "words.csv", WORD_GOLD)
+        write_gold_export(tmp_path / "all.jsonl", tmp_path / "all.csv", WORD_GOLD + EMPTY_GOLD)
+        (tmp_path / "labeled.jsonl").write_text("".join(
+            json.dumps({"id": i, "text": text, "label": label}) + "\n"
+            for i, text, label in WORD_GOLD
+        ), encoding="utf-8")
+        assert main(["train", "--input", "labeled.jsonl", "--model", "model.json"]) == 0
+        capsys.readouterr()
+        flags, expected = self.MODES[mode]
+        outcomes = {}
+        for name in ("words", "all"):
+            argv = ["eval", "--input", f"{name}.jsonl", "--gold", f"{name}.csv", *flags,
+                    "--format", "json"]
+            files = {path: Path(path).read_bytes() for path in argv if Path(path).is_file()}
+            code, out, err = outcomes[name] = run(argv, capsys)
+            assert reference.run(argv, files) == (code, out.encode(), err.encode())
+        assert outcomes["words"] == (0, outcomes["all"][1], "")
+        assert outcomes["all"][2] == "dropped 4 document(s) that preprocessed to empty\n"
+        assert json.loads(outcomes["all"][1]).items() >= expected.items()
 
 
 class TestTrainOracle:

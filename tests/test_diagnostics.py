@@ -1,5 +1,8 @@
 """Each command's stderr bytes on the demo corpus, run as a real process.
 
+``eval`` also runs on a small export whose gold tweets include some that
+preprocess to no tokens.
+
 The diagnostics are checked byte for byte against ``reference.run``'s:
 their texts, their order, and where the ``error:`` line falls among
 them. A run with stderr closed must print the same data and exit with
@@ -18,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import reference
+from conftest import EMPTY_GOLD, WORD_GOLD, write_gold_export
 from kicaumine.resources import demo_corpus_path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -80,6 +84,9 @@ def work(tmp_path_factory):
         "id,label\nt1,positive\nt2,positive\nt3,negative\nt4,negative\nt5,neutral\nt6,negative\n",
         encoding="utf-8",
     )
+    write_gold_export(work / "empty_gold.jsonl", work / "empty_gold.csv", WORD_GOLD + EMPTY_GOLD)
+    with (work / "empty_gold.csv").open("a", encoding="utf-8") as gold:
+        gold.write("ghost,negative\n")
     return work
 
 
@@ -100,6 +107,11 @@ CASES = {
     # The gold join, with its missing-id line, runs before the model is read.
     "eval-model-bad-model": (
         ("eval", "--input", DEMO, "--gold", "gold.csv", "--model", "model_bad.json"), 1
+    ),
+    # Gold tweets that preprocess to no tokens are dropped after the join.
+    "eval-model-dropped-empty": (
+        ("eval", "--input", "empty_gold.jsonl", "--gold", "empty_gold.csv", "--model", "model.json"),
+        0,
     ),
     "eval-k-skips": (
         ("eval", "--input", DEMO, "--gold", "gold6.csv", "--k", "2", "--seed", "4"), 0
@@ -169,7 +181,12 @@ def test_closed_stdout_prints_one_error_line(work, case):
 
 
 def _ignored_flush_error(error: str) -> str:
-    """The lines the interpreter prints when its final flush of stdout fails."""
+    """The lines the interpreter prints when its final flush of stdout fails.
+
+    Python 3.13 names the stream in other words.
+    """
+    if sys.version_info >= (3, 13):
+        return f"Exception ignored on flushing sys.stdout:\n{error}\n"
     return (
         "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding='utf-8'>\n"
         f"{error}\n"

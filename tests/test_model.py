@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -591,6 +592,18 @@ class TestSaveLoad:
         text = path.read_text(encoding="utf-8").replace('"schema_version": 1', '"schema_version": 99')
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ModelFormatError, match="version"):
+            load_model(path)
+
+    @pytest.mark.parametrize("version, shown", [("true", "True"), ("1.0", "1.0")])
+    def test_version_that_is_not_an_integer_rejected(self, version, shown, toy_model, tmp_path):
+        # Equal to 1 in Python, but not the integer 1, as counts and alpha must be.
+        path = tmp_path / "model.json"
+        save_model(toy_model, path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace('"schema_version": 1', f'"schema_version": {version}'),
+                        encoding="utf-8")
+        message = f"unsupported model schema version {shown} (expected 1)"
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
             load_model(path)
 
     def test_inconsistent_totals_rejected(self, toy_model, tmp_path):

@@ -267,6 +267,7 @@ MODEL_FAULTS = [
                docs_per_class={"negative": 2, "positive": 3, "neutral": 4},
                token_counts={**COUNTS, "neutral": {"calon": 5, "kerja": 1}},
                tokens_per_class={"negative": 3, "positive": 3, "neutral": 6}),
+    model_file(schema_version=1.0),
 ]
 edit_sets = st.one_of(st.just({}), st.fixed_dictionaries({}, optional={
     "labeled": st.tuples(st.integers(0, 10**6), st.sampled_from(LABELED_FAULTS)),
